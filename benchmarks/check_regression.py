@@ -160,7 +160,7 @@ def check(
             "— re-record with python -m benchmarks.bench_hotpath --write"
         ),
         derived=[
-            ("batch_vs_scalar_speedup", batch_speedup(fresh), min_batch_speedup),
+            ("batch_speedup", batch_speedup(fresh), min_batch_speedup),
         ],
     )
 

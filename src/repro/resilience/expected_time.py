@@ -51,7 +51,7 @@ import numpy as np
 
 from ..cluster import Cluster
 from ..exceptions import CapacityError, ConfigurationError
-from ..tasks import Pack
+from ..tasks import Pack, TaskSpec
 from .checkpoint import ResilienceModel
 from .profile_backends import (
     NUMBA_AVAILABLE,
@@ -65,6 +65,7 @@ __all__ = [
     "ExpectedTimeModel",
     "TaskGrid",
     "checkpoint_count",
+    "even_grid",
     "last_period",
     "stacked_raw_profiles",
     "ensure_alpha_vector",
@@ -113,6 +114,11 @@ def ensure_alpha_vector(
     return arr
 
 
+def even_grid(max_procs: int) -> np.ndarray:
+    """The even processor counts ``2, 4, ..., max_procs`` (odd rounds down)."""
+    return np.arange(2, int(max_procs) + 1, 2, dtype=float)
+
+
 def checkpoint_count(alpha: float, t_ff: float, tau: float, cost: float) -> int:
     """``N^ff_{i,j}(alpha)`` — Eq. (2), scalar form."""
     if alpha <= 0.0:
@@ -144,6 +150,48 @@ class TaskGrid:
     prefactor: np.ndarray  #: e^{lambda j R} (1/(lambda j) + D)
     exp_period: np.ndarray  #: e^{lambda j tau} - 1
     work_per_period: np.ndarray  #: tau - C
+
+    @classmethod
+    def build(
+        cls,
+        task: TaskSpec,
+        j: np.ndarray,
+        resilience: ResilienceModel,
+        downtime: float,
+    ) -> "TaskGrid":
+        """The grid of ``task`` over the even counts ``j``.
+
+        A pure function of the task, the grid, the resilience model and
+        the downtime — never of the pack the task sits in — so one grid
+        can serve every model that shares those (the online service keeps
+        one per running job across its re-packs).
+        """
+        t_ff = np.asarray(task.fault_free_time(j), dtype=float)
+        cost = np.asarray(resilience.cost(task, j), dtype=float)
+        tau = np.asarray(resilience.period(task, j), dtype=float)
+        lam = np.asarray(resilience.task_lambda(j), dtype=float)
+        recovery = cost  # buddy protocol: R = C
+        with np.errstate(over="ignore"):
+            # exp overflow -> inf: the expected time legitimately diverges
+            # on hopeless (MTBF << period) configurations
+            prefactor = np.exp(lam * recovery) * (1.0 / lam + downtime)
+            exp_period = np.expm1(lam * tau)
+        work_per_period = tau - cost
+        if np.any(work_per_period <= 0):
+            raise ConfigurationError(
+                f"task {task.index}: checkpoint period does not exceed its "
+                "cost; the checkpoint strategy is inconsistent"
+            )
+        return cls(
+            j=j,
+            t_ff=t_ff,
+            cost=cost,
+            tau=tau,
+            lam=lam,
+            prefactor=prefactor,
+            exp_period=exp_period,
+            work_per_period=work_per_period,
+        )
 
     def __post_init__(self) -> None:
         # slot() sits on every scalar accessor; memoise its arithmetic
@@ -270,6 +318,12 @@ class ExpectedTimeModel:
         backends are bit-identical (:mod:`~repro.resilience.
         profile_backends`); the knob mirrors ``decision_kernel`` /
         ``decision_state`` / ``event_queue``.
+    grids:
+        Optional prebuilt :class:`TaskGrid` per task, in pack order, for
+        callers that keep grids across models (the online service).  Each
+        must be :meth:`TaskGrid.build` of that task over this model's
+        ``j_grid`` with the same resilience model and downtime; by
+        default grids are built lazily by :meth:`grid`.
     """
 
     @staticmethod
@@ -292,6 +346,7 @@ class ExpectedTimeModel:
         cache_size: int = 4096,
         rc_factor: float = 1.0,
         profile_backend: str = "fused",
+        grids: Optional[Sequence[TaskGrid]] = None,
     ):
         if rc_factor < 0:
             raise ConfigurationError("rc_factor must be non-negative")
@@ -306,11 +361,18 @@ class ExpectedTimeModel:
         j_max = cluster.processors if max_procs is None else int(max_procs)
         if j_max < 2:
             raise ConfigurationError("max_procs must be >= 2")
-        if j_max % 2 != 0:
-            j_max -= 1
-        self._j_grid = np.arange(2, j_max + 1, 2, dtype=float)
+        self._j_grid = even_grid(j_max)
         self._grid_len = len(self._j_grid)
         self._grids: dict[int, TaskGrid] = {}
+        if grids is not None:
+            if len(grids) != len(pack) or any(
+                g.j.size != self._grid_len for g in grids
+            ):
+                raise ConfigurationError(
+                    f"grids must hold one {self._grid_len}-slot grid per "
+                    f"task of the {len(pack)}-task pack"
+                )
+            self._grids = dict(enumerate(grids))
         # Flat profile store: one preallocated row array per live envelope,
         # grown on demand up to cache_size and then recycled FIFO.
         # _profile_views maps (task, quantised-alpha) -> read-only row and
@@ -350,35 +412,8 @@ class ExpectedTimeModel:
         cached = self._grids.get(i)
         if cached is not None:
             return cached
-        task = self.pack[i]
-        j = self._j_grid
-        t_ff = np.asarray(task.fault_free_time(j), dtype=float)
-        cost = np.asarray(self.resilience.cost(task, j), dtype=float)
-        tau = np.asarray(self.resilience.period(task, j), dtype=float)
-        lam = np.asarray(self.resilience.task_lambda(j), dtype=float)
-        recovery = cost  # buddy protocol: R = C
-        with np.errstate(over="ignore"):
-            # exp overflow -> inf: the expected time legitimately diverges
-            # on hopeless (MTBF << period) configurations
-            prefactor = np.exp(lam * recovery) * (
-                1.0 / lam + self.cluster.downtime
-            )
-            exp_period = np.expm1(lam * tau)
-        work_per_period = tau - cost
-        if np.any(work_per_period <= 0):
-            raise ConfigurationError(
-                f"task {i}: checkpoint period does not exceed its cost; "
-                "the checkpoint strategy is inconsistent"
-            )
-        grid = TaskGrid(
-            j=j,
-            t_ff=t_ff,
-            cost=cost,
-            tau=tau,
-            lam=lam,
-            prefactor=prefactor,
-            exp_period=exp_period,
-            work_per_period=work_per_period,
+        grid = TaskGrid.build(
+            self.pack[i], self._j_grid, self.resilience, self.cluster.downtime
         )
         self._grids[i] = grid
         return grid

@@ -267,18 +267,28 @@ class Simulator:
         self._m_live = np.ones(n, dtype=bool)   # ~done & ~released
         self._m_scratch = np.empty(n, dtype=bool)
 
-        for i, count in sigma0.items():
+        order = list(sigma0)
+        slots = []
+        for i in order:
+            count = sigma0[i]
             rt = runtimes[i]
             rt.assign(count)
+            slots.append(model.grid(i).slot(count))
             if alphas is not None:
                 rt.alpha = float(alphas[i])
             if t_last is not None:
                 rt.t_last = float(t_last[i])
             elif t0 != 0.0:
                 rt.t_last = t0
-            rt.t_expected = rt.t_last + model.expected_time(
-                i, count, rt.alpha
-            )
+        # Every initial envelope in one batched evaluation; row ``pos``
+        # is bit-identical to ``profile(order[pos], alpha)``.
+        rows = model.profile_matrix(
+            order, np.array([runtimes[i].alpha for i in order])
+        )
+        for pos, i in enumerate(order):
+            count = sigma0[i]
+            rt = runtimes[i]
+            rt.t_expected = rt.t_last + float(rows[pos, slots[pos]])
             procs.acquire(i, count)
             self._m_texp[i] = rt.t_expected
             self._m_tlast[i] = rt.t_last

@@ -15,6 +15,7 @@ Three layers, pinned separately:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -28,12 +29,15 @@ import pytest
 
 from conftest import wait_for
 from repro.exceptions import ConfigurationError
+from repro.resilience.expected_time import ExpectedTimeModel, TaskGrid
 from repro.service import (
     ReplayConfig,
     ServiceAPI,
     ServiceServer,
     ServiceSession,
     VirtualClock,
+    generate_trace,
+    horizon,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -185,6 +189,94 @@ class TestServiceAPI:
             api.handle("submit", {"size": 5_000.0})
         # drain is idempotent
         assert api.handle("drain", {})["completed"] == 3
+
+
+#: A busy trace for the grid-store checks: overlapping arrivals on a
+#: small platform (so jobs queue), cancels, and failures mid-trace.
+GRID_TRACE = dict(n_jobs=24, mean_gap=2_500.0, cancel_every=3)
+GRID_CONFIG = ReplayConfig(processors=12, mtbf_years=0.05, seed=7)
+
+
+def _drive(engine, trace, after_event=None):
+    """Feed ``trace`` into ``engine`` and drain it (``replay_reference``'s
+    loop, with a hook after every event)."""
+    for event in trace:
+        engine.advance_to(event.time)
+        if after_event is not None:
+            after_event(engine)
+        if event.kind == "submit":
+            engine.submit(
+                event.job_id,
+                event.size,
+                event.checkpoint_cost,
+                now=event.time,
+            )
+        else:
+            engine.cancel(event.job_id, now=event.time)
+        if after_event is not None:
+            after_event(engine)
+    engine.drain()
+
+
+class TestTaskGridStore:
+    """The engine's per-job Eq. 4 grids, shared across re-packs."""
+
+    def test_handed_grids_equal_fresh_model_grids(self, monkeypatch):
+        handed = []
+
+        class Recording(ExpectedTimeModel):
+            def __init__(self, pack, cluster, **kwargs):
+                handed.append((pack, cluster, kwargs["grids"]))
+                super().__init__(pack, cluster, **kwargs)
+
+        monkeypatch.setattr(horizon, "ExpectedTimeModel", Recording)
+        _drive(GRID_CONFIG.engine(), generate_trace(4, **GRID_TRACE))
+        assert len(handed) > 5
+        # the same grid object serves several models (the point of it)
+        ids = [id(grid) for _, _, grids in handed for grid in grids]
+        assert len(set(ids)) < len(ids)
+        for pack, cluster, grids in handed:
+            fresh = ExpectedTimeModel(pack, cluster)
+            assert len(grids) == len(pack)
+            for i, grid in enumerate(grids):
+                for field in dataclasses.fields(TaskGrid):
+                    assert (
+                        getattr(grid, field.name).tobytes()
+                        == getattr(fresh.grid(i), field.name).tobytes()
+                    ), (pack[i].name, field.name)
+
+    def test_store_is_bounded_by_running_jobs_and_empty_after_drain(self):
+        engine = GRID_CONFIG.engine()
+        seen = []
+
+        def check(engine):
+            held = engine.metrics()["task_grids"]
+            assert held <= len(engine.active_jobs)
+            seen.append(held)
+
+        _drive(engine, generate_trace(4, **GRID_TRACE), after_event=check)
+        assert max(seen) >= 2
+        assert engine.queued_jobs == [] and engine.active_jobs == []
+        assert engine.metrics()["task_grids"] == 0
+
+    def test_job_cancelled_while_queued_never_builds_a_grid(
+        self, monkeypatch
+    ):
+        built = []
+        build = TaskGrid.build.__func__
+
+        def recording(cls, task, *args):
+            built.append(task.name)
+            return build(cls, task, *args)
+
+        monkeypatch.setattr(TaskGrid, "build", classmethod(recording))
+        api, session, _clock = make_api(processors=4)
+        for name in ("a", "b", "c"):
+            api.handle("submit", {"job_id": name, "size": 6_500.0})
+        assert session.engine.queued_jobs == ["c"]
+        assert api.handle("cancel", {"job_id": "c"})["cancelled"] is True
+        assert api.handle("drain", {})["completed"] == 2
+        assert sorted(built) == ["a", "b"]
 
 
 def _call(url, path, *, token=None, payload=None, timeout=10.0):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import optimal_schedule, projected_finish
+from repro.exceptions import CapacityError
 from repro.resilience import ExpectedTimeModel
 from repro.simulation import EventKind, Simulator, simulate
 from repro.tasks import uniform_pack
@@ -216,3 +217,91 @@ class TestResultSummary:
         text = result.summary()
         assert "ig-el" in text
         assert "makespan" in text
+
+
+class TestStartPrologue:
+    """``start()`` scores every task's initial expected time in one
+    batched ``profile_matrix`` call; it must reproduce the scalar
+    per-task prologue (``expected_time`` per task) bit for bit."""
+
+    T0 = 5_000.0
+
+    @staticmethod
+    def scalar_prologue(pack, cluster, sigma0, alphas, t_last):
+        """Per-task ``t_expected`` and the sorted completion queue."""
+        fresh = ExpectedTimeModel(pack, cluster)
+        t_expected, finish = {}, []
+        for i, count in sigma0.items():
+            grid = fresh.grid(i)
+            slot = grid.slot(count)
+            t_expected[i] = t_last[i] + fresh.expected_time(
+                i, count, alphas[i]
+            )
+            finish.append((
+                projected_finish(
+                    t_last[i],
+                    alphas[i],
+                    float(grid.t_ff[slot]),
+                    float(grid.tau[slot]),
+                    float(grid.cost[slot]),
+                ),
+                i,
+            ))
+        return t_expected, sorted(finish)
+
+    @staticmethod
+    def completions(sim):
+        """Every completion of a fault-free, never-redistributing run:
+        the prologue's completion queue, drained in (time, task) order."""
+        events = []
+        while sim.tasks_remaining:
+            t, kind, i = sim.step()
+            if kind == "completion":
+                events.append((t, i))
+        return events
+
+    def check(self, pack, cluster, sigma0, alphas, t_last, *, residual):
+        sim = Simulator(pack, cluster, inject_faults=False)
+        if residual:
+            sim.start(t0=self.T0, sigma0=sigma0, alphas=alphas, t_last=t_last)
+        else:
+            sim.start(sigma0=sigma0)
+        t_expected, finish = self.scalar_prologue(
+            pack, cluster, sigma0, alphas, t_last
+        )
+        for i, rt in enumerate(sim.runtimes):
+            assert rt.t_expected == t_expected[i]
+            assert rt.t_last == t_last[i] and rt.alpha == alphas[i]
+        assert sim.next_event_time() == finish[0][0]
+        assert self.completions(sim) == finish
+
+    def test_full_work_matches_scalar_prologue(self, small_pack, small_cluster):
+        n, p = len(small_pack), small_cluster.processors
+        sigma0 = optimal_schedule(ExpectedTimeModel(small_pack, small_cluster), p)
+        self.check(
+            small_pack, small_cluster, sigma0, [1.0] * n, [0.0] * n,
+            residual=False,
+        )
+
+    def test_residual_work_matches_scalar_prologue(
+        self, small_pack, small_cluster
+    ):
+        n, p = len(small_pack), small_cluster.processors
+        alphas = [float(a) for a in np.linspace(0.15, 0.95, n)]
+        t_last = [self.T0 + 37.5 * i for i in range(n)]
+        model = ExpectedTimeModel(small_pack, small_cluster)
+        sigma0 = optimal_schedule(model, p, alphas=alphas)
+        self.check(
+            small_pack, small_cluster, sigma0, alphas, t_last, residual=True
+        )
+
+    @pytest.mark.parametrize("bad", [3, 0, 42])
+    def test_odd_or_out_of_grid_count_raises(
+        self, small_pack, small_cluster, bad
+    ):
+        # small_cluster has 40 processors: 42 is past the grid's end.
+        sigma0 = {i: 2 for i in range(len(small_pack))}
+        sigma0[3] = bad
+        sim = Simulator(small_pack, small_cluster, inject_faults=False)
+        with pytest.raises(CapacityError):
+            sim.start(sigma0=sigma0)
