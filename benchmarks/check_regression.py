@@ -7,14 +7,9 @@ against the committed baselines ``BENCH_hotpath.json`` /
 (default 1.3x) times its recorded baseline fails the gate; the derived
 host-relative speedups must also stay above their floors: the batched
 expected-times accessor over the scalar loop
-(``--min-batch-speedup``, default 3x), the array decision kernel
-over the scalar kernel on the failure-heavy simulation
-(``--min-kernel-speedup``, default 1.5x), the incremental decision
-state over the per-decision fresh build on the same run
-(``--min-state-speedup``, default 1.3x), and the full native-speed hot
-core over the ``profile_backend="reference"`` substrate
-(``--min-failure-heavy-speedup``, default 2x at small/paper scale and
-1.25x on the tiny CI leg — the ISSUE 7 target is an at-scale claim).
+(``--min-batch-speedup``, default 3x) and the default simulator path
+over ``Simulator(reference=True)`` on the failure-heavy simulation
+(``--min-speedup-vs-reference``, default 2x at every scale).
 The scheduling service rides the same gate
 (:mod:`benchmarks.bench_service` vs ``BENCH_service.json``): the
 arrival replay must stay byte-identical and its p99 re-pack latency
@@ -47,11 +42,9 @@ try:
     from .bench_decisions import (
         BENCH_SCALE as DECISIONS_SCALE,
         DEFAULT_BASELINE as DECISIONS_BASELINE,
-        FAILURE_HEAVY_FLOOR,
+        SPEEDUP_VS_REFERENCE_FLOOR,
         run_all as run_decisions,
-        sim_failure_heavy_speedup,
-        sim_kernel_speedup,
-        sim_state_speedup,
+        sim_speedup_vs_reference,
     )
     from .bench_service import (
         BENCH_SCALE as SERVICE_SCALE,
@@ -65,11 +58,9 @@ except ImportError:  # pytest / sys.path import (benchmarks/ on the path)
     from bench_decisions import (
         BENCH_SCALE as DECISIONS_SCALE,
         DEFAULT_BASELINE as DECISIONS_BASELINE,
-        FAILURE_HEAVY_FLOOR,
+        SPEEDUP_VS_REFERENCE_FLOOR,
         run_all as run_decisions,
-        sim_failure_heavy_speedup,
-        sim_kernel_speedup,
-        sim_state_speedup,
+        sim_speedup_vs_reference,
     )
     from bench_service import (
         BENCH_SCALE as SERVICE_SCALE,
@@ -83,14 +74,8 @@ except ImportError:  # pytest / sys.path import (benchmarks/ on the path)
 DEFAULT_THRESHOLD = 1.3
 #: Floor on the batched expected_times speedup over the scalar loop.
 DEFAULT_MIN_BATCH_SPEEDUP = 3.0
-#: Floor on the array-vs-scalar decision-kernel speedup (failure-heavy).
-DEFAULT_MIN_KERNEL_SPEEDUP = 1.5
-#: Floor on the incremental-vs-rebuild decision-state speedup.
-DEFAULT_MIN_STATE_SPEEDUP = 1.3
-#: Floor on the hot-core-vs-reference-substrate speedup (ISSUE 7).
-#: Scale-aware: 2x at small/paper, relaxed on the tiny CI leg (see
-#: ``bench_decisions.FAILURE_HEAVY_FLOORS``).
-DEFAULT_MIN_FAILURE_HEAVY_SPEEDUP = FAILURE_HEAVY_FLOOR
+#: Floor on the default-vs-reference simulator speedup (failure-heavy).
+DEFAULT_MIN_SPEEDUP_VS_REFERENCE = SPEEDUP_VS_REFERENCE_FLOOR
 
 
 def _check_against_baseline(
@@ -168,16 +153,13 @@ def check(
 def check_decisions(
     baseline_path: Path = DECISIONS_BASELINE,
     threshold: float = DEFAULT_THRESHOLD,
-    min_kernel_speedup: float = DEFAULT_MIN_KERNEL_SPEEDUP,
-    min_state_speedup: float = DEFAULT_MIN_STATE_SPEEDUP,
-    min_failure_heavy_speedup: float = DEFAULT_MIN_FAILURE_HEAVY_SPEEDUP,
+    min_speedup_vs_reference: float = DEFAULT_MIN_SPEEDUP_VS_REFERENCE,
 ) -> tuple[bool, str]:
     """Decision gate: fresh run vs ``BENCH_decisions.json``.
 
-    Enforces all three host-relative floors — the array-vs-scalar
-    kernel speedup, the incremental-vs-rebuild decision-state speedup,
-    and the hot-core-vs-reference-substrate failure-heavy speedup.
-    The committed baseline is recorded at ``small`` scale while CI runs
+    Enforces the host-relative ``sim_speedup_vs_reference`` floor: the
+    default simulator path against ``Simulator(reference=True)`` on
+    the failure-heavy run.  The committed baseline is recorded at ``small`` scale while CI runs
     ``tiny``, so the scale is part of the comparability test.
     """
     payload = json.loads(baseline_path.read_text())
@@ -196,12 +178,10 @@ def check_decisions(
             f"python={_host()[1]}; skipping absolute-seconds comparison"
         ),
         derived=[
-            ("sim_kernel_speedup", sim_kernel_speedup(fresh), min_kernel_speedup),
-            ("sim_state_speedup", sim_state_speedup(fresh), min_state_speedup),
             (
-                "sim_failure_heavy_speedup",
-                sim_failure_heavy_speedup(fresh),
-                min_failure_heavy_speedup,
+                "sim_speedup_vs_reference",
+                sim_speedup_vs_reference(fresh),
+                min_speedup_vs_reference,
             ),
         ],
     )
@@ -277,23 +257,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="required batched-vs-scalar speedup (default 3.0)",
     )
     parser.add_argument(
-        "--min-kernel-speedup", type=float, default=DEFAULT_MIN_KERNEL_SPEEDUP,
-        help="required array-vs-scalar decision-kernel speedup (default 1.5)",
-    )
-    parser.add_argument(
-        "--min-state-speedup", type=float, default=DEFAULT_MIN_STATE_SPEEDUP,
+        "--min-speedup-vs-reference", type=float,
+        default=DEFAULT_MIN_SPEEDUP_VS_REFERENCE,
         help=(
-            "required incremental-vs-rebuild decision-state speedup "
-            "(default 1.3)"
-        ),
-    )
-    parser.add_argument(
-        "--min-failure-heavy-speedup", type=float,
-        default=DEFAULT_MIN_FAILURE_HEAVY_SPEEDUP,
-        help=(
-            "required hot-core-vs-reference failure-heavy speedup "
-            f"(default {DEFAULT_MIN_FAILURE_HEAVY_SPEEDUP:g} at "
-            f"REPRO_BENCH_SCALE={DECISIONS_SCALE})"
+            "required default-vs-reference failure-heavy simulator "
+            f"speedup (default {DEFAULT_MIN_SPEEDUP_VS_REFERENCE:g})"
         ),
     )
     parser.add_argument(
@@ -323,8 +291,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ok, report = check(args.baseline, args.threshold, args.min_batch_speedup)
     print(report)
     dec_ok, dec_report = check_decisions(
-        args.decisions_baseline, args.threshold, args.min_kernel_speedup,
-        args.min_state_speedup, args.min_failure_heavy_speedup,
+        args.decisions_baseline, args.threshold,
+        args.min_speedup_vs_reference,
     )
     print(dec_report)
     ok &= dec_ok

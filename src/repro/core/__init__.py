@@ -15,12 +15,7 @@ from .heuristics import (
     ShortestTasksFirst,
     greedy_rebuild,
 )
-from .kernels import (
-    KERNELS,
-    DecisionMatrix,
-    decision_matrix,
-    ensure_kernel,
-)
+from .kernels import DecisionCache, DecisionMatrix
 from .optimal import expected_makespan, optimal_schedule
 from .policy import PAPER_POLICY_LABELS, POLICIES, Policy, get_policy
 from .progress import (
@@ -29,7 +24,6 @@ from .progress import (
     projected_finish,
     remaining_after_elapsed,
     remaining_after_failure,
-    remaining_at_batch,
 )
 from .redistribution import (
     redistribution_cost,
@@ -52,10 +46,8 @@ __all__ = [
     "IteratedGreedy",
     "ShortestTasksFirst",
     "greedy_rebuild",
-    "KERNELS",
+    "DecisionCache",
     "DecisionMatrix",
-    "decision_matrix",
-    "ensure_kernel",
     "expected_makespan",
     "optimal_schedule",
     "PAPER_POLICY_LABELS",
@@ -67,7 +59,6 @@ __all__ = [
     "projected_finish",
     "remaining_after_elapsed",
     "remaining_after_failure",
-    "remaining_at_batch",
     "redistribution_cost",
     "redistribution_cost_matrix",
     "redistribution_cost_vector",

@@ -20,21 +20,21 @@ improving candidate, which is exactly ``targets[mask.argmax()]`` on the
 boolean improvement mask.
 
 These helpers are the *scalar* decision kernel — the per-probe
-reference.  The default ``"array"`` kernel (:mod:`repro.core.kernels`)
-precomputes the same values as one matrix per decision point; the two
-agree bit for bit by construction.
+reference that ``reference=True`` runs.  The default path
+(:mod:`repro.core.kernels`) keeps the same values in one delta-patched
+matrix per decision point; the two agree bit for bit by construction.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ...exceptions import CapacityError, SimulationError
 from ...resilience.expected_time import ExpectedTimeModel
-from ..kernels import DecisionCache, ensure_kernel, faulty_stall
+from ..kernels import DecisionCache, faulty_stall
 from ..progress import remaining_after_elapsed
 from ..redistribution import redistribution_cost, redistribution_cost_vector
 from ..state import TaskRuntime
@@ -46,7 +46,6 @@ __all__ = [
     "candidate_finish_times",
     "candidate_finish_time",
     "apply_move",
-    "ensure_kernel",
     "faulty_stall",
 ]
 
@@ -177,20 +176,18 @@ class CompletionHeuristic(ABC):
         t: float,
         tasks: Sequence[TaskRuntime],
         free: int,
-        kernel: str = "array",
+        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         """Redistribute ``free`` processors among ``tasks`` at time ``t``.
 
         Mutates the runtimes in place and returns the indices of the tasks
         whose allocation changed (the simulator re-projects those).
-        ``kernel`` picks the decision kernel (:mod:`repro.core.kernels`):
-        the batched ``"array"`` matrix or the ``"scalar"`` reference —
-        both produce bit-identical decisions.  ``cache`` (array kernel
-        only) supplies the run's persistent
-        :class:`~repro.core.kernels.DecisionCache`, whose delta-patched
-        matrix replaces the per-decision fresh build — also
-        bit-identical.
+        ``reference`` runs the scalar per-probe kernel instead of the
+        decision matrix — both produce bit-identical decisions.
+        ``cache`` supplies the run's persistent
+        :class:`~repro.core.kernels.DecisionCache` (without one the fast
+        path builds a one-shot cache; the reference path ignores it).
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -210,7 +207,7 @@ class FailureHeuristic(ABC):
         tasks: Sequence[TaskRuntime],
         free: int,
         faulty: int,
-        kernel: str = "array",
+        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         """Rebalance around faulty task ``faulty`` at time ``t``.
@@ -218,10 +215,9 @@ class FailureHeuristic(ABC):
         ``tasks`` contains the active, non-busy tasks *including* the
         faulty one, whose ``alpha``/``t_last``/``t_expected`` have already
         been rolled back by the simulator skeleton (Alg. 2 lines 23-26).
-        Returns the indices of tasks whose allocation changed.  ``kernel``
-        picks the decision kernel (:mod:`repro.core.kernels`); ``cache``
-        the run's persistent delta-patched decision state (array kernel
-        only, bit-identical to the fresh build).
+        Returns the indices of tasks whose allocation changed.
+        ``reference`` and ``cache`` are as for
+        :meth:`CompletionHeuristic.apply`.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -6,10 +6,10 @@ the move pays for its redistribution cost.  Decisions are purely local: a
 task found non-improvable is dropped from consideration and its processors
 are never reclaimed.
 
-On the ``"array"`` decision kernel (:mod:`repro.core.kernels`) the
-greedy loop only slices the decision matrix (rows materialise on first
-touch — a completion may consult just a few tasks); ``"scalar"`` keeps
-the per-pop model calls as the bit-identical reference.
+On the default path (:mod:`repro.core.kernels`) the greedy loop only
+slices the decision matrix (rows are patched on first touch — a
+completion may consult just a few tasks); ``reference=True`` keeps the
+per-pop model calls as the bit-identical reference.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ...resilience.expected_time import ExpectedTimeModel
-from ..kernels import DecisionCache, decision_matrix, ensure_kernel
+from ..kernels import DecisionCache
 from ..state import TaskRuntime
 from .base import (
     CompletionHeuristic,
@@ -44,15 +44,16 @@ class EndLocal(CompletionHeuristic):
         t: float,
         tasks: Sequence[TaskRuntime],
         free: int,
-        kernel: str = "array",
+        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
-        ensure_kernel(kernel)
         if free < 2 or not tasks:
             return []
-        if kernel == "array":
-            return self._apply_array(model, t, tasks, free, cache)
-        return self._apply_scalar(model, t, tasks, free)
+        if reference:
+            return self._apply_scalar(model, t, tasks, free)
+        if cache is None:
+            cache = DecisionCache(model)
+        return self._apply_array(model, t, tasks, free, cache)
 
     def _apply_array(
         self,
@@ -60,13 +61,10 @@ class EndLocal(CompletionHeuristic):
         t: float,
         tasks: Sequence[TaskRuntime],
         free: int,
-        cache: Optional[DecisionCache] = None,
+        cache: DecisionCache,
     ) -> List[int]:
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
-        if cache is not None:
-            dm = cache.matrix(t, tasks, lazy=True)
-        else:
-            dm = decision_matrix(model, t, tasks, lazy=True)
+        dm = cache.matrix(t, tasks, lazy=True)
 
         # Max-heap on tU (Algorithm 3 keeps L sorted non-increasingly).
         heap = [(-rt.t_expected, rt.index) for rt in tasks]

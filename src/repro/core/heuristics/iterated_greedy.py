@@ -11,10 +11,9 @@ lines 16 and 23).
 ``EndGreedy`` (Section 5.2) is the same rebuild triggered at task
 terminations, without a faulty task.
 
-The rebuild runs on either decision kernel (:mod:`repro.core.kernels`):
-``"array"`` precomputes the whole candidate finish matrix once and walks
-it by index, ``"scalar"`` keeps the per-probe model calls as the
-bit-identical reference.
+The rebuild walks the delta-patched candidate finish matrix
+(:mod:`repro.core.kernels`) by index; ``reference=True`` keeps the
+per-probe model calls as the bit-identical reference.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from ...exceptions import CapacityError
 from ...resilience.expected_time import ExpectedTimeModel
-from ..kernels import DecisionCache, decision_matrix, ensure_kernel
+from ..kernels import DecisionCache
 from ..state import TaskRuntime
 from .base import (
     CompletionHeuristic,
@@ -47,7 +46,7 @@ def greedy_rebuild(
     tasks: Sequence[TaskRuntime],
     capacity: int,
     faulty: Optional[int] = None,
-    kernel: str = "array",
+    reference: bool = False,
     cache: Optional[DecisionCache] = None,
 ) -> List[int]:
     """Rebuild the allocation of ``tasks`` over ``capacity`` processors.
@@ -55,11 +54,11 @@ def greedy_rebuild(
     Core of Algorithm 5.  ``capacity`` counts every processor usable by
     the listed tasks (their current holdings plus the free pool).  The
     runtimes are mutated in place; returns the indices whose allocation
-    changed.  With a :class:`~repro.core.kernels.DecisionCache` the
-    matrix is delta-patched instead of rebuilt and the grant loop runs
-    on the incremental heap (bit-identical decisions either way).
+    changed.  The grant loop reads the run's delta-patched
+    :class:`~repro.core.kernels.DecisionCache` (a one-shot cache when
+    none is given); ``reference=True`` runs the scalar per-probe kernel
+    instead — bit-identical decisions either way.
     """
-    ensure_kernel(kernel)
     if not tasks:
         return []
     n = len(tasks)
@@ -67,11 +66,11 @@ def greedy_rebuild(
         raise CapacityError(
             f"greedy rebuild needs capacity >= 2n: capacity={capacity}, n={n}"
         )
-    if kernel == "array":
-        if cache is not None:
-            return _greedy_rebuild_cached(model, t, tasks, capacity, faulty, cache)
-        return _greedy_rebuild_array(model, t, tasks, capacity, faulty)
-    return _greedy_rebuild_scalar(model, t, tasks, capacity, faulty)
+    if reference:
+        return _greedy_rebuild_scalar(model, t, tasks, capacity, faulty)
+    if cache is None:
+        cache = DecisionCache(model)
+    return _greedy_rebuild_cached(model, t, tasks, capacity, faulty, cache)
 
 
 def _greedy_rebuild_cached(
@@ -84,10 +83,10 @@ def _greedy_rebuild_cached(
 ) -> List[int]:
     """Cache-fed kernel: delta-patched matrix + incremental heap.
 
-    Decision-for-decision identical to :func:`_greedy_rebuild_array`:
-    the candidate values come from the same (delta-patched) matrix and
-    every comparison reads the same doubles.  Two loop mechanics differ
-    without changing any decision:
+    Decision-for-decision identical to :func:`_greedy_rebuild_scalar`:
+    the candidate values are the scalar helpers' doubles and every
+    comparison reads the same ones.  Two loop mechanics differ from the
+    seed's pop/scan/push loop without changing any decision:
 
     * the "can this task still improve within the remaining budget"
       probe is O(1) — the reversed running minimum answers "improvable
@@ -150,10 +149,10 @@ def _greedy_rebuild_cached(
             # Still the longest task: keep growing without heap traffic.
 
     # ---- Commit, vectorised over the cache's full-pack rows ----------
-    # A _CacheMatrix addresses rows by task index, so the per-task
-    # ``init_of``/``keep_finish``/``stall_of`` accessor hops of the
-    # fresh-build commit loop collapse into three fancy gathers; the
-    # committed values are the same floats read in the same task order.
+    # The matrix addresses rows by task index, so the per-task
+    # ``init_of``/``stall_of`` accessor hops collapse into fancy
+    # gathers; the committed values are the same floats read in the
+    # same task order.
     idx = np.fromiter(indices, dtype=np.int64, count=n)
     new_sig = (np.asarray(slots, dtype=np.int64) + 1) << 1
     init = dm.j_init[idx]
@@ -177,49 +176,6 @@ def _greedy_rebuild_cached(
     else:
         for pos, rt in enumerate(tasks):
             rt.t_expected = keeps[pos]
-    return changed
-
-
-def _greedy_rebuild_array(
-    model: ExpectedTimeModel,
-    t: float,
-    tasks: Sequence[TaskRuntime],
-    capacity: int,
-    faulty: Optional[int],
-) -> List[int]:
-    """Array kernel: one precomputed matrix, zero model calls in the loop."""
-    dm = decision_matrix(model, t, tasks, faulty=faulty, with_keep=True)
-    by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
-    sigma: Dict[int, int] = {rt.index: 2 for rt in tasks}
-    expected: Dict[int, float] = {i: dm.rebuild_finish(i, 2) for i in sigma}
-    heap = [(-expected[i], i) for i in sigma]
-    heapq.heapify(heap)
-    available = capacity - 2 * len(tasks)
-
-    while available >= 2 and heap:
-        _, i = heapq.heappop(heap)
-        p_max = sigma[i] + available
-        finishes = dm.rebuild_range(i, sigma[i] + 2, p_max)
-        if finishes.size and bool(np.any(finishes < expected[i])):
-            sigma[i] += 2
-            expected[i] = dm.rebuild_finish(i, sigma[i])
-            heapq.heappush(heap, (-expected[i], i))
-            available -= 2
-        else:
-            # Algorithm 5 line 30: the longest task cannot improve — stop.
-            available = 0
-
-    changed: List[int] = []
-    for i, rt in by_index.items():
-        if sigma[i] != dm.init_of(i):
-            apply_move(
-                model, rt, t, dm.stall_of(i), dm.init_of(i), sigma[i],
-                dm.alpha_of(i),
-            )
-            changed.append(i)
-        else:
-            # Untouched: restore the expected finish from live bookkeeping.
-            rt.t_expected = dm.keep_finish(i)
     return changed
 
 
@@ -309,12 +265,12 @@ class IteratedGreedy(FailureHeuristic):
         tasks: Sequence[TaskRuntime],
         free: int,
         faulty: int,
-        kernel: str = "array",
+        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         capacity = free + sum(rt.sigma for rt in tasks)
         return greedy_rebuild(
-            model, t, tasks, capacity, faulty=faulty, kernel=kernel,
+            model, t, tasks, capacity, faulty=faulty, reference=reference,
             cache=cache,
         )
 
@@ -330,13 +286,13 @@ class EndGreedy(CompletionHeuristic):
         t: float,
         tasks: Sequence[TaskRuntime],
         free: int,
-        kernel: str = "array",
+        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         if not tasks:
             return []
         capacity = free + sum(rt.sigma for rt in tasks)
         return greedy_rebuild(
-            model, t, tasks, capacity, faulty=None, kernel=kernel,
+            model, t, tasks, capacity, faulty=None, reference=reference,
             cache=cache,
         )

@@ -16,10 +16,9 @@ the faulty task's candidates include its ``D + R`` stall (the Section
 when phase 1 allocated nothing, matching the prose ("Then, if the faulty
 task is still improvable ...").
 
-Both phases run on either decision kernel (:mod:`repro.core.kernels`):
-``"array"`` scans slices of one precomputed candidate finish matrix,
-``"scalar"`` keeps the per-scan model calls as the bit-identical
-reference.
+Both phases scan slices of the decision matrix
+(:mod:`repro.core.kernels`); ``reference=True`` keeps the per-scan
+model calls as the bit-identical reference.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ...resilience.expected_time import ExpectedTimeModel
-from ..kernels import DecisionCache, decision_matrix, ensure_kernel
+from ..kernels import DecisionCache
 from ..state import TaskRuntime
 from .base import (
     FailureHeuristic,
@@ -55,13 +54,14 @@ class ShortestTasksFirst(FailureHeuristic):
         tasks: Sequence[TaskRuntime],
         free: int,
         faulty: int,
-        kernel: str = "array",
+        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
-        ensure_kernel(kernel)
-        if kernel == "array":
-            return self._apply_array(model, t, tasks, free, faulty, cache)
-        return self._apply_scalar(model, t, tasks, free, faulty)
+        if reference:
+            return self._apply_scalar(model, t, tasks, free, faulty)
+        if cache is None:
+            cache = DecisionCache(model)
+        return self._apply_array(model, t, tasks, free, faulty, cache)
 
     def _apply_array(
         self,
@@ -70,16 +70,13 @@ class ShortestTasksFirst(FailureHeuristic):
         tasks: Sequence[TaskRuntime],
         free: int,
         faulty: int,
-        cache: Optional[DecisionCache] = None,
+        cache: DecisionCache,
     ) -> List[int]:
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
         rt_f = by_index[faulty]
         # Algorithm 4 only ever consults the faulty task and a few
-        # donors: materialise rows on first touch.
-        if cache is not None:
-            dm = cache.matrix(t, tasks, faulty=faulty, lazy=True)
-        else:
-            dm = decision_matrix(model, t, tasks, faulty=faulty, lazy=True)
+        # donors: patch rows on first touch.
+        dm = cache.matrix(t, tasks, faulty=faulty, lazy=True)
         j_max = int(model.j_grid[-1])
 
         # ---- Phase 1: absorb free processors (Alg. 4 lines 12-25) --------

@@ -11,9 +11,9 @@ allocations with the Section 3.3 finish-time formula
              + C_{i,k} + t^R_{i,k}(\\alpha^t_i),
 
 and the seed evaluated that formula through scalar model calls inside
-the loops.  This module precomputes the full candidate finish matrix
-``t_E[i, k]`` for a decision point in one fused pass, so the loops
-become pure index arithmetic with **zero model calls**.
+the loops.  This module keeps the candidate finish matrix ``t_E[i, k]``
+of a decision point in one persistent :class:`DecisionCache`, so the
+loops become pure index arithmetic with **zero model calls**.
 
 The alpha-fixed-per-decision invariant
 --------------------------------------
@@ -30,27 +30,18 @@ algorithms score candidates with is *fixed per task*:
   the event fired, even after several buddy pairs moved.
 
 Only the candidate target ``k`` varies.  The matrix ``t_E[i, k]`` is
-therefore a pure function of the decision point and can be built once —
-one batched remaining-work pass (:func:`~repro.core.progress.
-remaining_at_batch`), one fused profile evaluation with per-task alphas
-(:meth:`~repro.resilience.expected_time.ExpectedTimeModel.
-profile_matrix`), one redistribution-cost matrix
-(:func:`~repro.core.redistribution.redistribution_cost_matrix`) and one
-checkpoint-cost gather — and then consulted by the loops.
+therefore a pure function of the decision point, and every entry is
+bit-identical to the scalar helpers (:func:`~repro.core.heuristics.
+base.candidate_finish_time` / ``candidate_finish_times``), operation for
+operation, so a default run matches ``Simulator(reference=True)`` — the
+scalar heuristics — byte for byte (pinned by
+``tests/test_decision_kernels.py``).
 
-Every entry is bit-identical to the scalar helpers
-(:func:`~repro.core.heuristics.base.candidate_finish_time` /
-``candidate_finish_times``), operation for operation, so the
-``decision_kernel="array"`` executions match ``"scalar"`` byte for byte
-(pinned by ``tests/test_decision_kernels.py``).
-
-The decision-state layer: delta-patching across events
-------------------------------------------------------
+Delta-patching across events
+----------------------------
 A single simulated event changes at most one task's remaining work
 (the struck task's rollback) and a handful of allocations (the moves
-the heuristic grants), yet the fresh build above re-runs every batched
-pass for every task at every decision point.  :class:`DecisionCache`
-is the persistent layer on top: one cache lives for the whole
+the heuristic grants).  :class:`DecisionCache` lives for the whole
 ``Simulator.run`` and keeps, per task,
 
 * the checkpoint-cost row ``C_{i,k}`` (constant for the run),
@@ -78,16 +69,13 @@ finish matrix at each decision point.  The invariants this rests on
    reused verbatim — this is what lets the consecutive sub-decisions
    of one event (the early-release pass followed by the failure
    rebuild at the same ``t``) share one patched matrix.
-3. **Patches are operation-identical to the fresh build.**  Stale rows
-   are recombined with exactly the fresh build's operation order
-   (``((t + stall) + RC) + (C + profile)``), the profile rows come
-   from :meth:`~repro.resilience.expected_time.ExpectedTimeModel.
-   profile_rows_into` (bit-identical to ``profile_matrix``), and the
-   remaining-work pass is :func:`~repro.core.progress.
-   remaining_from_arrays` over mirror subsets (bit-identical to
-   ``remaining_at_batch``).  Hence ``decision_state="incremental"``
-   executions match the fresh-build ``"rebuild"`` reference byte for
-   byte, mirroring the ``decision_kernel`` / ``event_queue`` pairs.
+3. **Patches are operation-identical to the scalar helpers.**  Stale
+   rows are recombined with exactly their operation order
+   (``((t + stall) + RC) + (C + profile)``), the profile rows are
+   bit-identical to :meth:`~repro.resilience.expected_time.
+   ExpectedTimeModel.profile_matrix`, and the remaining-work pass is
+   :func:`~repro.core.progress.remaining_from_arrays` over mirror
+   subsets (bit-identical to ``remaining_at``).
 
 All scratch blocks (finish matrix, combine buffers, rebuild blocks)
 are preallocated once per cache and reused for every decision;
@@ -103,9 +91,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, SimulationError
+from ..exceptions import SimulationError
 from ..resilience.expected_time import _ALPHA_SCALE, ExpectedTimeModel
-from .progress import remaining_at_batch, remaining_from_arrays
+from .progress import remaining_from_arrays
 from .redistribution import (
     redistribution_cost_matrix,
     redistribution_cost_vector,
@@ -113,26 +101,11 @@ from .redistribution import (
 from .state import TaskRuntime
 
 __all__ = [
-    "KERNELS",
-    "DECISION_STATES",
-    "ensure_kernel",
-    "ensure_decision_state",
     "faulty_stall",
     "DecisionMatrix",
-    "decision_matrix",
     "DecisionCache",
     "process_decision_snapshot",
 ]
-
-#: Decision-kernel modes: ``"array"`` is the batched fast path,
-#: ``"scalar"`` the seed-style reference (mirroring ``event_queue``).
-KERNELS = ("array", "scalar")
-
-#: Decision-state modes: ``"incremental"`` delta-patches one persistent
-#: :class:`DecisionCache` across the events of a run, ``"rebuild"``
-#: keeps the PR-3 fresh build per decision point as the reference
-#: (mirroring ``decision_kernel="scalar"`` / ``event_queue="scan"``).
-DECISION_STATES = ("incremental", "rebuild")
 
 _EMPTY = np.empty(0)
 
@@ -164,24 +137,6 @@ def process_decision_snapshot() -> tuple[int, int, int, int, int]:
     return tuple(_PROCESS_DECISION_COUNTERS)
 
 
-def ensure_kernel(kernel: str) -> str:
-    """Validate a ``decision_kernel`` mode name."""
-    if kernel not in KERNELS:
-        raise ConfigurationError(
-            f"decision_kernel must be one of {KERNELS}, got {kernel!r}"
-        )
-    return kernel
-
-
-def ensure_decision_state(state: str) -> str:
-    """Validate a ``decision_state`` mode name."""
-    if state not in DECISION_STATES:
-        raise ConfigurationError(
-            f"decision_state must be one of {DECISION_STATES}, got {state!r}"
-        )
-    return state
-
-
 def faulty_stall(rt: TaskRuntime, t: float) -> float:
     """``D + R`` already charged to the struck task by the skeleton.
 
@@ -200,58 +155,48 @@ def faulty_stall(rt: TaskRuntime, t: float) -> float:
 
 @dataclass
 class DecisionMatrix:
-    """Precomputed candidate finishes ``t_E[row, slot]`` of one decision.
+    """Candidate finishes ``t_E[i, slot]`` of one decision point.
 
-    Column ``slot`` corresponds to the even count ``k = 2 (slot + 1)``
-    (the model's processor grid).  ``finishes[row, slot]`` holds the
-    Section 3.3 value ``(t + stall) + rc_factor * RC^{j_init -> k} +
-    (C_{i,k} + t^R_{i,k}(alpha_t))`` with exactly the scalar helpers'
-    operation order, so reads off this matrix are bit-identical to
+    Served by :meth:`DecisionCache.matrix`: rows are full-pack indexed
+    (``row == task index``) views into the cache's persistent arrays,
+    valid until the cache serves its next matrix.  Column ``slot``
+    corresponds to the even count ``k = 2 (slot + 1)`` (the model's
+    processor grid).  ``finishes[i, slot]`` holds the Section 3.3 value
+    ``(t + stall) + rc_factor * RC^{j_init -> k} + (C_{i,k} +
+    t^R_{i,k}(alpha_t))`` with exactly the scalar helpers' operation
+    order, so reads off this matrix are bit-identical to
     ``candidate_finish_time(s)``.
 
-    Rows are either all materialised up front (one fused pass — right
-    for Algorithm 5, which scores every task) or on first touch
-    (``lazy`` — right for Algorithms 3-4, which only ever consult a
-    sparse task subset).  Lazy and eager rows are bit-identical.
+    Rows are either all patched up front (right for Algorithm 5, which
+    scores every task) or on first touch (``pending`` — right for
+    Algorithms 3-4, which only ever consult a sparse task subset); the
+    on-demand patch goes through the cache, so it is recorded and
+    reused by later decisions at the same ``t``.
     """
 
-    model: ExpectedTimeModel
+    cache: "DecisionCache"
     t: float
     indices: List[int]
-    j_init: np.ndarray      #: (n,) source allocation per row
-    alpha_t: np.ndarray     #: (n,) remaining work at the decision time
-    stall: np.ndarray       #: (n,) D + R for the struck task, else 0
-    finishes: np.ndarray    #: (n, grid) candidate finish matrix
+    j_init: np.ndarray      #: source allocation per task row
+    alpha_t: np.ndarray     #: remaining work at the decision time
+    stall: np.ndarray       #: D + R for the struck task, else 0
+    finishes: np.ndarray    #: candidate finish matrix
     #: unchanged-allocation finishes (Alg. 5 lines 16/23), when built
     keep: Optional[np.ndarray] = None
-    #: per-row materialisation flags; ``None`` when eagerly built
+    #: per-row "patch on first touch" flags; ``None`` when eagerly built
     pending: Optional[np.ndarray] = None
-    #: task-index -> row override (the cache's full-pack layout uses
-    #: ``row == task index``); ``None`` derives rows from ``indices``
-    row_map: Optional[Dict[int, int]] = None
     _row_of: Dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._row_of = (
-            self.row_map
-            if self.row_map is not None
-            else {i: row for row, i in enumerate(self.indices)}
-        )
+        # Map only the decision's active tasks so an out-of-set lookup
+        # raises KeyError (never a silently stale row).
+        self._row_of = {i: i for i in self.indices}
 
     def _row(self, i: int) -> int:
-        """Row of task ``i``, materialised on first touch in lazy mode."""
+        """Row of task ``i``, patched on first touch when pending."""
         row = self._row_of[i]
         if self.pending is not None and self.pending[row]:
-            model = self.model
-            grid = model.grid(i)
-            profile = model.profile(i, float(self.alpha_t[row]))
-            rc = model.rc_factor * redistribution_cost_vector(
-                model.pack[i].size, int(self.j_init[row]), grid.j
-            )
-            self.finishes[row] = (
-                (self.t + float(self.stall[row])) + rc
-                + (grid.cost + profile)
-            )
+            self.cache._patch_row(row, self.t)
             self.pending[row] = False
         return row
 
@@ -269,17 +214,14 @@ class DecisionMatrix:
         return float(self.stall[self._row_of[i]])
 
     # -- candidate reads ---------------------------------------------------
-    def _slot(self, k: int) -> int:
+    def finish(self, i: int, k: int) -> float:
+        """``t_E(k)`` — the ``candidate_finish_time`` value, by index."""
         slot = (k >> 1) - 1
         if k < 2 or (k & 1) or slot >= self.finishes.shape[1]:
             raise SimulationError(
                 f"candidate count {int(k)} exceeds the platform grid"
             )
-        return slot
-
-    def finish(self, i: int, k: int) -> float:
-        """``t_E(k)`` — the ``candidate_finish_time`` value, by index."""
-        return float(self.finishes[self._row(i), self._slot(k)])
+        return float(self.finishes[self._row(i), slot])
 
     def finish_range(self, i: int, lo: int, hi: int) -> np.ndarray:
         """``t_E`` over the even candidates ``lo, lo+2, ..., <= hi``.
@@ -305,134 +247,18 @@ class DecisionMatrix:
             )
         return self.finishes[self._row(i), lo_slot:hi_slot + 1]
 
-    # -- Algorithm 5's keep-running special case ---------------------------
-    def _keep_column(self) -> np.ndarray:
-        if self.keep is None:
-            raise ConfigurationError(
-                "this DecisionMatrix was built without with_keep=True; "
-                "the keep-running finishes are not available"
-            )
-        return self.keep
-
-    def keep_finish(self, i: int) -> float:
-        """Finish if ``i`` keeps its allocation (no cost, old bookkeeping)."""
-        return float(self._keep_column()[self._row_of[i]])
-
-    def rebuild_finish(self, i: int, k: int) -> float:
-        """Algorithm 5's finish: unchanged allocation keeps running."""
-        if k == int(self.j_init[self._row_of[i]]):
-            return self.keep_finish(i)
-        return self.finish(i, k)
-
-    def rebuild_range(self, i: int, lo: int, hi: int) -> np.ndarray:
-        """:meth:`finish_range` with the keep-running candidate patched."""
-        fin = self.finish_range(i, lo, hi)
-        j_init = int(self.j_init[self._row_of[i]])
-        if fin.size and lo <= j_init <= hi:
-            fin = fin.copy()
-            fin[(j_init - lo) >> 1] = self._keep_column()[self._row_of[i]]
-        return fin
-
-
-def decision_matrix(
-    model: ExpectedTimeModel,
-    t: float,
-    tasks: Sequence[TaskRuntime],
-    faulty: Optional[int] = None,
-    *,
-    with_keep: bool = False,
-    lazy: bool = False,
-) -> DecisionMatrix:
-    """Build the full candidate matrix for one decision point.
-
-    ``tasks`` must be non-empty; ``faulty`` marks the struck task (its
-    ``alpha`` was already rolled back by the simulator skeleton and its
-    stall is recovered from ``t_last``).  ``with_keep`` additionally
-    evaluates the unchanged-allocation finishes Algorithm 5 patches in
-    (one extra batched profile gather at the tasks' *live* alphas).
-    ``lazy`` defers each row's materialisation to its first touch —
-    right when the algorithm only consults a sparse task subset
-    (Algorithm 4 touches the faulty task plus a few donors); the
-    decision inputs (``alpha_t``/``stall``/``j_init``) are still
-    measured up front, preserving the alpha-fixed-per-decision
-    invariant.
-    """
-    indices = [rt.index for rt in tasks]
-    n = len(indices)
-    j_init = np.fromiter((rt.sigma for rt in tasks), dtype=np.int64, count=n)
-    alpha_t = remaining_at_batch(model, tasks, t)
-    stall = np.zeros(n)
-    if faulty is not None:
-        row = indices.index(faulty)
-        rt_f = tasks[row]
-        alpha_t[row] = rt_f.alpha  # already rolled back by the skeleton
-        stall[row] = faulty_stall(rt_f, t)
-    width = model.j_grid.size
-    if lazy:
-        finishes = np.empty((n, width))
-        pending: Optional[np.ndarray] = np.ones(n, dtype=bool)
-    else:
-        profiles = model.profile_matrix(indices, alpha_t)
-        cost = np.stack([model.grid(i).cost for i in indices])
-        sizes = np.fromiter(
-            (model.pack[i].size for i in indices), dtype=float, count=n
-        )
-        rc = model.rc_factor * redistribution_cost_matrix(
-            sizes, j_init, model.j_grid
-        )
-        finishes = (t + stall)[:, None] + rc + (cost + profiles)
-        pending = None
-    keep = None
-    if with_keep:
-        alpha_live = np.fromiter(
-            (rt.alpha for rt in tasks), dtype=float, count=n
-        )
-        live = model.profile_matrix(indices, alpha_live)
-        t_last = np.fromiter(
-            (rt.t_last for rt in tasks), dtype=float, count=n
-        )
-        keep = t_last + live[np.arange(n), (j_init >> 1) - 1]
-    return DecisionMatrix(
-        model=model,
-        t=t,
-        indices=indices,
-        j_init=j_init,
-        alpha_t=alpha_t,
-        stall=stall,
-        finishes=finishes,
-        keep=keep,
-        pending=pending,
-    )
-
-
-@dataclass
-class _CacheMatrix(DecisionMatrix):
-    """A :class:`DecisionMatrix` whose rows live in a :class:`DecisionCache`.
-
-    Rows are full-pack indexed (``row == task index``) views into the
-    cache's persistent arrays; lazy rows materialise through the cache
-    so the patch is recorded and reused by later decisions at the same
-    ``t``.  Valid until the owning cache serves its next matrix.
-    """
-
-    cache: Optional["DecisionCache"] = None
-
-    def _row(self, i: int) -> int:
-        row = self._row_of[i]
-        if self.pending is not None and self.pending[row]:
-            self.cache._patch_row(row, self.t)
-            self.pending[row] = False
-        return row
-
 
 class DecisionCache:
     """Persistent decision state, delta-patched across a run's events.
 
     One cache serves every decision point of one ``Simulator.run``:
-    :meth:`matrix` returns the same candidate finish matrix as
-    :func:`decision_matrix` — bit-identical by the invariants in the
-    module docstring — but recomputes only the rows invalidated since
-    the previous decision.  The simulator owns the dirty bits: it calls
+    :meth:`matrix` returns the candidate finish matrix — bit-identical
+    to the scalar helpers by the invariants in the module docstring —
+    recomputing only the rows invalidated since the previous decision.
+    A caller with a single decision to make (the public
+    :func:`~repro.core.heuristics.greedy_rebuild`, a heuristic called
+    without a cache) builds a one-shot cache: every task starts dirty,
+    so its first matrix is a full build.  The simulator owns the dirty bits: it calls
     :meth:`invalidate` whenever a task's ``alpha``/``t_last``/``sigma``
     change (failure rollback, redistribution commit) and
     :meth:`note_budget` with the live free-processor count before each
@@ -572,8 +398,8 @@ class DecisionCache:
         return self._rc[i]
 
     def _patch_row(self, i: int, t: float) -> None:
-        """Materialise one lazy row (operation-identical to the fresh
-        :meth:`DecisionMatrix._row`, but reusing the cached rc row)."""
+        """Patch one pending row on first touch (operation-identical to
+        :meth:`_patch_rows` for a single row, reusing the cached rc row)."""
         model = self.model
         grid = model.grid(i)
         alpha = float(self._alpha_t[i])
@@ -621,16 +447,19 @@ class DecisionCache:
         with_keep: bool = False,
         lazy: bool = False,
     ) -> DecisionMatrix:
-        """The delta-patched :func:`decision_matrix` of this decision point.
+        """The delta-patched candidate matrix of this decision point.
 
-        Bit-identical to a fresh build over the same ``tasks`` — only
-        rows whose task is dirty, whose stall changed, or whose last
-        patch was at a different ``t`` are recomputed (``lazy`` defers
-        those recomputations to first touch).  The returned matrix
+        ``tasks`` must be non-empty; ``faulty`` marks the struck task
+        (its ``alpha`` was already rolled back by the simulator skeleton
+        and its stall is recovered from ``t_last``).  ``with_keep`` also
+        serves the unchanged-allocation finishes Algorithm 5 patches in.
+        Bit-identical to a fresh evaluation over the same ``tasks`` —
+        only rows whose task is dirty, whose stall changed, or whose
+        last patch was at a different ``t`` are recomputed (``lazy``
+        defers those recomputations to first touch).  The returned matrix
         aliases the cache's persistent arrays and is valid until the
         next :meth:`matrix` call.
         """
-        model = self.model
         n_act = len(tasks)
         rows = np.fromiter(
             (rt.index for rt in tasks), dtype=np.int64, count=n_act
@@ -644,7 +473,7 @@ class DecisionCache:
             pos_f = indices.index(faulty)
             stall[pos_f] = faulty_stall(tasks[pos_f], t)
         # alpha^t over every active row from the mirrors: bit-identical
-        # to remaining_at_batch (elementwise over the same values).
+        # to remaining_at (elementwise over the same values).
         alpha_t = remaining_from_arrays(
             self._alpha[rows], self._t_last[rows], self._tff_s[rows],
             self._tau_s[rows], self._cost_s[rows], t,
@@ -667,8 +496,8 @@ class DecisionCache:
         if with_keep:
             self._patch_keep(rows)
         self.matrices_served += 1
-        return _CacheMatrix(
-            model=model,
+        return DecisionMatrix(
+            cache=self,
             t=t,
             indices=indices,
             j_init=self._sigma,
@@ -677,11 +506,6 @@ class DecisionCache:
             finishes=self._fin,
             keep=self._keep if with_keep else None,
             pending=pending,
-            # Rows == task indices, but map only the decision's active
-            # tasks so an out-of-set lookup raises KeyError exactly like
-            # the fresh build (never a silently stale row).
-            row_map={i: i for i in indices},
-            cache=self,
         )
 
     def _profile_rows(self, sub: np.ndarray, k: int) -> np.ndarray:
@@ -779,8 +603,8 @@ class DecisionCache:
     def _patch_rows(self, sub: np.ndarray, t: float) -> None:
         """Recombine the stale rows in one fused pass over the scratch.
 
-        Operation order is exactly the fresh build's
-        ``((t + stall)[:, None] + rc) + (cost + profiles)``.
+        Operation order is exactly the scalar helpers'
+        ``((t + stall) + rc) + (cost + profile)``, row-broadcast.
         """
         need = sub[self._rc_sigma[sub] != self._sigma[sub]]
         if need.size:
@@ -818,8 +642,8 @@ class DecisionCache:
         ``t_expected`` (taken while the task was clean) *is* the keep
         value, bit for bit, with no profile evaluation at all.  The
         checking cache in ``tests/test_decision_kernels.py`` pins this
-        against the fresh build's explicit profile gather on randomised
-        runs.
+        against ``t_last + expected_time(i, sigma, alpha)`` on
+        randomised runs.
         """
         need = rows[~self._keep_valid[rows]]
         self.rows_reused += rows.size - need.size  # keep rows still valid
@@ -837,7 +661,7 @@ class DecisionCache:
 
         Returns ``(vals, sufrev, width)``: ``vals[pos]`` is task
         ``dm.indices[pos]``'s finish row with the keep-running candidate
-        patched in (i.e. ``dm.rebuild_finish`` by slot), ``sufrev`` its
+        patched in at the task's current slot, ``sufrev`` its
         reversed running minimum, so ``sufrev[pos, width - 1 - s]`` is
         ``min(vals[pos, s:])`` — the O(1) "can this task still improve"
         probe of the grant loop.  Both are cache-owned scratch, valid

@@ -9,12 +9,11 @@ for later redistribution.  Theorem 1 proves this minimises the expected
 makespan when no redistribution is allowed; the complexity is
 ``O(p log n)``.
 
-Both decision kernels are offered (see :mod:`repro.core.kernels`): the
-``"array"`` default scores the whole growth loop against the one
+The default path scores the whole growth loop against the one
 :meth:`~repro.resilience.expected_time.ExpectedTimeModel.profile_batch`
 block — pure index arithmetic, zero model calls inside the loop — while
-``"scalar"`` keeps the per-probe accessor calls as the bit-identical
-reference.
+``reference=True`` keeps the per-probe accessor calls as the
+bit-identical reference.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from typing import Dict, Optional, Sequence
 
 from ..exceptions import CapacityError
 from ..resilience.expected_time import ExpectedTimeModel
-from .kernels import ensure_kernel
-
 __all__ = ["optimal_schedule", "expected_makespan"]
 
 
@@ -34,7 +31,7 @@ def optimal_schedule(
     p: int,
     indices: Optional[Sequence[int]] = None,
     alpha: float = 1.0,
-    kernel: str = "array",
+    reference: bool = False,
     alphas: Optional[Sequence[float]] = None,
 ) -> Dict[int, int]:
     """Algorithm 1: optimal no-redistribution allocation.
@@ -49,10 +46,10 @@ def optimal_schedule(
         Task subset to schedule (defaults to the whole pack).
     alpha:
         Remaining work fraction used for every task (1 at pack start).
-    kernel:
-        ``"array"`` (default) runs the growth loop as index arithmetic
-        over the batched envelope block; ``"scalar"`` keeps the
-        per-probe model calls.  Both produce identical allocations.
+    reference:
+        ``False`` (default) runs the growth loop as index arithmetic
+        over the batched envelope block; ``True`` keeps the per-probe
+        model calls.  Both produce identical allocations.
     alphas:
         Per-task remaining fractions, one per entry of ``indices``
         (overrides ``alpha``).  This is the rolling-horizon form: the
@@ -71,7 +68,6 @@ def optimal_schedule(
     CapacityError
         If ``p < 2 n`` — the buddy scheme needs one pair per task.
     """
-    ensure_kernel(kernel)
     if indices is None:
         indices = range(len(model.pack))
     indices = list(indices)
@@ -90,8 +86,8 @@ def optimal_schedule(
 
     # Max-heap on expected time; ties broken by task index for determinism.
     # One batched profile evaluation scores every task at j=2 (slot 0); the
-    # array kernel keeps reading the block, the scalar kernel re-reads the
-    # (now warm) profile cache through the scalar accessors.
+    # fast path keeps reading the block, the reference re-reads the (now
+    # warm) profile cache through the scalar accessors.
     if alphas is None:
         block = model.profile_batch(indices, alpha)
     else:
@@ -99,7 +95,7 @@ def optimal_schedule(
     heap = [(-float(block[pos, 0]), i) for pos, i in enumerate(indices)]
     heapq.heapify(heap)
 
-    if kernel == "scalar":
+    if reference:
         alpha_of = (
             {i: alpha for i in indices}
             if alphas is None
@@ -130,7 +126,7 @@ def optimal_schedule(
         p_max = sigma[i] + available
         slot_max = (p_max >> 1) - 1
         if (p_max & 1) or slot_max >= width:
-            # Out-of-grid probe: raise the scalar path's CapacityError.
+            # Out-of-grid probe: raise the reference path's CapacityError.
             model.grid(i).slot(p_max)
         # Line 9: can the longest task still be improved at all?
         if -neg_current > float(row[slot_max]):

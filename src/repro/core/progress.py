@@ -36,7 +36,6 @@ __all__ = [
     "remaining_after_elapsed",
     "remaining_after_failure",
     "remaining_after_failure_from_values",
-    "remaining_at_batch",
     "remaining_from_arrays",
     "residual_workload",
 ]
@@ -109,37 +108,6 @@ def remaining_after_elapsed(
     return min(alpha, max(0.0, alpha - done))
 
 
-def remaining_at_batch(
-    model: ExpectedTimeModel,
-    runtimes: Sequence["TaskRuntime"],
-    t: float,
-) -> np.ndarray:
-    """``alpha^t_i`` of every runtime at once (vectorised Alg. 3 line 8).
-
-    The batched form of the heuristics' ``remaining_at``: one fused
-    elapsed-work pass over all active tasks instead of a scalar
-    :func:`remaining_after_elapsed` call per task.  Entry ``r`` equals
-    ``remaining_after_elapsed(model, rt.index, rt.sigma, rt.alpha, t,
-    rt.t_last)`` bit for bit — the decision kernels
-    (:mod:`repro.core.kernels`) rely on that equality.
-    """
-    n = len(runtimes)
-    t_ff = np.empty(n)
-    tau = np.empty(n)
-    cost = np.empty(n)
-    alpha = np.empty(n)
-    t_last = np.empty(n)
-    for row, rt in enumerate(runtimes):
-        grid = model.grid(rt.index)
-        slot = grid.slot(rt.sigma)
-        t_ff[row] = grid.t_ff[slot]
-        tau[row] = grid.tau[slot]
-        cost[row] = grid.cost[slot]
-        alpha[row] = rt.alpha
-        t_last[row] = rt.t_last
-    return remaining_from_arrays(alpha, t_last, t_ff, tau, cost, t)
-
-
 def remaining_from_arrays(
     alpha: np.ndarray,
     t_last: np.ndarray,
@@ -148,14 +116,14 @@ def remaining_from_arrays(
     cost: np.ndarray,
     t: float,
 ) -> np.ndarray:
-    """The vectorised core of :func:`remaining_at_batch`, pre-gathered.
+    """``alpha^t_i`` of several tasks at once (vectorised Alg. 3 line 8).
 
-    Row-level entry point for callers that already hold the per-task
-    ``t_ff``/``tau``/``C`` values at the current allocation (the
-    decision-state engine mirrors them across events and fancy-indexes
-    the active subset).  Every operation is elementwise, so a call over
-    any row subset is bit-identical to the same rows of a full
-    :func:`remaining_at_batch` pass.
+    For callers that already hold the per-task ``t_ff``/``tau``/``C``
+    values at the current allocation (the decision cache mirrors them
+    across events and fancy-indexes the active subset).  Every
+    operation is elementwise, and entry ``r`` equals
+    ``remaining_after_elapsed`` of the same task bit for bit, so a call
+    over any row subset matches the scalar path.
     """
     elapsed = t - t_last
     n_ckpt = np.floor(elapsed / tau)

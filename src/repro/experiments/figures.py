@@ -281,8 +281,9 @@ def run_figure(
     otherwise ``engine`` picks one, defaulting to ``"persistent"`` when
     ``workers`` > 1 so pool start-up is paid once per figure, not once
     per sweep point.  Every engine produces byte-identical series to a
-    serial run.  ``simulator_options`` forwards implementation knobs
-    (``decision_kernel``, ``event_queue``) to every simulation.
+    serial run.  ``simulator_options`` forwards extra :class:`Simulator` keywords
+    (``{"reference": True}`` runs the seed-literal reference) to every
+    simulation.
     ``progress`` streams the sweep: it is called as ``progress(figure,
     x, done, total)`` while a point's replicates complete (the CLI
     wires it under ``--verbose``).  Trace figures (Fig. 9) are a single

@@ -139,9 +139,9 @@ def _run_replicate(
     replicate, then shared by all series (its profile cache is keyed by
     ``(task, quantised alpha)``, which is safe across policies).  Fault
     times depend only on the replicate seed, not on the policy.
-    ``simulator_options`` are extra :class:`Simulator` knobs
-    (``decision_kernel``, ``event_queue``) — implementation modes, all
-    bit-identical by contract.
+    ``simulator_options`` are extra :class:`Simulator` keywords
+    (``{"reference": True}`` — the reference leg, bit-identical by
+    contract).
     """
     pack, model = _replicate_workload(config, seed)
     makespans: Dict[str, float] = {}
@@ -213,8 +213,8 @@ def run_scenario(
     replicates one worker dispatch carries (default: ~4 chunks per
     worker).
 
-    ``simulator_options`` forwards implementation knobs
-    (``decision_kernel``, ``event_queue``) to every replicate's
+    ``simulator_options`` forwards extra :class:`Simulator` keywords
+    (``{"reference": True}``) to every replicate's
     :class:`~repro.simulation.Simulator`.  ``progress`` switches the
     dispatch to :meth:`~repro.engine.Executor.map_stream` and is called
     as ``progress(done, total)`` after each completed chunk — the

@@ -23,12 +23,6 @@ from .expected_time import (
     stacked_raw_profiles,
 )
 from .faults import FaultInjector, NullFaultInjector
-from .profile_backends import (
-    NUMBA_AVAILABLE,
-    PROFILE_BACKENDS,
-    ensure_profile_backend,
-    resolve_profile_backend,
-)
 from .replication import (
     ReplicatedExpectedTimeModel,
     crossover_mtbf,
@@ -67,10 +61,6 @@ __all__ = [
     "ensure_alpha_vector",
     "last_period",
     "stacked_raw_profiles",
-    "PROFILE_BACKENDS",
-    "NUMBA_AVAILABLE",
-    "ensure_profile_backend",
-    "resolve_profile_backend",
     "FaultInjector",
     "NullFaultInjector",
 ]

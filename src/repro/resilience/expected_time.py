@@ -53,13 +53,7 @@ from ..cluster import Cluster
 from ..exceptions import CapacityError, ConfigurationError
 from ..tasks import Pack, TaskSpec
 from .checkpoint import ResilienceModel
-from .profile_backends import (
-    NUMBA_AVAILABLE,
-    PROFILE_BACKENDS,
-    ensure_profile_backend,
-    make_profile_backend,
-    resolve_profile_backend,
-)
+from .profile_backends import FusedProfileBackend
 
 __all__ = [
     "ExpectedTimeModel",
@@ -69,8 +63,6 @@ __all__ = [
     "last_period",
     "stacked_raw_profiles",
     "ensure_alpha_vector",
-    "PROFILE_BACKENDS",
-    "NUMBA_AVAILABLE",
 ]
 
 #: Quantisation step of the profile-cache alpha key (~1e-12).
@@ -93,7 +85,7 @@ def ensure_alpha_vector(
 
     The cache-boundary contract: every public batched accessor runs its
     ``alphas`` through this exactly once, so the kernels underneath
-    (:func:`stacked_raw_profiles`, the profile backends) can assume a
+    (:func:`stacked_raw_profiles`, the fused backend) can assume a
     conforming array and never silently copy on the hot path.  A
     conforming input passes through untouched; a non-float64 or
     non-contiguous one is converted *here*, visibly, instead of inside
@@ -309,15 +301,16 @@ class ExpectedTimeModel:
         Multiplier on every redistribution cost ``RC_i^{j->k}`` seen by
         the heuristics (ablation knob: 0 makes redistribution free, large
         values discourage it).  The paper's model is ``rc_factor = 1``.
-    profile_backend:
-        How the Eq. (4) elementwise pass executes on cache misses —
-        ``"fused"`` (default, persistent stacked blocks + in-place
-        workspaces), ``"numba"`` (optional compiled gate, silently
-        falling back to fused when numba is absent) or ``"reference"``
-        (the original per-call ``np.stack`` paths, kept verbatim).  All
-        backends are bit-identical (:mod:`~repro.resilience.
-        profile_backends`); the knob mirrors ``decision_kernel`` /
-        ``decision_state`` / ``event_queue``.
+    reference:
+        How the Eq. (4) elementwise pass executes on cache misses:
+        ``False`` (default) runs the :class:`~repro.resilience.
+        profile_backends.FusedProfileBackend` over persistent stacked
+        blocks; ``True`` keeps the original per-call ``np.stack`` paths
+        (:func:`stacked_raw_profiles`) verbatim.  Both are bit-identical,
+        and the public ``reference`` attribute may be flipped at any
+        time — the profile ring is keyed only by ``(task, quantised
+        alpha)``, so warm entries stay valid.  ``Simulator(reference=
+        True)`` sets it on the model it runs.
     grids:
         Optional prebuilt :class:`TaskGrid` per task, in pack order, for
         callers that keep grids across models (the online service).  Each
@@ -345,7 +338,7 @@ class ExpectedTimeModel:
         max_procs: Optional[int] = None,
         cache_size: int = 4096,
         rc_factor: float = 1.0,
-        profile_backend: str = "fused",
+        reference: bool = False,
         grids: Optional[Sequence[TaskGrid]] = None,
     ):
         if rc_factor < 0:
@@ -393,13 +386,8 @@ class ExpectedTimeModel:
         # model so row-level re-evaluations are pure fancy indexing with
         # no per-call np.stack of grids.
         self._stacked_block: Optional[Dict[str, np.ndarray]] = None
-        # Profile backend: requested name, resolved name (numba degrades
-        # to fused when absent) and the lazily built backend object —
-        # None while unbuilt AND for the reference mode, so the miss
-        # paths test `_backend_obj` alone only after _get_backend().
-        self.requested_backend = ensure_profile_backend(profile_backend)
-        self._backend_name = resolve_profile_backend(profile_backend)
-        self._backend_obj = None
+        self.reference = bool(reference)
+        self._backend_obj: Optional[FusedProfileBackend] = None
 
     # -- grids ----------------------------------------------------------------
     @property
@@ -419,35 +407,13 @@ class ExpectedTimeModel:
         return grid
 
     # -- profile backend -------------------------------------------------------
-    @property
-    def profile_backend(self) -> str:
-        """The *resolved* backend name (``"numba"`` requests may read
-        ``"fused"`` here — the soft-dependency fallback)."""
-        return self._backend_name
-
-    def set_profile_backend(self, profile_backend: str) -> str:
-        """Switch the Eq. (4) backend; returns the resolved name.
-
-        Cheap and value-safe at any time: backends are bit-identical and
-        the profile ring is keyed only by ``(task, quantised alpha)``,
-        so warm entries stay valid.  This is how a :class:`Simulator`
-        applies its ``profile_backend`` knob to a shared, possibly
-        pre-warmed model without rebuilding it.
-        """
-        self.requested_backend = ensure_profile_backend(profile_backend)
-        resolved = resolve_profile_backend(profile_backend)
-        if resolved != self._backend_name:
-            self._backend_name = resolved
-            self._backend_obj = None
-        return self._backend_name
-
-    def _get_backend(self):
-        """The live backend object (``None`` means reference mode)."""
+    def _get_backend(self) -> Optional[FusedProfileBackend]:
+        """The fused backend, built on first use (``None`` in reference mode)."""
+        if self.reference:
+            return None
         backend = self._backend_obj
-        if backend is None and self._backend_name != "reference":
-            backend = make_profile_backend(
-                self._backend_name, self._stacked_grids()
-            )
+        if backend is None:
+            backend = FusedProfileBackend(self._stacked_grids())
             self._backend_obj = backend
         return backend
 

@@ -1,4 +1,4 @@
-"""Profile-evaluation backends: the Eq. (4) elementwise pass, three ways.
+"""The fused Eq. (4) profile pass over persistent stacked grid blocks.
 
 Every batched profile evaluation in the library bottoms out in the same
 elementwise pass over ``(row, grid-slot)`` blocks::
@@ -8,94 +8,30 @@ elementwise pass over ``(row, grid-slot)`` blocks::
     tau_last = work - n_ff * (tau - C)
     t^R      = prefactor * (n_ff * exp_period + expm1(lam * tau_last))
 
-The ``profile_backend`` knob on
-:class:`~repro.resilience.expected_time.ExpectedTimeModel` selects how
-that pass executes:
+:class:`FusedProfileBackend` runs it over the model's persistent
+stacked grid blocks with in-place ``np.take`` gathers and reused
+``floor``/``expm1`` workspaces — no per-call ``np.stack``, no
+temporaries.  An :class:`~repro.resilience.expected_time.
+ExpectedTimeModel` built with ``reference=True`` skips it and keeps the
+original per-call ``np.stack`` code of :func:`~repro.resilience.
+expected_time.stacked_raw_profiles` instead.  Because float64
+elementwise operations are bitwise deterministic regardless of how
+their operands were laid out in memory, the fused rows are
+bit-identical to the reference rows by construction (pinned by
+``tests/test_properties_profile_backends.py``).
 
-``"reference"``
-    The original code paths verbatim — per-call ``np.stack`` of the
-    task grids inside :func:`~repro.resilience.expected_time.
-    stacked_raw_profiles` and the inline fancy-indexed block of
-    ``profile_rows_into``.  Kept as the bit-identity anchor, mirroring
-    ``decision_kernel="scalar"`` / ``decision_state="rebuild"`` /
-    ``event_queue="scan"``.
-
-``"fused"`` (the default)
-    :class:`FusedProfileBackend`: the same operations in the same
-    order, but over *persistent* stacked grid blocks with in-place
-    ``np.take`` gathers and reused ``floor``/``expm1`` workspaces — no
-    per-call ``np.stack``, no temporaries.  Because float64 elementwise
-    operations are bitwise deterministic regardless of how their
-    operands were laid out in memory, the fused rows are bit-identical
-    to the reference rows by construction (pinned by
-    ``tests/test_properties_profile_backends.py``).
-
-``"numba"``
-    :class:`NumbaProfileBackend`: the identical scalar recurrence
-    compiled per element by :mod:`numba` (``fastmath=False``, so IEEE
-    semantics — and therefore bit-identity — are preserved).  numba is
-    a *soft* dependency: the import is guarded, nothing in the package
-    requires it, and :func:`resolve_profile_backend` silently falls
-    back to ``"fused"`` when it is absent.  Requesting ``"numba"`` is
-    therefore always safe; :data:`NUMBA_AVAILABLE` tells you what you
-    actually got.
-
-Backends only compute *raw* Eq. (4) rows; the Eq. (6) running-minimum
-envelope, alpha quantisation and ring insertion stay in
-:class:`~repro.resilience.expected_time.ExpectedTimeModel`, so every
-backend shares the exact same caching semantics.
+The backend only computes *raw* Eq. (4) rows; the Eq. (6)
+running-minimum envelope, alpha quantisation and ring insertion stay in
+the model, so both paths share the exact same caching semantics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
-
-__all__ = [
-    "PROFILE_BACKENDS",
-    "NUMBA_AVAILABLE",
-    "ensure_profile_backend",
-    "resolve_profile_backend",
-    "make_profile_backend",
-    "FusedProfileBackend",
-    "NumbaProfileBackend",
-]
-
-#: Accepted ``profile_backend`` names: ``"fused"`` is the default fast
-#: path, ``"numba"`` an optional compiled gate (falls back to fused),
-#: ``"reference"`` the original per-call np.stack code kept verbatim.
-PROFILE_BACKENDS = ("fused", "numba", "reference")
-
-try:  # soft dependency — never required, never installed by this repo
-    import numba  # type: ignore
-except ImportError:  # pragma: no cover - exercised on numba-free hosts
-    numba = None  # type: ignore[assignment]
-
-#: Whether the optional numba gate can actually compile.
-NUMBA_AVAILABLE = numba is not None
-
-
-def ensure_profile_backend(name: str) -> str:
-    """Validate a ``profile_backend`` name (no availability fallback)."""
-    if name not in PROFILE_BACKENDS:
-        raise ConfigurationError(
-            f"profile_backend must be one of {PROFILE_BACKENDS}, "
-            f"got {name!r}"
-        )
-    return name
-
-
-def resolve_profile_backend(name: str) -> str:
-    """The backend that will actually run: ``"numba"`` degrades to
-    ``"fused"`` when numba is not importable (soft-dependency contract).
-    """
-    ensure_profile_backend(name)
-    if name == "numba" and not NUMBA_AVAILABLE:
-        return "fused"
-    return name
+__all__ = ["FusedProfileBackend"]
 
 
 class FusedProfileBackend:
@@ -111,8 +47,6 @@ class FusedProfileBackend:
     is bit-identical to :func:`~repro.resilience.expected_time.
     stacked_raw_profiles` over freshly stacked grids.
     """
-
-    name = "fused"
 
     def __init__(self, blocks: Dict[str, np.ndarray]):
         self._t_ff = blocks["t_ff"]
@@ -206,77 +140,3 @@ class FusedProfileBackend:
             np.add(a, c, out=a)                     # a = n_ff exp_period + .
             np.multiply(self._prefactor[i], a, out=a)
         return a
-
-
-_NUMBA_KERNEL = None
-
-
-def _numba_kernel():
-    """Compile (once per process) the per-element Eq. (4) recurrence."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        import math
-
-        @numba.njit(cache=False, fastmath=False)  # IEEE order preserved
-        def kernel(sel, alpha_q, t_ff, wpp, lam, prefactor, exp_period, out):
-            for r in range(sel.shape[0]):
-                i = sel[r]
-                a = alpha_q[r]
-                if a <= 0.0:
-                    for s in range(out.shape[1]):
-                        out[r, s] = 0.0
-                    continue
-                for s in range(out.shape[1]):
-                    work = a * t_ff[i, s]
-                    n_ff = math.floor(work / wpp[i, s])
-                    tau_last = work - n_ff * wpp[i, s]
-                    out[r, s] = prefactor[i, s] * (
-                        n_ff * exp_period[i, s]
-                        + math.expm1(lam[i, s] * tau_last)
-                    )
-
-        _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
-
-
-class NumbaProfileBackend(FusedProfileBackend):
-    """The fused pass compiled per element by numba (optional gate).
-
-    Same persistent blocks and scratch discipline as the fused backend;
-    the elementwise recurrence runs inside one ``njit`` kernel
-    (``fastmath=False`` keeps IEEE evaluation order, hence
-    bit-identity).  Only constructible when :data:`NUMBA_AVAILABLE`.
-    """
-
-    name = "numba"
-
-    def __init__(self, blocks: Dict[str, np.ndarray]):
-        if not NUMBA_AVAILABLE:  # pragma: no cover - guarded upstream
-            raise ConfigurationError(
-                "profile_backend='numba' requested but numba is not "
-                "importable; resolve_profile_backend falls back to 'fused'"
-            )
-        super().__init__(blocks)
-        self._kernel = _numba_kernel()
-
-    def raw_rows(self, sel: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
-        k = int(sel.size)
-        self._ensure_capacity(k)
-        out = self._wa[:k]
-        self._kernel(
-            sel, alpha_q, self._t_ff, self._wpp, self._lam,
-            self._prefactor, self._exp_period, out,
-        )
-        return out
-
-
-def make_profile_backend(
-    name: str, blocks: Dict[str, np.ndarray]
-) -> Optional[FusedProfileBackend]:
-    """Instantiate the *resolved* backend (``None`` for the reference)."""
-    resolved = resolve_profile_backend(name)
-    if resolved == "reference":
-        return None
-    if resolved == "numba":
-        return NumbaProfileBackend(blocks)
-    return FusedProfileBackend(blocks)

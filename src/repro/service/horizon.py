@@ -52,6 +52,7 @@ benchmark trace that memo hits ~2.5% of the time.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -187,10 +188,6 @@ class OnlineEngine:
         resilience: Optional[ResilienceModel] = None,
         profile: Optional[SpeedupProfile] = None,
         checkpoint_unit_cost: float = 1.0,
-        event_queue: str = "heap",
-        decision_kernel: str = "array",
-        decision_state: str = "incremental",
-        profile_backend: Optional[str] = None,
         workload_cache: Optional[WorkloadCache] = None,
         latency_window: int = 1024,
     ):
@@ -210,10 +207,6 @@ class OnlineEngine:
         if checkpoint_unit_cost < 0:
             raise ConfigurationError("checkpoint unit cost must be >= 0")
         self.checkpoint_unit_cost = float(checkpoint_unit_cost)
-        self._event_queue = event_queue
-        self._decision_kernel = decision_kernel
-        self._decision_state = decision_state
-        self._profile_backend = profile_backend
         self._models = (
             workload_cache if workload_cache is not None else WorkloadCache()
         )
@@ -323,21 +316,28 @@ class OnlineEngine:
         (``2 (n_active + 1) > p``) the job waits in FIFO order and the
         running pack is left untouched.
         """
+        # Validate everything before any state changes: a rejected
+        # submit must leave no job behind and the clock where it was.
         if job_id in self.jobs:
             raise ConfigurationError(f"duplicate job id {job_id!r}")
-        if size <= 0:
-            raise ConfigurationError(f"job size must be positive, got {size}")
-        t = self._now if now is None else float(now)
-        self.advance_to(t)
+        size = float(size)
+        if not (math.isfinite(size) and size > 0):
+            raise ConfigurationError(
+                f"job size must be positive and finite, got {size}"
+            )
         ckpt = (
-            self.checkpoint_unit_cost * float(size)
+            self.checkpoint_unit_cost * size
             if checkpoint_cost is None
             else float(checkpoint_cost)
         )
-        if ckpt < 0:
-            raise ConfigurationError("checkpoint cost must be >= 0")
+        if not (math.isfinite(ckpt) and ckpt >= 0):
+            raise ConfigurationError(
+                f"checkpoint cost must be finite and >= 0, got {ckpt}"
+            )
+        t = self._now if now is None else float(now)
+        self.advance_to(t)
         job = JobState(
-            job_id=job_id, size=float(size), checkpoint_cost=ckpt, arrival=t
+            job_id=job_id, size=size, checkpoint_cost=ckpt, arrival=t
         )
         self.jobs[job_id] = job
         self._queue.append(job_id)
@@ -473,11 +473,6 @@ class OnlineEngine:
                 pack,
                 self.cluster,
                 resilience=self._resilience,
-                profile_backend=(
-                    "fused"
-                    if self._profile_backend is None
-                    else self._profile_backend
-                ),
                 grids=[self._job_grid(spec) for spec in pack],
             )
 
@@ -499,12 +494,7 @@ class OnlineEngine:
 
     def _decision_cache_for(
         self, key: tuple, model: ExpectedTimeModel
-    ) -> Optional[DecisionCache]:
-        if (
-            self._decision_kernel != "array"
-            or self._decision_state != "incremental"
-        ):
-            return None
+    ) -> DecisionCache:
         cache = self._dcaches.get(key)
         if cache is not None and cache.model is model:
             self._dcaches.move_to_end(key)
@@ -567,9 +557,7 @@ class OnlineEngine:
         alphas_dec = [
             residuals[jid].alpha if jid in residuals else 1.0 for jid in order
         ]
-        sigma = optimal_schedule(
-            model, p, alphas=alphas_dec, kernel=self._decision_kernel
-        )
+        sigma = optimal_schedule(model, p, alphas=alphas_dec)
 
         alphas0: List[float] = []
         t_last0: List[float] = []
@@ -613,13 +601,9 @@ class OnlineEngine:
             inject_faults=self.inject_faults,
             fault_distribution=self._distribution,
             model=model,
-            event_queue=self._event_queue,
-            decision_kernel=self._decision_kernel,
-            decision_state=self._decision_state,
         )
         cache = self._decision_cache_for(self._model_key(pack), model)
-        if cache is not None:
-            sim._make_decision_cache = lambda: cache  # type: ignore[method-assign]
+        sim._make_decision_cache = lambda: cache  # type: ignore[method-assign]
         sim.start(
             t0=t,
             sigma0=sigma,

@@ -1,9 +1,9 @@
 """Deterministic arrival-replay harness — the service-layer pin.
 
 The repo's reliability story is built on reference modes pinned
-bit-identical to fast paths (fig7/fig10, scan-vs-heap, scalar-vs-array
-kernels).  The service layer gets the same treatment: a seeded arrival
-trace is driven twice —
+bit-identical to fast paths (fig7/fig10 under ``Simulator(reference=
+True)``, every executor against ``serial``).  The service layer gets
+the same treatment: a seeded arrival trace is driven twice —
 
 * **reference**: straight into an :class:`~repro.service.horizon.
   OnlineEngine`, no clock, no transport, no session;
@@ -66,9 +66,6 @@ class ReplayConfig:
     policy: str = "ig-el"
     seed: int = 0
     inject_faults: bool = True
-    event_queue: str = "heap"
-    decision_kernel: str = "array"
-    decision_state: str = "incremental"
 
     def cluster(self) -> Cluster:
         return Cluster.with_mtbf_years(
@@ -84,9 +81,6 @@ class ReplayConfig:
             self.policy,
             seed=self.seed,
             inject_faults=self.inject_faults,
-            event_queue=self.event_queue,
-            decision_kernel=self.decision_kernel,
-            decision_state=self.decision_state,
         )
 
 

@@ -149,6 +149,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up, and
+            # the unread body would desync a kept-alive connection.
+            self.close_connection = True
             self._reply(400, {"error": "bad Content-Length"})
             return
         if length > MAX_BODY_BYTES:
@@ -159,6 +164,9 @@ class _Handler(BaseHTTPRequestHandler):
             data = json.loads(raw) if raw else {}
         except ValueError:
             self._reply(400, {"error": "request body is not JSON"})
+            return
+        if not isinstance(data, dict):
+            self._reply(400, {"error": "request body must be a JSON object"})
             return
         self._dispatch(op, data)
 

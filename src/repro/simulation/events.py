@@ -10,8 +10,8 @@ writing ``finish[i] = t`` exactly as before, and every write also pushes
 or its projection was re-written; :meth:`peek` prunes stale entries from
 the top before answering, making event selection O(log n) amortised.
 
-Entries are ordered ``(time, task index)``, which reproduces the linear
-scan's tie-break (earliest time, then smallest index) bit for bit.
+Entries are ordered ``(time, task index)``, which reproduces the seed's
+linear scan tie-break (earliest time, then smallest index) bit for bit.
 """
 
 from __future__ import annotations
@@ -76,15 +76,3 @@ class CompletionQueue(dict):
                 continue
             return t, i
         return math.inf, -1
-
-    def scan(self) -> Tuple[float, int]:
-        """Reference linear scan over live tasks (seed semantics).
-
-        Kept for the equivalence tests: byte-identical selection to the
-        seed's ``for`` loop, O(n) per call.
-        """
-        t_best, i_best = math.inf, -1
-        for i, rt in enumerate(self._runtimes):
-            if not rt.completed and dict.__getitem__(self, i) < t_best:
-                t_best, i_best = dict.__getitem__(self, i), i
-        return t_best, i_best

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster import Cluster, ProcessorMap
-from ..core.kernels import DECISION_STATES, KERNELS, DecisionCache
+from ..core.kernels import DecisionCache
 from ..core.optimal import optimal_schedule
 from ..core.policy import Policy, get_policy
 from ..core.progress import (
@@ -76,53 +76,29 @@ class Simulator:
         replicates of the same pack to amortise the grids).
     record_trace:
         Capture the Fig. 9 series and a full event log.
-    event_queue:
-        ``"heap"`` (default) selects the next completion from a
-        lazy-deletion heap in O(log n); ``"scan"`` keeps the seed's O(n)
-        linear rescan.  Both produce bit-identical executions — the scan
-        path exists for the equivalence tests and as a debugging aid.
-    decision_kernel:
-        ``"array"`` (default) routes every scheduling decision —
-        Algorithm 1 at pack start and the Algorithm 3-5 loops at every
-        event — through the batched decision kernels
-        (:mod:`repro.core.kernels`); ``"scalar"`` keeps the per-probe
-        model calls.  Both produce bit-identical executions, mirroring
-        ``event_queue``.
-    decision_state:
-        ``"incremental"`` (default) keeps one persistent
-        :class:`~repro.core.kernels.DecisionCache` alive across the
-        run's events: each decision point delta-patches only the
-        candidate-matrix rows invalidated since the previous decision
-        (dirty tasks, stall changes, time advance) instead of re-running
-        the full batched build, and the Algorithm-5 grant loop runs on
-        the incremental heap.  ``"rebuild"`` keeps the PR-3 fresh build
-        per decision point as the reference.  Both produce bit-identical
-        executions, mirroring ``decision_kernel``/``event_queue``; the
-        scalar kernel has no matrix to cache, so it always rebuilds.
-    profile_backend:
-        How the model evaluates Eq. (4) on profile-cache misses —
-        ``"fused"`` / ``"numba"`` / ``"reference"`` (see
-        :mod:`repro.resilience.profile_backends`).  ``None`` (default)
-        leaves the model's backend untouched; a name is applied to the
-        model via :meth:`~repro.resilience.expected_time.
-        ExpectedTimeModel.set_profile_backend` — value-safe even on a
-        shared pre-warmed model, since every backend is bit-identical
-        and the profile ring is history-independent.  When the
-        *resolved* backend is ``"reference"`` the simulator's
-        per-failure path also drops to the seed's per-``TaskRuntime``
-        Python scans (early release, is-longest test, Fig. 9 snapshot,
-        rollback through the model accessors) — the honest reference
-        leg of the hot-core benchmark and the bit-identity anchor for
-        the ndarray fast path.  A ``"numba"`` request that degraded to
-        ``"fused"`` still runs the vectorised path.
+    reference:
+        ``False`` (default) is the fast path: every scheduling decision
+        — Algorithm 1 at pack start and the Algorithm 3-5 loops at every
+        event — reads one persistent :class:`~repro.core.kernels.
+        DecisionCache` that delta-patches only the candidate-matrix rows
+        invalidated since the previous decision, Eq. (4) misses run on
+        the fused backend, and the per-failure path scans ndarray
+        mirrors.  ``True`` is the seed-literal reference the fast path
+        is pinned against: the scalar per-probe heuristics and
+        Algorithm 1, the per-call ``np.stack`` Eq. (4) evaluation
+        (applied to the model, shared or not — value-safe, since both
+        are bit-identical and the profile ring is history-independent),
+        and the seed's per-``TaskRuntime`` Python scans (early release,
+        is-longest test, Fig. 9 snapshot, rollback through the model
+        accessors).  Both produce bit-identical executions.
 
     The per-failure path of Algorithm 2 — the early-release scan of
     line 28, the is-longest test of line 30 and the Fig. 9 snapshot —
     runs on flat ndarray mirrors of ``finish`` / ``t_expected`` /
     ``sigma`` / ``completed`` maintained alongside the ``TaskRuntime``
-    bookkeeping.  The mirrors are *written* in every mode (they are the
+    bookkeeping.  The mirrors are *written* in both modes (they are the
     release/completion bookkeeping of record) but only *read* by the
-    vectorised path.  The mirror invariants: ``finish`` is mirrored at its
+    fast path.  The mirror invariants: ``finish`` is mirrored at its
     single write channel (:class:`~repro.simulation.events.
     CompletionQueue.__setitem__`); ``t_expected``/``sigma`` and the
     grid values at the current allocation are mirrored exactly where
@@ -145,30 +121,21 @@ class Simulator:
         model: Optional[ExpectedTimeModel] = None,
         record_trace: bool = False,
         strict: bool = False,
-        event_queue: str = "heap",
-        decision_kernel: str = "array",
-        decision_state: str = "incremental",
-        profile_backend: Optional[str] = None,
+        reference: bool = False,
     ):
         self.pack = pack
         self.cluster = cluster
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.seed = int(seed)
         self.inject_faults = bool(inject_faults)
+        self._reference = bool(reference)
         if model is not None:
             self.model = model
-            if profile_backend is not None:
-                model.set_profile_backend(profile_backend)
+            model.reference = self._reference
         else:
             self.model = ExpectedTimeModel(
-                pack, cluster, resilience=resilience,
-                profile_backend=(
-                    "fused" if profile_backend is None else profile_backend
-                ),
+                pack, cluster, resilience=resilience, reference=reference
             )
-        # Resolved, not requested: a "numba" request that degraded to
-        # "fused" still takes the vectorised failure path.
-        self._ref_failure_path = self.model.profile_backend == "reference"
         self._distribution = (
             fault_distribution
             if fault_distribution is not None
@@ -179,23 +146,6 @@ class Simulator:
         # (a NullRecorder call still builds its f-string detail).
         self._rec_enabled = self._recorder.enabled
         self._strict = bool(strict)
-        if event_queue not in ("heap", "scan"):
-            raise SimulationError(
-                f"event_queue must be 'heap' or 'scan', got {event_queue!r}"
-            )
-        self._use_heap = event_queue == "heap"
-        if decision_kernel not in KERNELS:
-            raise SimulationError(
-                f"decision_kernel must be one of {KERNELS}, "
-                f"got {decision_kernel!r}"
-            )
-        self._decision_kernel = decision_kernel
-        if decision_state not in DECISION_STATES:
-            raise SimulationError(
-                f"decision_state must be one of {DECISION_STATES}, "
-                f"got {decision_state!r}"
-            )
-        self._decision_state = decision_state
         self._cache: Optional[DecisionCache] = None
         self._runtimes: Optional[List[TaskRuntime]] = None
 
@@ -236,17 +186,12 @@ class Simulator:
 
         # One decision cache per run: every event's decision point
         # delta-patches it instead of rebuilding the candidate matrix.
-        # The scalar kernel has no matrix, so it never caches.
-        self._cache = (
-            self._make_decision_cache()
-            if self._decision_kernel == "array"
-            and self._decision_state == "incremental"
-            else None
-        )
+        # The reference heuristics have no matrix, so they never cache.
+        self._cache = None if self._reference else self._make_decision_cache()
 
         runtimes = [TaskRuntime(spec) for spec in pack]
         if sigma0 is None:
-            sigma0 = optimal_schedule(model, p, kernel=self._decision_kernel)
+            sigma0 = optimal_schedule(model, p, reference=self._reference)
         elif set(sigma0) != set(range(n)):
             raise SimulationError(
                 "sigma0 must assign every task exactly once"
@@ -345,10 +290,7 @@ class Simulator:
         self._require_started()
         if self._remaining <= 0:
             return math.inf
-        if self._use_heap:
-            t_comp, _ = self._finish.peek()
-        else:
-            t_comp, _ = self._finish.scan()
+        t_comp, _ = self._finish.peek()
         t_fail, _ = self._injector.peek()
         return t_comp if t_comp <= t_fail else t_fail
 
@@ -356,43 +298,15 @@ class Simulator:
         """Process the single next event.
 
         Returns ``(t, "completion", task)`` or ``(t, "failure", proc)``,
-        or ``None`` once the pack is complete.  The event selection and
-        bookkeeping are the exact loop body of :meth:`advance` so a
-        stepped execution is bit-identical to an advanced one.
+        or ``None`` once the pack is complete.  It runs the loop of
+        :meth:`advance` for one event, so a stepped execution is
+        bit-identical to an advanced one.
         """
         self._require_started()
         if self._remaining <= 0:
             return None
-        finish, injector = self._finish, self._injector
-        if self._use_heap:
-            t_comp, i_comp = finish.peek()
-        else:
-            t_comp, i_comp = finish.scan()
-        t_fail, _ = injector.peek()
-        if t_comp == math.inf and t_fail == math.inf:
-            raise SimulationError("no events left but tasks remain")
-        self._counters["events"] += 1
-        if t_comp <= t_fail:
-            self._handle_completion(
-                t_comp, i_comp, self._runtimes, self._procs, finish
-            )
-            self._completion_times[i_comp] = t_comp
-            if t_comp > self._makespan:
-                self._makespan = t_comp
-            self._remaining -= 1
-            self._t_now = t_comp
-            event = (t_comp, "completion", i_comp)
-        else:
-            t_fail, proc = injector.pop()
-            self._handle_failure(
-                t_fail, proc, self._runtimes, self._procs,
-                finish, self._counters,
-            )
-            self._t_now = t_fail
-            event = (t_fail, "failure", proc)
-        if self._strict:
-            self._procs.validate()
-        return event
+        self._loop(math.inf, 1)
+        return self._last_event
 
     def advance(self, until: float = math.inf) -> int:
         """Process events up to and including time ``until``.
@@ -402,43 +316,52 @@ class Simulator:
         :meth:`start` and :meth:`result` it *is* ``run()``.
         """
         self._require_started()
+        return self._loop(until, 0)
+
+    def _loop(self, until: float, limit: int) -> int:
+        """The event loop: stop past ``until`` or after ``limit`` events
+        (``0`` = no limit); the last event is kept for :meth:`step`."""
         runtimes = self._runtimes
         procs = self._procs
         finish = self._finish
         injector = self._injector
         counters = self._counters
         completion_times = self._completion_times
-        use_heap = self._use_heap
         strict = self._strict
         processed = 0
         while self._remaining > 0:
-            if use_heap:
-                t_comp, i_comp = finish.peek()
-            else:
-                t_comp, i_comp = finish.scan()
+            t_comp, i_comp = finish.peek()
             t_fail, _ = injector.peek()
             if t_comp == math.inf and t_fail == math.inf:
                 raise SimulationError("no events left but tasks remain")
-            if (t_comp if t_comp <= t_fail else t_fail) > until:
+            completion = t_comp <= t_fail
+            if (t_comp if completion else t_fail) > until:
                 break
             counters["events"] += 1
 
-            if t_comp <= t_fail:
+            if completion:
                 self._handle_completion(t_comp, i_comp, runtimes, procs, finish)
                 completion_times[i_comp] = t_comp
                 if t_comp > self._makespan:
                     self._makespan = t_comp
                 self._remaining -= 1
                 self._t_now = t_comp
+                who = i_comp
             else:
-                t_fail, proc = injector.pop()
+                t_fail, who = injector.pop()
                 self._handle_failure(
-                    t_fail, proc, runtimes, procs, finish, counters
+                    t_fail, who, runtimes, procs, finish, counters
                 )
                 self._t_now = t_fail
             if strict:
                 procs.validate()
             processed += 1
+            if processed == limit:
+                break
+        if processed:
+            self._last_event = (
+                self._t_now, "completion" if completion else "failure", who
+            )
         return processed
 
     def result(self) -> SimulationResult:
@@ -484,7 +407,7 @@ class Simulator:
         (which is exactly what the reference mode does).
         """
         i = rt.index
-        if self._ref_failure_path:
+        if self._reference:
             grid = self.model.grid(i)
             slot = grid.slot(rt.sigma)
             return projected_finish(
@@ -515,7 +438,7 @@ class Simulator:
         is ``live & (t_last < t)`` with ``include`` forced in (ascending
         task index = the reference scan's pack order).
         """
-        if self._ref_failure_path:
+        if self._reference:
             selected = []
             for rt in runtimes:
                 if rt.completed or self._m_released[rt.index]:
@@ -592,7 +515,7 @@ class Simulator:
             self._cache.note_budget(procs.free_count)
         changed = self.policy.completion.apply(
             self.model, t, tasks, procs.free_count,
-            kernel=self._decision_kernel, cache=self._cache,
+            reference=self._reference, cache=self._cache,
         )
         self._sync_and_reproject(t, changed, runtimes, procs, finish)
 
@@ -633,7 +556,7 @@ class Simulator:
         # rollback is bit-identical to the accessor-resolving form the
         # reference mode keeps.
         lost_before = rt_f.alpha
-        if self._ref_failure_path:
+        if self._reference:
             rt_f.alpha = remaining_after_failure(
                 self.model, f, j, rt_f.alpha, t, rt_f.t_last
             )
@@ -670,7 +593,7 @@ class Simulator:
         # One vectorised compare over the finish mirror instead of a
         # Python scan of every runtime per failure.
         t_resume = rt_f.t_last
-        if self._ref_failure_path:
+        if self._reference:
             for i, rt in enumerate(runtimes):
                 if (
                     not rt.completed
@@ -704,7 +627,7 @@ class Simulator:
                     self._cache.note_budget(procs.free_count)
                 changed = self.policy.failure.apply(
                     self.model, t, tasks, procs.free_count, f,
-                    kernel=self._decision_kernel, cache=self._cache,
+                    reference=self._reference, cache=self._cache,
                 )
                 self._sync_and_reproject(t, changed, runtimes, procs, finish)
 
@@ -715,7 +638,7 @@ class Simulator:
         self, rt_f: TaskRuntime, runtimes: List[TaskRuntime]
     ) -> bool:
         """Alg. 2 line 30 test, vectorised over the t_expected mirror."""
-        if self._ref_failure_path:
+        if self._reference:
             threshold = rt_f.t_expected
             for i, rt in enumerate(runtimes):
                 if rt.completed or self._m_released[i]:
@@ -743,7 +666,7 @@ class Simulator:
         holds exact small integers, so its float64 std matches the
         seed's int-list std bit for bit.
         """
-        if self._ref_failure_path:
+        if self._reference:
             projected = [
                 rt.completion_time if rt.completed else finish[rt.index]
                 for rt in runtimes

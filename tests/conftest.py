@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
-from typing import Callable, TypeVar
+import urllib.parse
+from typing import Callable, Optional, Tuple, TypeVar
 
 import numpy as np
 import pytest
@@ -43,6 +46,38 @@ def wait_for(
                 f"timed out after {timeout:g}s waiting for {message}"
             )
         time.sleep(interval)
+
+
+def raw_post(
+    url: str,
+    path: str,
+    body: bytes = b"",
+    *,
+    token: Optional[str] = None,
+    content_length: Optional[int] = None,
+    timeout: float = 5.0,
+) -> Tuple[int, dict]:
+    """POST raw bytes over a real socket; returns ``(status, JSON body)``.
+
+    Unlike a JSON client this sends exactly ``body`` — ``NaN`` literals,
+    non-object documents — and ``content_length`` overrides the header,
+    so a test can send a length that lies about the body.  A server
+    that never answers raises ``TimeoutError`` after ``timeout``.
+    """
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        length = len(body) if content_length is None else content_length
+        conn.putheader("Content-Length", str(length))
+        if token is not None:
+            conn.putheader("Authorization", f"Bearer {token}")
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 @pytest.fixture

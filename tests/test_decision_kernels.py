@@ -1,15 +1,12 @@
 """Property-based equivalence of the decision kernels and decision state.
 
-``decision_kernel="array"`` (:mod:`repro.core.kernels`) is a pure
+The delta-patched :class:`~repro.core.kernels.DecisionCache` is a pure
 optimisation: every observable output — simulations, heuristic
 mutations, the kernel primitives themselves — must be bit-identical to
-the ``"scalar"`` reference on any workload, platform and fault draw.
-The same contract binds ``decision_state="incremental"`` (the
-delta-patched :class:`~repro.core.kernels.DecisionCache`) to the
-per-decision fresh build ``"rebuild"`` — including, via a checking
-cache, that the patched matrix equals a fresh build *at every decision
-point* of randomised event sequences.  These tests pin both contracts
-with randomised inputs.
+the scalar reference (``reference=True``) on any workload, platform and
+fault draw — including, via a checking cache, that the patched matrix
+equals the scalar helpers *at every decision point* of randomised event
+sequences.  These tests pin that contract with randomised inputs.
 """
 
 import math
@@ -29,13 +26,8 @@ from repro.core.heuristics import (
     greedy_rebuild,
     remaining_at,
 )
-from repro.core.kernels import (
-    DECISION_STATES,
-    KERNELS,
-    DecisionCache,
-    decision_matrix,
-)
-from repro.core.progress import remaining_at_batch
+from repro.core.kernels import DecisionCache
+from repro.core.progress import remaining_from_arrays
 from repro.core.redistribution import (
     redistribution_cost_matrix,
     redistribution_cost_vector,
@@ -88,26 +80,26 @@ class TestSimulationsBitIdentical:
         p = 2 * n + 2 * extra_pairs
         pack, cluster, _ = build(seed, n, p, mtbf_scale)
         results = {}
-        for kernel in KERNELS:
+        for reference in (False, True):
             model = ExpectedTimeModel(pack, cluster)
-            results[kernel] = Simulator(
+            results[reference] = Simulator(
                 pack,
                 cluster,
                 policy,
                 seed=seed,
                 model=model,
-                decision_kernel=kernel,
+                reference=reference,
             ).run()
-        array, scalar = results["array"], results["scalar"]
-        assert array.makespan == scalar.makespan
+        fast, ref = results[False], results[True]
+        assert fast.makespan == ref.makespan
         assert np.array_equal(
-            array.completion_times, scalar.completion_times, equal_nan=True
+            fast.completion_times, ref.completion_times, equal_nan=True
         )
-        assert array.initial_sigma == scalar.initial_sigma
-        assert array.events == scalar.events
-        assert array.redistributions == scalar.redistributions
-        assert array.failures_effective == scalar.failures_effective
-        assert array.failures_masked == scalar.failures_masked
+        assert fast.initial_sigma == ref.initial_sigma
+        assert fast.events == ref.events
+        assert fast.redistributions == ref.redistributions
+        assert fast.failures_effective == ref.failures_effective
+        assert fast.failures_masked == ref.failures_masked
 
     def test_exercises_failures_and_redistributions(self):
         # Guard: the scenarios above must exercise real rebuilds,
@@ -120,11 +112,14 @@ class TestSimulationsBitIdentical:
         assert result.redistributions > 0
 
     def test_unknown_kernel_rejected(self):
+        # One reference switch replaced the kernel-name knobs.
         pack, cluster, _ = build(0, 3, 8)
-        with pytest.raises(Exception):
-            Simulator(pack, cluster, decision_kernel="simd")
-        with pytest.raises(ConfigurationError):
-            optimal_schedule(ExpectedTimeModel(pack, cluster), 8, kernel="x")
+        with pytest.raises(TypeError):
+            Simulator(pack, cluster, decision_kernel="scalar")
+        with pytest.raises(TypeError):
+            optimal_schedule(
+                ExpectedTimeModel(pack, cluster), 8, kernel="scalar"
+            )
 
 
 class TestAlgorithmKernels:
@@ -139,8 +134,8 @@ class TestAlgorithmKernels:
     def test_optimal_schedule(self, seed, n, extra_pairs):
         p = 2 * n + 2 * extra_pairs
         _, _, model = build(seed, n, p)
-        assert optimal_schedule(model, p, kernel="array") == optimal_schedule(
-            model, p, kernel="scalar"
+        assert optimal_schedule(model, p) == optimal_schedule(
+            model, p, reference=True
         )
 
     @given(
@@ -153,13 +148,15 @@ class TestAlgorithmKernels:
     def test_greedy_rebuild(self, seed, n, extra_pairs, age):
         p = 2 * n + 2 * extra_pairs
         states = {}
-        for kernel in KERNELS:
+        for reference in (False, True):
             _, _, model = build(seed, n, p)
             runtimes = make_runtimes(model, p)
             t = age * min(rt.t_expected for rt in runtimes)
-            changed = greedy_rebuild(model, t, runtimes, p, kernel=kernel)
-            states[kernel] = (sorted(changed), snapshot(runtimes))
-        assert states["array"] == states["scalar"]
+            changed = greedy_rebuild(
+                model, t, runtimes, p, reference=reference
+            )
+            states[reference] = (sorted(changed), snapshot(runtimes))
+        assert states[False] == states[True]
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -173,7 +170,7 @@ class TestAlgorithmKernels:
         p = 2 * n + 2 * extra_pairs
         heuristic = EndLocal()
         states = {}
-        for kernel in KERNELS:
+        for reference in (False, True):
             _, _, model = build(seed, n, p)
             runtimes = make_runtimes(model, p)
             # The simulator invariant: the free pool is what the pack
@@ -183,10 +180,10 @@ class TestAlgorithmKernels:
             )
             t = age * min(rt.t_expected for rt in runtimes)
             changed = heuristic.apply(
-                model, t, runtimes, free, kernel=kernel
+                model, t, runtimes, free, reference=reference
             )
-            states[kernel] = (sorted(changed), snapshot(runtimes))
-        assert states["array"] == states["scalar"]
+            states[reference] = (sorted(changed), snapshot(runtimes))
+        assert states[False] == states[True]
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -204,7 +201,7 @@ class TestAlgorithmKernels:
         faulty = faulty_pos % n
         heuristic = ShortestTasksFirst()
         states = {}
-        for kernel in KERNELS:
+        for reference in (False, True):
             _, _, model = build(seed, n, p)
             runtimes = make_runtimes(model, p)
             t = age * min(rt.t_expected for rt in runtimes)
@@ -215,18 +212,21 @@ class TestAlgorithmKernels:
                 faulty, rt_f.sigma, rt_f.alpha
             )
             changed = heuristic.apply(
-                model, t, runtimes, 2 * free_pairs, faulty, kernel=kernel
+                model, t, runtimes, 2 * free_pairs, faulty,
+                reference=reference,
             )
-            states[kernel] = (sorted(changed), snapshot(runtimes))
-        assert states["array"] == states["scalar"]
+            states[reference] = (sorted(changed), snapshot(runtimes))
+        assert states[False] == states[True]
 
 
 class _CheckingCache(DecisionCache):
-    """A cache that proves every served matrix against a fresh build.
+    """A cache that proves every served matrix against the scalar helpers.
 
-    At each decision point the delta-patched matrix (the lazy rows
-    forced through their on-demand patch path) must be bit-identical to
-    a from-scratch :func:`decision_matrix` over the same tasks.
+    At each decision point every row of the delta-patched matrix (lazy
+    rows forced through their on-demand patch path) must be
+    bit-identical to :func:`candidate_finish_times` at the scalar
+    decision inputs, and every keep-running finish to
+    ``t_last + expected_time(i, sigma, alpha)``.
     """
 
     def __init__(self, model):
@@ -237,22 +237,30 @@ class _CheckingCache(DecisionCache):
         dm = super().matrix(
             t, tasks, faulty, with_keep=with_keep, lazy=lazy
         )
-        fresh = decision_matrix(
-            self.model, t, tasks, faulty, with_keep=with_keep
-        )
-        j_max = int(self.model.j_grid[-1])
-        for row, rt in enumerate(tasks):
+        model = self.model
+        j_max = int(model.j_grid[-1])
+        targets = np.arange(2, j_max + 1, 2, dtype=int)
+        for rt in tasks:
             i = rt.index
-            assert dm.alpha_of(i) == fresh.alpha_of(i)
-            assert dm.stall_of(i) == fresh.stall_of(i)
-            assert dm.init_of(i) == fresh.init_of(i)
-            # finish_range materialises lazy rows through the cache's
-            # on-demand patch, so both patch paths are exercised.
+            if i == faulty:
+                alpha_t, stall = rt.alpha, rt.t_last - t
+            else:
+                alpha_t, stall = remaining_at(model, rt, t), 0.0
+            assert dm.alpha_of(i) == alpha_t
+            assert dm.stall_of(i) == stall
+            assert dm.init_of(i) == rt.sigma
+            # finish_range patches lazy rows through the cache's
+            # on-demand path, so both patch paths are exercised.
             assert np.array_equal(
-                dm.finish_range(i, 2, j_max), fresh.finishes[row]
+                dm.finish_range(i, 2, j_max),
+                candidate_finish_times(
+                    model, i, rt.sigma, alpha_t, t, stall, targets
+                ),
             )
             if with_keep:
-                assert dm.keep_finish(i) == fresh.keep_finish(i)
+                assert dm.keep[i] == rt.t_last + model.expected_time(
+                    i, rt.sigma, rt.alpha
+                )
         self.checked += 1
         return dm
 
@@ -266,47 +274,38 @@ class _CheckingSimulator(Simulator):
 
 
 class TestDecisionStateBitIdentical:
-    """The delta-patched decision state equals the fresh build."""
+    """The delta-patched decision state equals the scalar reference."""
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    @pytest.mark.parametrize("event_queue", ["heap", "scan"])
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n=st.integers(min_value=2, max_value=6),
         extra_pairs=st.integers(min_value=0, max_value=6),
         mtbf_scale=st.sampled_from([0.0005, 0.002]),
     )
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=8, deadline=None)
     def test_patched_matrix_equals_fresh_build_every_event(
-        self, policy, event_queue, seed, n, extra_pairs, mtbf_scale
+        self, policy, seed, n, extra_pairs, mtbf_scale
     ):
         """Randomised event sequences, checked at every decision point."""
         p = 2 * n + 2 * extra_pairs
         pack, cluster, _ = build(seed, n, p, mtbf_scale)
-        results = {}
-        for state, cls in (
-            ("incremental", _CheckingSimulator),
-            ("rebuild", Simulator),
-        ):
-            model = ExpectedTimeModel(pack, cluster)
-            results[state] = cls(
-                pack,
-                cluster,
-                policy,
-                seed=seed,
-                model=model,
-                event_queue=event_queue,
-                decision_state=state,
-            ).run()
-        inc, reb = results["incremental"], results["rebuild"]
-        assert inc.makespan == reb.makespan
+        inc = _CheckingSimulator(
+            pack, cluster, policy, seed=seed,
+            model=ExpectedTimeModel(pack, cluster),
+        ).run()
+        ref = Simulator(
+            pack, cluster, policy, seed=seed,
+            model=ExpectedTimeModel(pack, cluster), reference=True,
+        ).run()
+        assert inc.makespan == ref.makespan
         assert np.array_equal(
-            inc.completion_times, reb.completion_times, equal_nan=True
+            inc.completion_times, ref.completion_times, equal_nan=True
         )
-        assert inc.initial_sigma == reb.initial_sigma
-        assert inc.events == reb.events
-        assert inc.redistributions == reb.redistributions
-        assert inc.failures_effective == reb.failures_effective
+        assert inc.initial_sigma == ref.initial_sigma
+        assert inc.events == ref.events
+        assert inc.redistributions == ref.redistributions
+        assert inc.failures_effective == ref.failures_effective
 
     def test_checking_cache_exercises_decisions(self):
         # Guard: the scenarios above must serve (and verify) real
@@ -322,22 +321,21 @@ class TestDecisionStateBitIdentical:
         assert sim.checking_cache.rows_reused > 0
 
     def test_unknown_decision_state_rejected(self):
+        # The fresh-build middle mode is gone: the knob no longer exists.
         pack, cluster, _ = build(0, 3, 8)
-        with pytest.raises(Exception):
-            Simulator(pack, cluster, decision_state="memoised")
-        from repro.core.kernels import ensure_decision_state
+        with pytest.raises(TypeError):
+            Simulator(pack, cluster, decision_state="rebuild")
+        import repro.core.kernels as kernels
 
-        with pytest.raises(ConfigurationError):
-            ensure_decision_state("memoised")
-        assert ensure_decision_state("incremental") == "incremental"
-        assert set(DECISION_STATES) == {"incremental", "rebuild"}
+        assert not hasattr(kernels, "decision_matrix")
+        assert not hasattr(kernels, "DECISION_STATES")
 
     def test_scalar_kernel_never_caches(self):
         pack, cluster, _ = build(0, 3, 10)
         sim = Simulator(
             pack, cluster, "ig-el", seed=0,
             model=ExpectedTimeModel(pack, cluster),
-            decision_kernel="scalar",
+            reference=True,
         )
         sim.run()
         assert sim._cache is None
@@ -377,10 +375,10 @@ class TestDecisionStateBitIdentical:
         cache.invalidate(rt0.index)
         third = cache.matrix(t, runtimes)
         assert cache.rows_patched == patched_once + 1
-        fresh = decision_matrix(model, t, runtimes)
-        for row, rt in enumerate(runtimes):
+        fresh = DecisionCache(model).matrix(t, runtimes)
+        for rt in runtimes:
             assert np.array_equal(
-                third.finishes[rt.index], fresh.finishes[row]
+                third.finishes[rt.index], fresh.finishes[rt.index]
             )
 
 
@@ -439,7 +437,16 @@ class TestKernelPrimitives:
         _, _, model = build(seed, 5, 20)
         runtimes = make_runtimes(model, 20)
         t = age * min(rt.t_expected for rt in runtimes)
-        batch = remaining_at_batch(model, runtimes, t)
+        grids = [model.grid(rt.index) for rt in runtimes]
+        slots = [g.slot(rt.sigma) for g, rt in zip(grids, runtimes)]
+        batch = remaining_from_arrays(
+            np.array([rt.alpha for rt in runtimes]),
+            np.array([rt.t_last for rt in runtimes]),
+            np.array([g.t_ff[s] for g, s in zip(grids, slots)]),
+            np.array([g.tau[s] for g, s in zip(grids, slots)]),
+            np.array([g.cost[s] for g, s in zip(grids, slots)]),
+            t,
+        )
         for row, rt in enumerate(runtimes):
             assert batch[row] == remaining_at(model, rt, t)
 
@@ -494,7 +501,7 @@ class TestKernelPrimitives:
         _, _, model = build(seed, n, p)
         runtimes = make_runtimes(model, p)
         t = age * min(rt.t_expected for rt in runtimes)
-        dm = decision_matrix(model, t, runtimes, lazy=lazy)
+        dm = DecisionCache(model).matrix(t, runtimes, lazy=lazy)
         j_max = int(model.j_grid[-1])
         for rt in runtimes:
             i = rt.index
@@ -515,23 +522,30 @@ class TestKernelPrimitives:
         _, _, model = build(3, n, p)
         runtimes = make_runtimes(model, p)
         t = 0.25 * min(rt.t_expected for rt in runtimes)
-        dm = decision_matrix(model, t, runtimes, with_keep=True)
-        for rt in runtimes:
+        cache = DecisionCache(model)
+        dm = cache.matrix(t, runtimes, with_keep=True)
+        vals, sufrev, width = cache.rebuild_block(dm)
+        for pos, rt in enumerate(runtimes):
             i = rt.index
-            assert dm.keep_finish(i) == rt.t_last + model.expected_time(
-                i, rt.sigma, rt.alpha
-            )
-            assert dm.rebuild_finish(i, rt.sigma) == dm.keep_finish(i)
-            patched = dm.rebuild_range(i, 2, int(model.j_grid[-1]))
+            keep = rt.t_last + model.expected_time(i, rt.sigma, rt.alpha)
+            assert dm.keep[i] == keep
+            # The Algorithm-5 block patches the keep-running candidate
+            # in at the current slot and leaves every other slot alone.
             slot = rt.sigma // 2 - 1
-            assert patched[slot] == dm.keep_finish(i)
+            assert vals[pos, slot] == keep
+            others = np.arange(width) != slot
+            assert np.array_equal(
+                vals[pos, others], dm.finishes[i, others]
+            )
+            assert sufrev[pos, 0] == vals[pos, -1]
+            assert sufrev[pos, -1] == vals[pos].min()
 
     def test_out_of_grid_candidates_rejected(self):
         from repro.exceptions import SimulationError
 
         _, _, model = build(0, 3, 12)
         runtimes = make_runtimes(model, 12)
-        dm = decision_matrix(model, 1.0, runtimes)
+        dm = DecisionCache(model).matrix(1.0, runtimes)
         j_max = int(model.j_grid[-1])
         with pytest.raises(SimulationError):
             dm.finish(runtimes[0].index, j_max + 2)

@@ -135,10 +135,7 @@ class TestMarkdownDocs:
         text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
             encoding="utf-8"
         )
-        for mode in (
-            '"scan"', '"scalar"', '"rebuild"', "serial",
-            "decision_state", "decision_kernel", "event_queue",
-        ):
+        for mode in ("Simulator(reference=True)", "serial", "VirtualClock"):
             assert mode in text, f"ARCHITECTURE.md misses {mode}"
 
     def test_benchmarks_doc_covers_every_bench_module(self):

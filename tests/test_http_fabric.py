@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+from conftest import raw_post
 from repro.engine import (
     FaultPlan,
     HTTPBroker,
@@ -106,6 +107,31 @@ class TestAuthentication:
             # private service internals are not reachable as operations
             with pytest.raises(PermanentEngineError, match="unknown operation"):
                 broker._call("_op_claim", {})
+        finally:
+            server.shutdown()
+
+
+class TestFraming:
+    """Malformed requests get a 400 reply, never a hang or a dropped
+    connection (real sockets, raw bytes)."""
+
+    def test_negative_content_length_is_400(self, tmp_path):
+        server, url = _start_server(tmp_path / "spool")
+        try:
+            status, body = raw_post(
+                url, "/api/claim", b"", token=TOKEN, content_length=-1
+            )
+            assert status == 400 and "Content-Length" in body["error"]
+            assert HTTPBroker(url, token=TOKEN).stop_requested() is False
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("doc", [b"[1]", b"null"])
+    def test_non_object_body_is_400(self, tmp_path, doc):
+        server, url = _start_server(tmp_path / "spool")
+        try:
+            status, body = raw_post(url, "/api/claim", doc, token=TOKEN)
+            assert status == 400 and "JSON object" in body["error"]
         finally:
             server.shutdown()
 

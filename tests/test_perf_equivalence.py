@@ -1,9 +1,9 @@
 """Equivalence guarantees of the performance overhaul.
 
-The heap event queue, the batched profile accessors and the unified
+The fast simulator path, the batched profile accessors and the unified
 execution engine are pure optimisations: every observable output must be
-byte-identical to the seed's linear-scan / scalar / serial paths under
-common random numbers.  These tests pin that contract — including the
+byte-identical to the seed-literal reference (``Simulator(reference=
+True)``) and to the serial engine under common random numbers.  These tests pin that contract — including the
 engine guarantee that all five executors (serial, pool, persistent,
 async and queue) produce byte-identical figure series.
 """
@@ -31,9 +31,10 @@ from repro.experiments import (
     run_figure,
     run_scenario,
 )
-from repro.resilience import NUMBA_AVAILABLE, ExpectedTimeModel
+from repro.resilience import ExpectedTimeModel
 from repro.simulation import Simulator
 from repro.tasks import uniform_pack
+from test_figure_digests import TINY_DIGESTS, figure_digest
 
 #: Small but failure-rich scenario: every policy sees real faults.
 CONFIG = ScenarioConfig(
@@ -47,7 +48,7 @@ def _workload(seed: int):
     return pack, cluster
 
 
-def _run(pack, cluster, series, seed, mode):
+def _run(pack, cluster, series, seed, reference):
     model = ExpectedTimeModel(pack, cluster)
     return Simulator(
         pack,
@@ -57,48 +58,56 @@ def _run(pack, cluster, series, seed, mode):
         inject_faults=series.faults,
         model=model,
         record_trace=True,
-        event_queue=mode,
+        reference=reference,
     ).run()
 
 
 class TestHeapMatchesScan:
+    """The fast path (heap event queue, decision cache, fused Eq. 4,
+    ndarray failure path) against ``reference=True`` on whole runs.
+
+    The reference keeps the seed's per-failure Python scans; the class
+    name is kept so the test IDs stay stable.
+    """
+
     @pytest.mark.parametrize("series", FAULT_SERIES, ids=lambda s: s.key)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_byte_identical_run(self, series, seed):
         pack, cluster = _workload(seed)
-        heap = _run(pack, cluster, series, seed, "heap")
-        scan = _run(pack, cluster, series, seed, "scan")
-        assert heap.makespan == scan.makespan
-        assert np.array_equal(heap.completion_times, scan.completion_times)
-        assert heap.initial_sigma == scan.initial_sigma
-        assert heap.events == scan.events
-        assert heap.failures_effective == scan.failures_effective
-        assert heap.failures_idle == scan.failures_idle
-        assert heap.failures_masked == scan.failures_masked
-        assert heap.redistributions == scan.redistributions
+        fast = _run(pack, cluster, series, seed, False)
+        ref = _run(pack, cluster, series, seed, True)
+        assert fast.makespan == ref.makespan
+        assert np.array_equal(fast.completion_times, ref.completion_times)
+        assert fast.initial_sigma == ref.initial_sigma
+        assert fast.events == ref.events
+        assert fast.failures_effective == ref.failures_effective
+        assert fast.failures_idle == ref.failures_idle
+        assert fast.failures_masked == ref.failures_masked
+        assert fast.redistributions == ref.redistributions
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_traces_identical(self, seed):
         pack, cluster = _workload(seed)
         series = FAULT_SERIES[2]  # ig-el: completions + failure rebuilds
-        heap = _run(pack, cluster, series, seed, "heap").trace
-        scan = _run(pack, cluster, series, seed, "scan").trace
-        assert heap.events == scan.events
-        assert heap.failure_times == scan.failure_times
-        assert heap.makespan_after_failure == scan.makespan_after_failure
-        assert heap.sigma_std_after_failure == scan.sigma_std_after_failure
+        fast = _run(pack, cluster, series, seed, False).trace
+        ref = _run(pack, cluster, series, seed, True).trace
+        assert fast.events == ref.events
+        assert fast.failure_times == ref.failure_times
+        assert fast.makespan_after_failure == ref.makespan_after_failure
+        assert fast.sigma_std_after_failure == ref.sigma_std_after_failure
 
     def test_exercises_failures(self):
         # Guard: the scenario above must actually inject failures,
         # otherwise the equivalence tests prove nothing about rollbacks.
         pack, cluster = _workload(0)
-        result = _run(pack, cluster, FAULT_SERIES[0], 0, "heap")
+        result = _run(pack, cluster, FAULT_SERIES[0], 0, False)
         assert result.failures_effective > 0
 
     def test_unknown_event_queue_rejected(self):
+        # The scan queue is gone: the knob itself no longer exists.
         pack, cluster = _workload(0)
-        with pytest.raises(Exception):
-            Simulator(pack, cluster, event_queue="btree")
+        with pytest.raises(TypeError):
+            Simulator(pack, cluster, event_queue="scan")
 
     def test_completion_queue_blocks_unsynced_mutators(self):
         from repro.simulation import CompletionQueue
@@ -261,45 +270,21 @@ class TestEngineEquivalence:
         assert stats.workloads_reused >= built_after_first
 
 
-#: decision-kernel x decision-state x event-queue x profile-backend
-#: combinations pinned against the (array, incremental, heap, fused)
-#: default on full figure series.  The all-reference row is the PR-6-era
-#: substrate end to end; the numba leg joins whenever the soft
-#: dependency is installed.
-KERNEL_MODE_OPTIONS = (
-    {"decision_kernel": "scalar"},
-    {"decision_kernel": "scalar", "event_queue": "scan"},
-    {"event_queue": "scan"},
-    {"decision_state": "rebuild"},
-    {"decision_state": "rebuild", "event_queue": "scan"},
-    {"profile_backend": "reference"},
-    {
-        "profile_backend": "reference",
-        "decision_state": "rebuild",
-        "event_queue": "scan",
-    },
-) + (({"profile_backend": "numba"},) if NUMBA_AVAILABLE else ())
-
-
 class TestDecisionKernelFigures:
-    """The PR-3/PR-4 acceptance gate: every decision mode on figure series.
+    """The reference leg on full figure series.
 
     ``FAULT_SERIES`` covers every redistribution policy, so one figure
-    run pins all of them at once — the scalar kernel, the fresh-build
-    decision state and both event-queue modes against the incremental
-    default.
+    run pins all of them at once.  ``tests/test_figure_digests.py``
+    anchors the default path of every figure; this class checks that
+    the seed-literal reference still reproduces it.
     """
 
     @pytest.mark.parametrize("figure", ["fig7", "fig10"])
     def test_figure_series_bit_identical_tiny(self, figure):
-        reference = run_figure(figure, scale="tiny", seed=1)
-        for options in KERNEL_MODE_OPTIONS:
-            result = run_figure(
-                figure, scale="tiny", seed=1, simulator_options=options
-            )
-            assert result.x_values == reference.x_values
-            assert result.normalized == reference.normalized
-            assert result.means == reference.means
+        reference = run_figure(
+            figure, scale="tiny", seed=1, simulator_options={"reference": True}
+        )
+        assert figure_digest(reference) == TINY_DIGESTS[figure]
 
     @pytest.mark.skipif(
         not os.environ.get("REPRO_SLOW_TESTS"),
@@ -307,30 +292,29 @@ class TestDecisionKernelFigures:
     )
     @pytest.mark.parametrize("figure", ["fig7", "fig10"])
     def test_figure_series_bit_identical_small(self, figure):
-        reference = run_figure(figure, scale="small", seed=1)
-        for options in KERNEL_MODE_OPTIONS:
-            result = run_figure(
-                figure, scale="small", seed=1, simulator_options=options
-            )
-            assert result.x_values == reference.x_values
-            assert result.normalized == reference.normalized
-            assert result.means == reference.means
+        reference = run_figure(
+            figure, scale="small", seed=1, simulator_options={"reference": True}
+        )
+        default = run_figure(figure, scale="small", seed=1)
+        assert default.x_values == reference.x_values
+        assert default.normalized == reference.normalized
+        assert default.means == reference.means
 
     def test_simulator_options_flow_through_engines(self):
         # The options ride inside the RunRequest payload, so pooled
         # workers honour them too.
-        reference = run_scenario(CONFIG, FAULT_SERIES, seed=11)
+        default = run_scenario(CONFIG, FAULT_SERIES, seed=11)
         with create_executor("pool", workers=2) as executor:
-            scalar = run_scenario(
+            reference = run_scenario(
                 CONFIG,
                 FAULT_SERIES,
                 seed=11,
                 executor=executor,
-                simulator_options={"decision_kernel": "scalar"},
+                simulator_options={"reference": True},
             )
-        for key in reference.makespans:
+        for key in default.makespans:
             assert np.array_equal(
-                reference.makespans[key], scalar.makespans[key]
+                default.makespans[key], reference.makespans[key]
             )
 
 

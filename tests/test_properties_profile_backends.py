@@ -1,32 +1,22 @@
-"""Property suite: every profile backend is bit-identical to "reference".
+"""Property suite: the fused Eq. (4) backend is bit-identical to the reference.
 
-ISSUE 7's acceptance contract for the native-speed hot core: the fused
-(and, when installed, numba) Eq. (4) backends and the ``DecisionCache``
-``tau_last``-only profile patch must reproduce the reference substrate
-*bit for bit* — not approximately — across the edge cases that could
-plausibly break exact equality: zero-alpha rows (forced-zero masking),
+The acceptance contract of the hot core: the fused Eq. (4) backend and
+the ``DecisionCache`` ``tau_last``-only profile patch must reproduce the
+reference substrate (``ExpectedTimeModel(reference=True)``) *bit for
+bit* — not approximately — across the edge cases that could plausibly
+break exact equality: zero-alpha rows (forced-zero masking),
 single-slot grids (degenerate envelope), and overflowing ``inf``
 prefactors (hopeless-MTBF configurations where ``exp`` saturates).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core.kernels import DecisionCache
-from repro.resilience import (
-    NUMBA_AVAILABLE,
-    ExpectedTimeModel,
-    ensure_alpha_vector,
-    resolve_profile_backend,
-)
+from repro.resilience import ExpectedTimeModel, ensure_alpha_vector
 from repro.tasks import uniform_pack
-
-#: The fast backends under test; "numba" joins when the soft dependency
-#: is importable (never required — the point of the gate).
-FAST_BACKENDS = ("fused",) + (("numba",) if NUMBA_AVAILABLE else ())
 
 # Modest spaces so every example builds in microseconds.  The smallest
 # mtbf values push ``lam`` high enough that exp() overflows to an inf
@@ -38,16 +28,12 @@ seeds = st.integers(min_value=0, max_value=2**16)
 alphas = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
 
 
-def build_models(n, pairs, mtbf, seed, backends=FAST_BACKENDS):
-    """One reference model plus one model per fast backend, same pack."""
+def build_models(n, pairs, mtbf, seed):
+    """One reference model plus one fused model, same pack."""
     pack = uniform_pack(n, m_inf=8_000.0, m_sup=20_000.0, seed=seed)
     cluster = Cluster.with_mtbf_years(2 * pairs, mtbf)
-    reference = ExpectedTimeModel(pack, cluster, profile_backend="reference")
-    fast = {
-        name: ExpectedTimeModel(pack, cluster, profile_backend=name)
-        for name in backends
-    }
-    return reference, fast
+    reference = ExpectedTimeModel(pack, cluster, reference=True)
+    return reference, ExpectedTimeModel(pack, cluster)
 
 
 class TestBackendBitIdentity:
@@ -60,15 +46,12 @@ class TestBackendBitIdentity:
         reference, fast = build_models(n, pairs, mtbf, seed)
         alpha_t = [data.draw(alphas) for _ in range(n)]
         want = reference.profile_matrix(range(n), alpha_t)
-        for name, model in fast.items():
-            got = model.profile_matrix(range(n), alpha_t)
-            assert np.array_equal(got, want), name
-            # The scalar accessor rides the same rows.
-            for i in range(n):
-                assert np.array_equal(
-                    model.profile(i, alpha_t[i]),
-                    reference.profile(i, alpha_t[i]),
-                ), name
+        assert np.array_equal(fast.profile_matrix(range(n), alpha_t), want)
+        # The scalar accessor rides the same rows.
+        for i in range(n):
+            assert np.array_equal(
+                fast.profile(i, alpha_t[i]), reference.profile(i, alpha_t[i])
+            )
 
     @given(
         n=n_tasks, pairs=grid_pairs, mtbf=mtbf_years, seed=seeds,
@@ -78,10 +61,7 @@ class TestBackendBitIdentity:
     def test_profile_batch_bit_identical(self, n, pairs, mtbf, seed, alpha):
         reference, fast = build_models(n, pairs, mtbf, seed)
         want = reference.profile_batch(range(n), alpha)
-        for name, model in fast.items():
-            assert np.array_equal(
-                model.profile_batch(range(n), alpha), want
-            ), name
+        assert np.array_equal(fast.profile_batch(range(n), alpha), want)
 
     @given(
         n=n_tasks, pairs=grid_pairs, mtbf=mtbf_years, seed=seeds,
@@ -97,36 +77,31 @@ class TestBackendBitIdentity:
         want = reference.profile_rows_into(
             list(range(n)), alpha_t, np.empty((n, width)), store=False
         )
-        for name, model in fast.items():
-            got = model.profile_rows_into(
-                list(range(n)), alpha_t, np.empty((n, width)), store=False
-            )
-            assert np.array_equal(got, want), name
+        got = fast.profile_rows_into(
+            list(range(n)), alpha_t, np.empty((n, width)), store=False
+        )
+        assert np.array_equal(got, want)
 
     @given(pairs=grid_pairs, seed=seeds)
     @settings(max_examples=25, deadline=None)
     def test_zero_alpha_rows_exactly_zero(self, pairs, seed):
-        # Zero remaining work costs exactly 0.0 on every backend, even
+        # Zero remaining work costs exactly 0.0 on both paths, even
         # when the inf prefactor would otherwise produce inf * 0 = nan.
-        reference, fast = build_models(3, pairs, 1e-4, seed)
-        for model in (reference, *fast.values()):
+        for model in build_models(3, pairs, 1e-4, seed):
             assert np.all(model.profile_matrix(range(3), [0.0] * 3) == 0.0)
 
     @given(n=n_tasks, pairs=grid_pairs, seed=seeds, data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_overflow_inf_prefactor_bit_identical(self, n, pairs, seed, data):
         # mtbf = 1e-4 years over large tasks saturates exp(): the raw
-        # Eq. (4) rows contain inf, and every backend must place the
-        # same infs in the same slots (inf == inf under array_equal).
+        # Eq. (4) rows contain inf, and both paths must place the same
+        # infs in the same slots (inf == inf under array_equal).
         reference, fast = build_models(n, pairs, 1e-4, seed)
         alpha_t = [data.draw(st.floats(min_value=0.5, max_value=1.0))
                    for _ in range(n)]
         want = reference.profile_matrix(range(n), alpha_t)
         assert np.isinf(want).any() or np.isfinite(want).all()
-        for name, model in fast.items():
-            assert np.array_equal(
-                model.profile_matrix(range(n), alpha_t), want
-            ), name
+        assert np.array_equal(fast.profile_matrix(range(n), alpha_t), want)
 
 
 class TestDecisionCacheProfileDeltas:
@@ -142,8 +117,8 @@ class TestDecisionCacheProfileDeltas:
         # rows whose N^ff held take the tau_last-only patch, rows whose
         # N^ff stepped re-evaluate — either way the result must equal the
         # reference substrate evaluated from scratch at the same alphas.
-        reference, fast = build_models(n, pairs, mtbf, seed, ("fused",))
-        cache = DecisionCache(fast["fused"])
+        reference, fast = build_models(n, pairs, mtbf, seed)
+        cache = DecisionCache(fast)
         sub = np.arange(n)
         first = np.array([data.draw(alphas) for _ in range(n)])
         # A relative nudge this small rarely moves floor(work / wpp),
@@ -159,8 +134,8 @@ class TestDecisionCacheProfileDeltas:
     def test_tau_patch_tier_fires_on_stable_nff(self):
         # Deterministic counter check: identical alphas guarantee the
         # N^ff rows cannot move, so the second pass must patch every row.
-        _, fast = build_models(4, 16, 0.02, 7, ("fused",))
-        cache = DecisionCache(fast["fused"])
+        _, fast = build_models(4, 16, 0.02, 7)
+        cache = DecisionCache(fast)
         sub = np.arange(4)
         cache._alpha_t[:4] = [0.9, 0.7, 0.5, 0.0]
         cache._profile_rows(sub, 4)
@@ -171,28 +146,27 @@ class TestDecisionCacheProfileDeltas:
         # And the patched rows equal the fully evaluated ones bit for bit.
         assert np.array_equal(
             first,
-            fast["fused"].profile_matrix(range(4), [0.9, 0.7, 0.5, 0.0]),
+            fast.profile_matrix(range(4), [0.9, 0.7, 0.5, 0.0]),
         )
 
 
-class TestSoftDependencyContract:
-    def test_numba_request_always_safe(self):
-        # Requesting "numba" never fails: it resolves to "numba" when
-        # importable and degrades to "fused" otherwise.
-        resolved = resolve_profile_backend("numba")
-        assert resolved == ("numba" if NUMBA_AVAILABLE else "fused")
-        pack = uniform_pack(2, m_inf=8_000.0, m_sup=20_000.0, seed=0)
-        cluster = Cluster.with_mtbf_years(16, 0.02)
-        model = ExpectedTimeModel(pack, cluster, profile_backend="numba")
-        assert model.profile_backend == resolved
-        assert model.requested_backend == "numba"
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_backend_actually_selected(self):
-        pack = uniform_pack(2, m_inf=8_000.0, m_sup=20_000.0, seed=0)
-        cluster = Cluster.with_mtbf_years(16, 0.02)
-        model = ExpectedTimeModel(pack, cluster, profile_backend="numba")
-        assert model.profile_backend == "numba"
+class TestReferenceSwitch:
+    def test_flipping_a_warm_model_keeps_its_values(self):
+        # ``reference`` is a plain attribute: Simulator(reference=...)
+        # flips it on shared, pre-warmed models, and both paths must
+        # keep serving the same bits around the flip.
+        reference, fast = build_models(3, 8, 0.02, 0)
+        want = reference.profile_matrix(range(3), [0.9, 0.4, 0.1])
+        fast.profile_matrix(range(3), [0.3, 0.2, 0.1])  # warm the backend
+        fast.reference = True
+        assert np.array_equal(
+            fast.profile_matrix(range(3), [0.9, 0.4, 0.1]), want
+        )
+        fast.reference = False
+        assert np.array_equal(
+            fast.profile_batch(range(3), 0.55),
+            reference.profile_batch(range(3), 0.55),
+        )
 
 
 class TestAlphaBoundaryValidation:
@@ -207,7 +181,7 @@ class TestAlphaBoundaryValidation:
         strided = base[::2]              # non-contiguous view
         f32 = strided.astype(np.float32)  # wrong dtype
         want = reference.profile_matrix(range(n), np.ascontiguousarray(strided))
-        for model in (reference, *fast.values()):
+        for model in (reference, fast):
             assert np.array_equal(model.profile_matrix(range(n), strided), want)
         # float32 loses bits, so compare against the float64 promotion
         # of the same values — conversion happens once, at the boundary.
@@ -215,5 +189,4 @@ class TestAlphaBoundaryValidation:
         assert promoted.dtype == np.float64
         assert promoted.flags["C_CONTIGUOUS"]
         want32 = reference.profile_matrix(range(n), promoted)
-        for model in fast.values():
-            assert np.array_equal(model.profile_matrix(range(n), f32), want32)
+        assert np.array_equal(fast.profile_matrix(range(n), f32), want32)

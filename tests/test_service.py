@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import signal
 import subprocess
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import wait_for
+from conftest import raw_post, wait_for
 from repro.exceptions import ConfigurationError
 from repro.resilience.expected_time import ExpectedTimeModel, TaskGrid
 from repro.service import (
@@ -96,6 +97,21 @@ class TestServiceAPI:
             api.handle("submit", {"size": "not-a-number"})
         with pytest.raises(ConfigurationError):
             api.handle("submit", {"size": -3.0})
+
+    @pytest.mark.parametrize("field", ["size", "checkpoint_cost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_submit_leaves_no_job_behind(self, field, value):
+        # json.loads parses NaN/Infinity, and nan <= 0 is False: a
+        # non-finite field must be refused before the job is registered.
+        api, session, _clock = make_api()
+        api.handle("submit", {"job_id": "good", "size": 7_000.0})
+        before = dict(session.engine.jobs)
+        with pytest.raises(ConfigurationError):
+            api.handle(
+                "submit", {"job_id": "bad", "size": 7_000.0, field: value}
+            )
+        assert session.engine.jobs == before
+        assert api.handle("drain", {})["lost"] == []
 
     def test_unknown_and_private_operations_raise_lookup(self):
         api, _session, _clock = make_api()
@@ -352,6 +368,33 @@ class TestServiceHTTP:
         status, _ = _call(server, "/api/submit", token=self.TOKEN,
                           payload={"size": -1.0})
         assert status == 400
+
+    def test_nan_submit_over_the_wire_is_400_and_loses_nothing(self, server):
+        status, body = raw_post(
+            server, "/api/submit", b'{"size": NaN, "job_id": "bad"}',
+            token=self.TOKEN,
+        )
+        assert status == 400 and "finite" in body["error"]
+        status, body = _call(server, "/api/drain", token=self.TOKEN,
+                             payload={})
+        assert status == 200 and body["lost"] == []
+
+    @pytest.mark.parametrize("length", [-1, -4096])
+    def test_negative_content_length_is_400_not_a_hang(self, server, length):
+        status, body = raw_post(
+            server, "/api/submit", b"", token=self.TOKEN,
+            content_length=length,
+        )
+        assert status == 400 and "Content-Length" in body["error"]
+        # The listener is still healthy afterwards.
+        status, _ = _call(server, "/status", token=self.TOKEN)
+        assert status == 200
+
+    @pytest.mark.parametrize("op", ["submit", "cancel"])
+    @pytest.mark.parametrize("doc", [b"[1]", b"null", b'"alpha"', b"3"])
+    def test_non_object_bodies_are_400(self, server, op, doc):
+        status, body = raw_post(server, f"/api/{op}", doc, token=self.TOKEN)
+        assert status == 400 and "JSON object" in body["error"]
 
     def test_tokenless_server_is_open(self):
         _api, session, _clock = make_api(processors=8)
