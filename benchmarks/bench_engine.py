@@ -1,4 +1,4 @@
-"""Engine benchmark: sweep wall-clock across all five executors.
+"""Engine benchmark: sweep wall-clock across the three executors.
 
 The persistent executor exists to amortise process-pool start-up across
 the points of a sweep (and whole multi-figure campaigns).  This
@@ -6,11 +6,9 @@ benchmark measures exactly that claim on a >= 4-point MTBF sweep of the
 fig10 scenario: the same requests dispatched
 
 * ``serial``     — in-process reference;
-* ``pool``       — a fresh process pool spawned at every sweep point
-  (the PR-1 behaviour);
+* ``per_point``  — a fresh ``persistent`` pool opened and closed at
+  every sweep point (the baseline the gate compares against);
 * ``persistent`` — one pool launched at the first point and reused;
-* ``async``      — a persistent pool driven by an asyncio event loop
-  (dispatch overlapped with reassembly);
 * ``queue``      — chunks serialised through a local FileBroker spool
   to worker subprocesses (``python -m repro.engine.worker``).
 
@@ -18,10 +16,10 @@ Results are recorded into the committed ``BENCH_engine.json`` with::
 
     PYTHONPATH=src python -m benchmarks.bench_engine --write
 
-and the derived ``persistent_speedup`` (pool seconds over persistent
-seconds) is the acceptance number: it must stay above 1.0, i.e. the
-persistent pool must beat per-point pool spawn.  The async and queue
-engines are measured and recorded for visibility (the queue transport
+and the derived ``persistent_speedup`` (per-point seconds over
+persistent seconds) is the acceptance number: it must stay above 1.0,
+i.e. the persistent pool must beat per-point pool spawn.  The queue
+engine is measured and recorded for visibility (the queue transport
 pays pickling plus spool round-trips by design — it buys multi-host
 reach, not single-host speed), but only the persistent gate is
 enforced.  ``REPRO_BENCH_SCALE`` (``tiny``/``small``) sizes the
@@ -38,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-from repro.engine import ENGINES, create_executor
+from repro.engine import ENGINES, PersistentPoolExecutor, create_executor
 from repro.experiments import FAULT_SERIES, run_scenario
 from repro.experiments.config import ScenarioConfig, get_scale
 
@@ -56,6 +54,10 @@ SWEEP_MTBF_YEARS = (5.0, 35.0, 65.0, 95.0, 125.0)
 
 WORKERS = 2
 
+#: The benchmark's rows: every engine plus the per-point baseline.
+PER_POINT = "per_point"
+ROWS = ENGINES + (PER_POINT,)
+
 
 def sweep_configs() -> list:
     """The sweep's scaled scenario configs (fig10 shape)."""
@@ -71,8 +73,19 @@ def sweep_configs() -> list:
     ]
 
 
+def _row(executor, config) -> list:
+    """One sweep point's normalised series through ``executor``."""
+    return run_scenario(
+        config, FAULT_SERIES, seed=BENCH_SEED, executor=executor
+    ).normalized_row()
+
+
 def run_sweep(engine: str, repeats: int = 2) -> Dict[str, object]:
     """Best-of-``repeats`` wall-clock of one full sweep.
+
+    ``engine`` is an :data:`~repro.engine.ENGINES` name, whose one
+    executor serves the whole sweep, or :data:`PER_POINT`, which opens
+    and closes a fresh ``persistent`` pool at every point.
 
     The process-wide workload cache is cleared before every repeat so no
     engine inherits workloads another engine (or an earlier repeat)
@@ -87,14 +100,17 @@ def run_sweep(engine: str, repeats: int = 2) -> Dict[str, object]:
     best = float("inf")
     for _ in range(repeats):
         shared_cache.clear()
-        series_digest = []
         start = time.perf_counter()
-        with create_executor(engine, workers=WORKERS) as executor:
+        if engine == PER_POINT:
+            series_digest, infos = [], []
             for config in configs:
-                outcome = run_scenario(
-                    config, FAULT_SERIES, seed=BENCH_SEED, executor=executor
-                )
-                series_digest.append(outcome.normalized_row())
+                with PersistentPoolExecutor(workers=WORKERS) as executor:
+                    series_digest.append(_row(executor, config))
+                infos.append(executor.stats().cache_info())
+            stats = {key: sum(info[key] for info in infos) for key in infos[0]}
+        else:
+            with create_executor(engine, workers=WORKERS) as executor:
+                series_digest = [_row(executor, config) for config in configs]
             stats = executor.stats().cache_info()
         best = min(best, time.perf_counter() - start)
     return {
@@ -105,7 +121,7 @@ def run_sweep(engine: str, repeats: int = 2) -> Dict[str, object]:
     }
 
 
-def run_all(engines: Sequence[str] = ENGINES) -> Dict[str, Dict[str, object]]:
+def run_all(engines: Sequence[str] = ROWS) -> Dict[str, Dict[str, object]]:
     """Measure every engine on the same sweep; assert equivalence."""
     results = {engine: run_sweep(engine) for engine in engines}
     reference = results["serial"]["digest"]
@@ -118,7 +134,7 @@ def run_all(engines: Sequence[str] = ENGINES) -> Dict[str, Dict[str, object]]:
 
 def persistent_speedup(results: Dict[str, Dict[str, object]]) -> float:
     """Per-point pool seconds over persistent-pool seconds."""
-    return results["pool"]["seconds"] / results["persistent"]["seconds"]
+    return results[PER_POINT]["seconds"] / results["persistent"]["seconds"]
 
 
 def payload_from(results: Dict[str, Dict[str, object]]) -> Dict[str, object]:
@@ -158,16 +174,16 @@ def test_persistent_beats_pool_spawn():
     runners can invert a single noisy sample.
     """
     results = run_all()
-    assert results["pool"]["points"] >= 4
+    assert results[PER_POINT]["points"] >= 4
     if persistent_speedup(results) <= 1.0:  # pragma: no cover - noisy host
         results = {
             engine: run_sweep(engine, repeats=3)
-            for engine in ("serial", "pool", "persistent")
+            for engine in ("serial", PER_POINT, "persistent")
         }
     speedup = persistent_speedup(results)
     assert speedup > 1.0, (
         f"persistent pool ({results['persistent']['seconds']:.2f}s) did not "
-        f"beat per-point pools ({results['pool']['seconds']:.2f}s)"
+        f"beat per-point pools ({results[PER_POINT]['seconds']:.2f}s)"
     )
 
 
@@ -179,7 +195,7 @@ def test_persistent_launches_one_pool():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure pool vs persistent-pool sweep wall-clock."
+        description="Measure per-point vs persistent-pool sweep wall-clock."
     )
     parser.add_argument(
         "--write",

@@ -47,7 +47,6 @@ from .exceptions import (
 )
 from .engine import (
     PersistentPoolExecutor,
-    PoolExecutor,
     RunRequest,
     SerialExecutor,
     create_executor,
@@ -114,7 +113,6 @@ __all__ = [
     "run_scenario",
     "RunRequest",
     "SerialExecutor",
-    "PoolExecutor",
     "PersistentPoolExecutor",
     "create_executor",
     "run_replicated_campaigns",

@@ -110,11 +110,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         choices=ENGINES,
         default=None,
         help=(
-            "execution engine (default: serial, or a process pool when "
-            "--workers > 1; 'persistent' keeps workers alive across a "
-            "whole sweep, 'async' overlaps dispatch with reassembly, "
-            "'queue' serialises work through a local broker spool to "
-            "worker subprocesses)"
+            "execution engine (default: serial, or 'persistent' when "
+            "--workers > 1: a process pool kept alive across the whole "
+            "command; 'queue' serialises work through a local broker "
+            "spool to worker subprocesses)"
         ),
     )
     parser.add_argument(
@@ -167,15 +166,15 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_executor(args: argparse.Namespace, *, sweep: bool = False):
+def _make_executor(args: argparse.Namespace):
     """Build the executor the command's engine flags ask for.
 
-    ``sweep`` commands (many dispatches against one executor) default to
-    the persistent pool when ``--workers`` > 1 so pool start-up is paid
-    once, not once per sweep point.  ``--broker`` routes dispatch
-    through an externally served broker (a remote HTTP broker server or
-    a shared spool directory) instead of a self-hosted fleet — the
-    queue engine, with workers joining from wherever they like.
+    ``--workers`` > 1 defaults to the persistent pool, so pool start-up
+    is paid once per command, not once per dispatch.  ``--broker``
+    routes dispatch through an externally served broker (a remote HTTP
+    broker server or a shared spool directory) instead of a self-hosted
+    fleet — the queue engine, with workers joining from wherever they
+    like.
     """
     spec = getattr(args, "broker", None)
     if spec is not None:
@@ -197,13 +196,8 @@ def _make_executor(args: argparse.Namespace, *, sweep: bool = False):
             chaos_plan=plan,
             journal=getattr(args, "journal", None),
         )
-    engine = resolve_engine(
-        args.engine,
-        args.workers,
-        pooled_default="persistent" if sweep else "pool",
-    )
     return create_executor(
-        engine,
+        resolve_engine(args.engine, args.workers),
         workers=args.workers,
         chaos_plan=getattr(args, "chaos", None),
         journal=getattr(args, "journal", None),
@@ -410,7 +404,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    with _make_executor(args, sweep=True) as executor:
+    with _make_executor(args) as executor:
         result = run_figure(
             args.figure,
             scale=args.scale,

@@ -10,13 +10,10 @@ pieces:
   function, a picklable payload (workload draw + fault draw + policy +
   model knobs) and a single derived seed;
 * an :class:`Executor` — ``map(requests) -> results`` in request
-  order, in one of five implementations: :class:`SerialExecutor`
-  (reference path), :class:`PoolExecutor` (fresh process pool per
-  dispatch), :class:`PersistentPoolExecutor` (workers and their
-  workload caches kept alive across whole campaigns),
-  :class:`AsyncExecutor` (a persistent pool driven by an asyncio event
-  loop, overlapping dispatch with reassembly) and
-  :class:`QueueExecutor` (chunks serialised through a pluggable
+  order, in one of three implementations: :class:`SerialExecutor`
+  (reference path), :class:`PersistentPoolExecutor` (a process pool
+  whose workers and workload caches stay alive across whole campaigns)
+  and :class:`QueueExecutor` (chunks serialised through a pluggable
   :class:`Broker` to workers that may live outside this process tree —
   or this host; ``python -m repro.engine.worker`` is the worker-side
   entrypoint, ``python -m repro.engine.broker_server`` serves a spool
@@ -47,8 +44,8 @@ runner function must honour:
 
 Under this contract every executor produces **byte-identical** results
 for the same request list — the property
-``tests/test_perf_equivalence.py`` pins across serial, pool,
-persistent, async and queue execution — and the only observable
+``tests/test_perf_equivalence.py`` pins across serial, persistent and
+queue execution — and the only observable
 differences are wall-clock and the ``cache_info()``-style counters in
 :class:`EngineStats` (which the pool *and* queue transports both carry
 back from their workers).
@@ -62,7 +59,6 @@ fault injection (:class:`FaultPlan`) without ever changing a result.
 
 from __future__ import annotations
 
-from .async_exec import AsyncExecutor
 from .broker import Broker, FileBroker, worker_identity
 from .cache import WorkloadCache, shared_cache
 from .chaos import (
@@ -77,7 +73,6 @@ from .executors import (
     EngineStats,
     Executor,
     PersistentPoolExecutor,
-    PoolExecutor,
     SerialExecutor,
     create_executor,
     default_chunk_size,
@@ -94,7 +89,6 @@ from .shard_router import ShardRouter
 __all__ = [
     "ENGINES",
     "DEFAULT_RETRY_POLICY",
-    "AsyncExecutor",
     "Broker",
     "ChaosBroker",
     "ChaosCrash",
@@ -106,7 +100,6 @@ __all__ = [
     "FileBroker",
     "HTTPBroker",
     "PersistentPoolExecutor",
-    "PoolExecutor",
     "QueueExecutor",
     "ResultJournal",
     "RetryPolicy",

@@ -30,23 +30,22 @@ story (the operator runbook is ``docs/RESILIENCE.md``):
   :class:`~repro.engine.http_broker.HTTPBroker` client may blindly
   retry any operation whose response was lost to the network.
 
-The transport is deliberately stdlib-only (``ThreadingHTTPServer`` +
-JSON bodies, base64 for payload bytes): one request per operation, a
-bearer token compared in constant time, ``/status`` for monitoring.
+The transport is the stdlib JSON-over-HTTP server the scheduling
+service also uses (:mod:`repro._jsonhttp`; base64 for payload bytes):
+one request per operation, a bearer token compared in constant time,
+``/status`` for monitoring.
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
-import hmac
-import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Sequence, Set, Tuple
 
+from .._jsonhttp import JSONServer
 from .broker import FileBroker
 
 __all__ = ["SCHEMA_VERSION", "BrokerService", "BrokerServer", "main"]
@@ -71,6 +70,22 @@ def _unb64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
 
 
+def _text(data: Dict, key: str, *, optional: bool = False) -> str:
+    """``data[key]``, checked to be a string before any state changes.
+
+    A missing required key raises ``KeyError`` and a wrong type
+    ``TypeError`` (both a 400 over HTTP); an absent or null
+    ``optional`` key reads as ``""``.
+    """
+    value = data.get(key) if optional else data[key]
+    if optional and value is None:
+        return ""
+    if not isinstance(value, str):
+        kind = type(value).__name__
+        raise TypeError(f"{key!r} must be a string, got {kind}")
+    return value
+
+
 class BrokerService:
     """Server-side broker semantics: durable spool + monotonic leases.
 
@@ -79,7 +94,7 @@ class BrokerService:
     join/leave ledger — lives in memory on one monotonic clock
     (``clock``, injectable for tests).  ``handle(op, data)`` dispatches
     one decoded request and returns the response document; transport
-    concerns (HTTP, auth, JSON framing) stay in the handler class.
+    concerns (HTTP, auth, JSON framing) stay in :mod:`repro._jsonhttp`.
     """
 
     def __init__(self, spool, *, clock=time.monotonic):
@@ -125,11 +140,12 @@ class BrokerService:
 
     # -- durable operations (spool-backed) ---------------------------------
     def _op_submit(self, data: Dict) -> Dict:
-        self.spool.submit(data["task_id"], _unb64(data["payload"]))
+        task_id = _text(data, "task_id")
+        self.spool.submit(task_id, _unb64(_text(data, "payload")))
         return {}
 
     def _op_claim(self, data: Dict) -> Dict:
-        worker_id = data["worker_id"]
+        worker_id = _text(data, "worker_id")
         nonce = data.get("nonce")
         with self._lock:
             cached = self._claim_replay.get(worker_id)
@@ -154,21 +170,22 @@ class BrokerService:
         return response
 
     def _op_complete(self, data: Dict) -> Dict:
-        task_id = data["task_id"]
-        self.spool.complete(task_id, _unb64(data["payload"]))
+        task_id = _text(data, "task_id")
+        self.spool.complete(task_id, _unb64(_text(data, "payload")))
         with self._lock:
             self._release_lease(task_id)
         return {}
 
     def _op_peek_result(self, data: Dict) -> Dict:
-        payload = self.spool.peek_result(data["task_id"])
+        payload = self.spool.peek_result(_text(data, "task_id"))
         return {"payload": None if payload is None else _b64(payload)}
 
     def _op_ack_result(self, data: Dict) -> Dict:
-        return {"removed": self.spool.fetch_result(data["task_id"]) is not None}
+        removed = self.spool.fetch_result(_text(data, "task_id"))
+        return {"removed": removed is not None}
 
     def _op_requeue(self, data: Dict) -> Dict:
-        task_id = data["task_id"]
+        task_id = _text(data, "task_id")
         requeued = self.spool.requeue(task_id)
         if requeued:
             with self._lock:
@@ -176,12 +193,14 @@ class BrokerService:
         return {"requeued": requeued}
 
     def _op_discard(self, data: Dict) -> Dict:
-        return {"removed": self.spool.discard(data["task_id"])}
+        return {"removed": self.spool.discard(_text(data, "task_id"))}
 
     def _op_dead_letter(self, data: Dict) -> Dict:
-        task_id = data["task_id"]
+        task_id = _text(data, "task_id")
         self.spool.dead_letter(
-            task_id, _unb64(data["payload"]), _unb64(data.get("info") or "")
+            task_id,
+            _unb64(_text(data, "payload")),
+            _unb64(_text(data, "info", optional=True)),
         )
         with self._lock:
             self._release_lease(task_id)
@@ -191,7 +210,7 @@ class BrokerService:
         return {"task_ids": self.spool.dead_letters()}
 
     def _op_fetch_dead_letter(self, data: Dict) -> Dict:
-        fetched = self.spool.fetch_dead_letter(data["task_id"])
+        fetched = self.spool.fetch_dead_letter(_text(data, "task_id"))
         if fetched is None:
             return {"payload": None}
         payload, info = fetched
@@ -207,11 +226,11 @@ class BrokerService:
     # -- temporal operations (server monotonic clock) ----------------------
     def _op_heartbeat(self, data: Dict) -> Dict:
         with self._lock:
-            self._note_beat(data["worker_id"])
+            self._note_beat(_text(data, "worker_id"))
         return {}
 
     def _op_deregister(self, data: Dict) -> Dict:
-        worker_id = data["worker_id"]
+        worker_id = _text(data, "worker_id")
         with self._lock:
             self._beats.pop(worker_id, None)
             self._claim_replay.pop(worker_id, None)
@@ -297,82 +316,17 @@ class BrokerService:
         return status
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """JSON-over-POST framing around a :class:`BrokerService`."""
-
-    server_version = "repro-broker/1"
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """``POST /api/<op>`` with a JSON body -> a JSON response."""
-        if not self.server.check_auth(self.headers.get("Authorization")):
-            self._reply(401, {"error": "unauthorized"})
-            return
-        if not self.path.startswith("/api/"):
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        op = self.path[len("/api/"):]
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # rfile.read(-1) would block until the client hangs up, and
-            # the unread body would desync a kept-alive connection.
-            self.close_connection = True
-            self._reply(400, {"error": "bad Content-Length"})
-            return
-        if length > MAX_BODY_BYTES:
-            self._reply(413, {"error": "request body too large"})
-            return
-        raw = self.rfile.read(length) if length else b""
-        try:
-            data = json.loads(raw) if raw else {}
-        except ValueError:
-            self._reply(400, {"error": "request body is not JSON"})
-            return
-        if not isinstance(data, dict):
-            self._reply(400, {"error": "request body must be a JSON object"})
-            return
-        try:
-            body = self.server.service.handle(op, data)
-        except LookupError:
-            self._reply(404, {"error": f"unknown operation {op!r}"})
-        except (KeyError, TypeError, ValueError) as exc:
-            self._reply(400, {"error": f"bad request: {exc!r}"})
-        except OSError as exc:
-            self._reply(500, {"error": f"spool I/O failed: {exc!r}"})
-        else:
-            self._reply(200, body)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """``GET /status`` convenience for curl/monitoring."""
-        if not self.server.check_auth(self.headers.get("Authorization")):
-            self._reply(401, {"error": "unauthorized"})
-            return
-        if self.path in ("/status", "/api/status"):
-            self._reply(200, self.server.service.handle("status", {}))
-        else:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-    def _reply(self, status: int, body: Dict) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # the client hung up mid-response; nothing to salvage
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Per-request logging only under ``--verbose``."""
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            BaseHTTPRequestHandler.log_message(self, format, *args)
+#: Every operation is ``POST /api/<op>``; ``GET /status`` is for
+#: curl and monitoring.
+_ROUTES = {
+    ("POST", f"/api/{name[len('_op_'):]}"): name[len("_op_"):]
+    for name in vars(BrokerService)
+    if name.startswith("_op_")
+}
+_ROUTES[("GET", "/status")] = _ROUTES[("GET", "/api/status")] = "status"
 
 
-class BrokerServer:
+class BrokerServer(JSONServer):
     """One broker server: spool + service + threaded HTTP listener.
 
     Usable three ways: in-process for tests and examples
@@ -381,75 +335,17 @@ class BrokerServer:
     instance on the same spool (and port; the listener sets
     ``allow_reuse_address``) after a kill and every durable task state
     is recovered from disk, while leases restart from the boot-time
-    grace period (see :class:`BrokerService`).
+    grace period (see :class:`BrokerService`).  The spool outlives
+    :meth:`shutdown`: a new server on the same directory resumes the
+    campaign.  ``listen`` takes :class:`~repro._jsonhttp.JSONServer`'s
+    ``host``, ``port``, ``token`` and ``verbose``.
     """
 
-    def __init__(
-        self,
-        spool,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        token: Optional[str] = None,
-        verbose: bool = False,
-    ):
+    def __init__(self, spool, **listen):
         self.service = BrokerService(spool)
-        self.host = host
-        self.token = token
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.service = self.service
-        self._httpd.verbose = verbose
-
-        def check_auth(header: Optional[str]) -> bool:
-            if not token:
-                return True
-            return header is not None and hmac.compare_digest(
-                header, f"Bearer {token}"
-            )
-
-        self._httpd.check_auth = check_auth
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with ``port=0`` auto-assignment)."""
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """The base URL clients should connect to."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> str:
-        """Serve on a daemon thread; returns the base URL."""
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
+        super().__init__(
+            self.service, _ROUTES, max_body=MAX_BODY_BYTES, **listen
         )
-        self._thread.start()
-        return self.url
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``__main__`` path)."""
-        self._httpd.serve_forever(poll_interval=0.5)
-
-    def close_socket(self) -> None:
-        """Release the listening socket (after ``serve_forever`` returns)."""
-        self._httpd.server_close()
-
-    def shutdown(self) -> None:
-        """Stop a :meth:`start`-ed server and release the socket.
-
-        The spool is untouched: a new :class:`BrokerServer` on the same
-        directory resumes the campaign.
-        """
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -363,55 +363,11 @@ class ChaosBroker:
         self._maybe_io_error("requeue", task_id)
         return self.broker.requeue(task_id)
 
-    # -- transparent operations --------------------------------------------
-    def claim(self, worker_id: str):
-        return self.broker.claim(worker_id)
-
-    def complete(self, task_id: str, payload: bytes) -> None:
-        self.broker.complete(task_id, payload)
-
-    def discard(self, task_id: str) -> bool:
-        return self.broker.discard(task_id)
-
-    def dead_letter(self, task_id: str, payload: bytes, info: bytes) -> None:
-        self.broker.dead_letter(task_id, payload, info)
-
-    def dead_letters(self) -> List[str]:
-        return self.broker.dead_letters()
-
-    def fetch_dead_letter(self, task_id: str):
-        return self.broker.fetch_dead_letter(task_id)
-
-    def heartbeat(self, worker_id: str) -> None:
-        self.broker.heartbeat(worker_id)
-
-    def deregister(self, worker_id: str) -> None:
-        deregister = getattr(self.broker, "deregister", None)
-        if deregister is not None:
-            deregister(worker_id)
-
-    def engine_counters(self) -> Dict[str, int]:
-        getter = getattr(self.broker, "engine_counters", None)
-        return {} if getter is None else getter()
-
-    def supervise(self) -> None:
-        # A wrapped ShardRouter still needs its idle supervision pass
-        # (half-open probes, stranded-chunk migration).
-        supervise = getattr(self.broker, "supervise", None)
-        if supervise is not None:
-            supervise()
-
-    def live_workers(self, horizon: float) -> List[str]:
-        return self.broker.live_workers(horizon)
-
-    def stale_claims(self, horizon: float) -> List[str]:
-        return self.broker.stale_claims(horizon)
-
-    def request_stop(self) -> None:
-        self.broker.request_stop()
-
-    def stop_requested(self) -> bool:
-        return self.broker.stop_requested()
+    def __getattr__(self, name: str):
+        # Every other operation (claim, complete, heartbeat, supervise,
+        # engine_counters, ...) passes straight through; callers probe
+        # the optional ones with getattr(broker, name, None).
+        return getattr(self.broker, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChaosBroker({self.broker!r}, {self.plan.describe()})"

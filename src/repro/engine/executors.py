@@ -5,16 +5,11 @@ and returns results *in request order*:
 
 * :class:`SerialExecutor` — the reference path: every request runs in
   the calling process, one after the other;
-* :class:`PoolExecutor` — fans contiguous request chunks across a fresh
-  process pool per :meth:`~Executor.map` call (the PR-1 replicate
-  engine, generalised to any request);
-* :class:`PersistentPoolExecutor` — same fan-out, but the pool (and
-  each worker's :data:`~repro.engine.cache.shared_cache`) stays alive
-  across ``map`` calls, amortising pool start-up and workload
-  construction over whole sweeps and multi-figure campaigns;
-* :class:`~repro.engine.async_exec.AsyncExecutor` — a persistent pool
-  driven by an asyncio event loop, overlapping chunk dispatch with
-  result reassembly (defined in :mod:`repro.engine.async_exec`);
+* :class:`PersistentPoolExecutor` — fans contiguous request chunks
+  across a process pool that (with each worker's
+  :data:`~repro.engine.cache.shared_cache`) stays alive across ``map``
+  calls, amortising pool start-up and workload construction over whole
+  sweeps and multi-figure campaigns;
 * :class:`~repro.engine.queue_exec.QueueExecutor` — chunks serialised
   through a pluggable :class:`~repro.engine.broker.Broker` to worker
   processes that may live outside this process tree — or this host
@@ -22,8 +17,7 @@ and returns results *in request order*:
 
 This module holds the shared machinery (:class:`Executor`,
 :class:`EngineStats`, chunking, the engine registry) plus the first
-three executors; the async and queue engines build on it from their own
-modules.
+two executors; the queue engine builds on it from its own module.
 
 Because requests are self-seeded and mutually independent (see the
 determinism contract in :mod:`repro.engine.request`), chunk boundaries,
@@ -46,7 +40,7 @@ import functools
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     Any,
     Callable,
@@ -72,7 +66,6 @@ __all__ = [
     "EngineStats",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "PersistentPoolExecutor",
     "create_executor",
     "ensure_executor",
@@ -81,7 +74,7 @@ __all__ = [
 ]
 
 #: Engine names accepted by :func:`create_executor` and the CLI.
-ENGINES: Tuple[str, ...] = ("serial", "pool", "persistent", "async", "queue")
+ENGINES: Tuple[str, ...] = ("serial", "persistent", "queue")
 
 
 def default_chunk_size(requests: int, workers: int) -> int:
@@ -121,35 +114,8 @@ class EngineStats:
     journal_misses: int = 0     #: chunks the journal had not seen yet
 
     def cache_info(self) -> Dict[str, int]:
-        """The counters as a plain dict."""
-        return {
-            "tasks_submitted": self.tasks_submitted,
-            "dispatches": self.dispatches,
-            "pool_launches": self.pool_launches,
-            "pool_reuses": self.pool_reuses,
-            "workloads_built": self.workloads_built,
-            "workloads_reused": self.workloads_reused,
-            "profile_hits": self.profile_hits,
-            "profile_misses": self.profile_misses,
-            "decision_rows_patched": self.decision_rows_patched,
-            "decision_rows_reused": self.decision_rows_reused,
-            "decision_scratch_allocs": self.decision_scratch_allocs,
-            "decision_profile_env_reused": self.decision_profile_env_reused,
-            "decision_profile_tau_patched": self.decision_profile_tau_patched,
-            "retries": self.retries,
-            "requeues": self.requeues,
-            "dead_lettered": self.dead_lettered,
-            "duplicate_results": self.duplicate_results,
-            "wire_retries": self.wire_retries,
-            "lease_expiries": self.lease_expiries,
-            "worker_joins": self.worker_joins,
-            "worker_leaves": self.worker_leaves,
-            "shard_failovers": self.shard_failovers,
-            "breaker_opens": self.breaker_opens,
-            "chunks_migrated": self.chunks_migrated,
-            "journal_hits": self.journal_hits,
-            "journal_misses": self.journal_misses,
-        }
+        """The counters as a plain dict, in field order."""
+        return asdict(self)
 
     def any_resilience_events(self) -> bool:
         """Whether any retry/quarantine/journal counter is non-zero."""
@@ -546,13 +512,6 @@ class Executor:
                 self.journal.chunk_key(chunk), encode_result(chunk_output)
             )
 
-    def _collect(self, chunk_outputs) -> List[Any]:
-        results: List[Any] = []
-        for output in chunk_outputs:
-            results.extend(output[0])
-            self._fold_output(output)
-        return results
-
     def _gather(
         self, stream: Iterator[Tuple[int, List[Any]]], total: int
     ) -> List[Any]:
@@ -573,20 +532,15 @@ class SerialExecutor(Executor):
 
 
 class _PooledExecutor(Executor):
-    """Shared chunking/validation of the two process-pool executors."""
+    """Shared chunking/validation of the persistent and queue executors.
+
+    ``resilience`` takes :class:`Executor`'s three knobs.
+    """
 
     def __init__(
-        self,
-        workers: int = 2,
-        chunk_size: Optional[int] = None,
-        *,
-        retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
-        chaos_plan: Optional[FaultPlan] = None,
-        journal: Union[ResultJournal, os.PathLike, str, None] = None,
+        self, workers: int = 2, chunk_size: Optional[int] = None, **resilience
     ):
-        super().__init__(
-            retry_policy=retry_policy, chaos_plan=chaos_plan, journal=journal
-        )
+        super().__init__(**resilience)
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
@@ -604,60 +558,25 @@ class _PooledExecutor(Executor):
         ]
 
 
-class PoolExecutor(_PooledExecutor):
-    """One fresh process pool per ``map`` call.
-
-    A single-chunk (or single-worker) dispatch skips the pool — and its
-    fork cost — entirely, exactly like the PR-1 replicate engine.
-    """
-
-    name = "pool"
-
-    def _map(self, requests: List[RunRequest]) -> List[Any]:
-        chunks = self._chunked(requests)
-        if self.workers == 1 or len(chunks) == 1:
-            return self._run_inline(chunks)
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._stats.pool_launches += 1
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            return self._gather(
-                _stream_futures(self, pool, chunks), len(requests)
-            )
-
-    def _map_stream(
-        self, requests: List[RunRequest]
-    ) -> Iterator[Tuple[int, List[Any]]]:
-        chunks = self._chunked(requests)
-        if self.workers == 1 or len(chunks) == 1:
-            return self._stream_inline(chunks)
-
-        def stream() -> Iterator[Tuple[int, List[Any]]]:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._stats.pool_launches += 1
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                yield from _stream_futures(self, pool, chunks)
-
-        return stream()
-
-
-class _PersistentPooled(_PooledExecutor):
-    """Keep-alive pool lifecycle shared by the persistent/async engines.
+class PersistentPoolExecutor(_PooledExecutor):
+    """A pool kept alive across ``map`` calls (and the workloads with it).
 
     The first pooled dispatch launches a ``ProcessPoolExecutor``; every
     later one reuses it (counted as ``pool_reuses``), so sweep
     campaigns pay pool start-up once and worker processes keep their
     :data:`~repro.engine.cache.shared_cache` warm across sweep points.
+    A single-chunk (or single-worker) dispatch runs inline and never
+    forks, so one-shot callers pay no pool cost for trivial work.  Call
+    :meth:`close` (or use the executor as a context manager) when the
+    campaign is done.
     """
 
+    name = "persistent"
+
     def __init__(
-        self,
-        workers: int = 2,
-        chunk_size: Optional[int] = None,
-        **kwargs,
+        self, workers: int = 2, chunk_size: Optional[int] = None, **resilience
     ):
-        super().__init__(workers, chunk_size, **kwargs)
+        super().__init__(workers, chunk_size, **resilience)
         self._pool = None
 
     def _ensure_pool(self):
@@ -671,6 +590,17 @@ class _PersistentPooled(_PooledExecutor):
             self._stats.pool_reuses += 1
         return self._pool
 
+    def _map(self, requests: List[RunRequest]) -> List[Any]:
+        return self._gather(self._map_stream(requests), len(requests))
+
+    def _map_stream(
+        self, requests: List[RunRequest]
+    ) -> Iterator[Tuple[int, List[Any]]]:
+        chunks = self._chunked(requests)
+        if self.workers == 1 or len(chunks) == 1:
+            return self._stream_inline(chunks)
+        return _stream_futures(self, self._ensure_pool(), chunks)
+
     def close(self) -> None:
         """Shut the persistent pool down (idempotent)."""
         if self._pool is not None:
@@ -678,51 +608,16 @@ class _PersistentPooled(_PooledExecutor):
             self._pool = None
 
 
-class PersistentPoolExecutor(_PersistentPooled):
-    """A pool kept alive across ``map`` calls (and the workloads with it).
-
-    The first dispatch launches the workers; every later dispatch
-    reuses them, so sweep campaigns pay pool start-up once and worker
-    processes keep their :data:`~repro.engine.cache.shared_cache` warm
-    across sweep points.  Call :meth:`close` (or use the executor as a
-    context manager) when the campaign is done.
-    """
-
-    name = "persistent"
-
-    def _map(self, requests: List[RunRequest]) -> List[Any]:
-        if self.workers == 1:
-            return self._run_inline(self._chunked(requests))
-        return self._gather(
-            _stream_futures(self, self._ensure_pool(), self._chunked(requests)),
-            len(requests),
-        )
-
-    def _map_stream(
-        self, requests: List[RunRequest]
-    ) -> Iterator[Tuple[int, List[Any]]]:
-        if self.workers == 1:
-            return self._stream_inline(self._chunked(requests))
-        return _stream_futures(self, self._ensure_pool(), self._chunked(requests))
-
-
-def resolve_engine(
-    engine: Optional[str],
-    workers: Optional[int],
-    *,
-    pooled_default: str = "pool",
-) -> str:
+def resolve_engine(engine: Optional[str], workers: Optional[int]) -> str:
     """The one place that answers "which engine for these knobs?".
 
     An explicit ``engine`` always wins; otherwise ``workers`` > 1 picks
-    ``pooled_default`` ("pool" for one-shot dispatches, "persistent" for
-    sweeps that dispatch many times against the same executor) and
-    anything else is serial.
+    ``persistent`` and anything else is serial.
     """
     if engine is not None:
         return engine
     if workers is not None and workers > 1:
-        return pooled_default
+        return "persistent"
     return "serial"
 
 
@@ -733,7 +628,6 @@ def ensure_executor(
     engine: Optional[str] = None,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    pooled_default: str = "pool",
     retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
     chaos_plan: Union[FaultPlan, Dict[str, object], str, None] = None,
     journal: Union[ResultJournal, os.PathLike, str, None] = None,
@@ -750,7 +644,7 @@ def ensure_executor(
         yield executor
         return
     owned = create_executor(
-        resolve_engine(engine, workers, pooled_default=pooled_default),
+        resolve_engine(engine, workers),
         workers=1 if workers is None else workers,
         chunk_size=chunk_size,
         retry_policy=retry_policy,
@@ -774,8 +668,8 @@ def create_executor(
 ) -> Executor:
     """Instantiate an executor by engine name (CLI ``--engine`` values).
 
-    ``async`` and ``queue`` import lazily (their modules import this
-    one), with their self-contained defaults — the queue engine hosts
+    ``queue`` imports lazily (its module imports this one), with its
+    self-contained defaults — the queue engine hosts
     its own :class:`~repro.engine.broker.FileBroker` spool and worker
     fleet; build :class:`~repro.engine.queue_exec.QueueExecutor`
     directly to point it at an externally served broker.  The three
@@ -787,16 +681,10 @@ def create_executor(
     )
     if engine == "serial":
         return SerialExecutor(**resilience)
-    if engine == "pool":
-        return PoolExecutor(workers=workers, chunk_size=chunk_size, **resilience)
     if engine == "persistent":
         return PersistentPoolExecutor(
             workers=workers, chunk_size=chunk_size, **resilience
         )
-    if engine == "async":
-        from .async_exec import AsyncExecutor
-
-        return AsyncExecutor(workers=workers, chunk_size=chunk_size, **resilience)
     if engine == "queue":
         from .queue_exec import QueueExecutor
 

@@ -10,7 +10,6 @@ from .figures import (
     list_figures,
     run_figure,
 )
-from .parallel import run_scenario_parallel
 from .runner import (
     FAULT_FREE_SERIES,
     FAULT_SERIES,
@@ -38,7 +37,6 @@ __all__ = [
     "Series",
     "run_scenario",
     "scenario_requests",
-    "run_scenario_parallel",
     "render_figure",
     "render_table",
     "render_trace_figure",

@@ -322,9 +322,7 @@ def _run_sweep_figure(
     normalized: Dict[str, List[float]] = {s.key: [] for s in spec.series}
     means: Dict[str, List[float]] = {s.key: [] for s in spec.series}
     descriptions: List[str] = []
-    with ensure_executor(
-        executor, engine=engine, workers=workers, pooled_default="persistent"
-    ) as active:
+    with ensure_executor(executor, engine=engine, workers=workers) as active:
         for x, config in spec.points(scale):
             point_progress = None
             if progress is not None:

@@ -205,8 +205,8 @@ def run_scenario(
     the chosen executor maps them.  ``executor`` submits to a
     caller-owned executor (left open for further dispatches, e.g. the
     next sweep point); otherwise ``engine`` — or, failing that,
-    ``workers`` — picks one: serial by default, a process pool when
-    ``workers`` > 1.  The per-replicate seed derivation, replicate
+    ``workers`` — picks one: serial by default, the persistent process
+    pool when ``workers`` > 1.  The per-replicate seed derivation, replicate
     pairing and baseline normalisation are preserved exactly under
     every engine, so the returned makespan arrays are byte-identical
     to a serial run.  ``chunk_size`` bounds how many contiguous

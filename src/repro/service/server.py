@@ -10,12 +10,13 @@ Layering mirrors :mod:`repro.engine.broker_server` deliberately:
   documents.  This *is* the in-process transport seam: the replay
   harness and the unit tests drive the exact objects the HTTP handler
   does, so socket tests pin only framing/auth, not scheduling.
-* ``_Handler`` — stdlib HTTP framing: ``POST /api/submit``,
-  ``POST /api/cancel``, ``GET /api/jobs``, ``GET /api/schedule``,
-  ``GET /metrics``, ``GET /status``; bearer token compared in constant
-  time.
-* :class:`ServiceServer` — in-process start/shutdown for tests plus the
-  blocking ``serve_forever`` used by ``main``.
+* :class:`ServiceServer` — the shared stdlib JSON-over-HTTP server
+  (:mod:`repro._jsonhttp`: bearer token compared in constant time,
+  body cap, error mapping) routing ``POST /api/submit``,
+  ``POST /api/cancel``, ``POST /api/drain``, ``GET /api/jobs``,
+  ``GET /api/schedule``, ``GET /metrics`` and ``GET /status`` to the
+  API, with in-process start/shutdown for tests plus the blocking
+  ``serve_forever`` used by ``main``.
 * :func:`main` — the daemon entrypoint.  SIGTERM/SIGINT flip a drain
   flag: the listener refuses new submissions, every accepted job runs
   to completion (fast-forwarding the virtual timeline — the engine
@@ -25,16 +26,14 @@ Layering mirrors :mod:`repro.engine.broker_server` deliberately:
 from __future__ import annotations
 
 import argparse
-import hmac
 import json
 import os
 import signal
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Sequence
 
+from .._jsonhttp import JSONServer
 from ..cluster import Cluster
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ConfigurationError
 from .clock import VirtualClock, WallClock
 from .horizon import OnlineEngine
 from .session import ServiceSession
@@ -52,7 +51,7 @@ class ServiceAPI:
     """Operation dispatch over one :class:`ServiceSession`.
 
     Every operation takes and returns plain JSON-safe dicts; transport
-    concerns (HTTP framing, auth, sockets) stay in the handler class.
+    concerns (HTTP framing, auth, sockets) stay in :mod:`repro._jsonhttp`.
     ``handle`` raises ``LookupError`` for unknown operations and
     :class:`~repro.exceptions.ReproError` subclasses for bad requests —
     the HTTP layer maps those to 404/400.
@@ -115,169 +114,32 @@ class ServiceAPI:
         return self.session.drain()
 
 
-#: GET routes -> operations (POST uses /api/<op> directly).
-_GET_ROUTES = {
-    "/api/jobs": "jobs",
-    "/api/schedule": "schedule",
-    "/metrics": "metrics",
-    "/api/metrics": "metrics",
-    "/status": "status",
-    "/api/status": "status",
+#: Routes -> operations; GET routes are not reachable over POST.
+_ROUTES = {
+    ("POST", "/api/submit"): "submit",
+    ("POST", "/api/cancel"): "cancel",
+    ("POST", "/api/drain"): "drain",
+    ("GET", "/api/jobs"): "jobs",
+    ("GET", "/api/schedule"): "schedule",
+    ("GET", "/metrics"): "metrics",
+    ("GET", "/api/metrics"): "metrics",
+    ("GET", "/status"): "status",
+    ("GET", "/api/status"): "status",
 }
 
-#: Operations reachable over POST.
-_POST_OPS = frozenset({"submit", "cancel", "drain"})
 
+class ServiceServer(JSONServer):
+    """One scheduling daemon: engine + session + threaded HTTP listener.
 
-class _Handler(BaseHTTPRequestHandler):
-    """JSON framing around a :class:`ServiceAPI`."""
+    ``listen`` takes :class:`~repro._jsonhttp.JSONServer`'s ``host``,
+    ``port``, ``token`` and ``verbose``.
+    """
 
-    server_version = "repro-service/1"
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if not self.server.check_auth(self.headers.get("Authorization")):
-            self._reply(401, {"error": "unauthorized"})
-            return
-        if not self.path.startswith("/api/"):
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        op = self.path[len("/api/"):]
-        if op not in _POST_OPS:
-            self._reply(404, {"error": f"unknown operation {op!r}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length < 0:
-            # rfile.read(-1) would block until the client hangs up, and
-            # the unread body would desync a kept-alive connection.
-            self.close_connection = True
-            self._reply(400, {"error": "bad Content-Length"})
-            return
-        if length > MAX_BODY_BYTES:
-            self._reply(413, {"error": "request body too large"})
-            return
-        raw = self.rfile.read(length) if length else b""
-        try:
-            data = json.loads(raw) if raw else {}
-        except ValueError:
-            self._reply(400, {"error": "request body is not JSON"})
-            return
-        if not isinstance(data, dict):
-            self._reply(400, {"error": "request body must be a JSON object"})
-            return
-        self._dispatch(op, data)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if not self.server.check_auth(self.headers.get("Authorization")):
-            self._reply(401, {"error": "unauthorized"})
-            return
-        op = _GET_ROUTES.get(self.path)
-        if op is None:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        self._dispatch(op, {})
-
-    def _dispatch(self, op: str, data: Dict) -> None:
-        try:
-            body = self.server.api.handle(op, data)
-        except LookupError:
-            self._reply(404, {"error": f"unknown operation {op!r}"})
-        except ReproError as exc:
-            self._reply(400, {"error": str(exc)})
-        except (KeyError, TypeError, ValueError) as exc:
-            self._reply(400, {"error": f"bad request: {exc!r}"})
-        else:
-            self._reply(200, body)
-
-    def _reply(self, status: int, body: Dict) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # the client hung up mid-response; nothing to salvage
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            BaseHTTPRequestHandler.log_message(self, format, *args)
-
-
-class ServiceServer:
-    """One scheduling daemon: engine + session + threaded HTTP listener."""
-
-    def __init__(
-        self,
-        session: ServiceSession,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        token: Optional[str] = None,
-        verbose: bool = False,
-    ):
+    def __init__(self, session: ServiceSession, **listen):
         self.session = session
-        self.api = ServiceAPI(session)
-        self.host = host
-        self.token = token
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.api = self.api
-        self._httpd.verbose = verbose
-
-        def check_auth(header: Optional[str]) -> bool:
-            if not token:
-                return True
-            return header is not None and hmac.compare_digest(
-                header, f"Bearer {token}"
-            )
-
-        self._httpd.check_auth = check_auth
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with ``port=0`` auto-assignment)."""
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """The base URL clients should connect to."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> str:
-        """Serve on a daemon thread; returns the base URL."""
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
+        super().__init__(
+            ServiceAPI(session), _ROUTES, max_body=MAX_BODY_BYTES, **listen
         )
-        self._thread.start()
-        return self.url
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``__main__`` path)."""
-        self._httpd.serve_forever(poll_interval=0.2)
-
-    def interrupt(self) -> None:
-        """Make a blocking :meth:`serve_forever` return (signal-safe)."""
-        threading.Thread(target=self._httpd.shutdown, daemon=True).start()
-
-    def shutdown(self) -> None:
-        """Stop a :meth:`start`-ed server and release the socket."""
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
-
-    def close_socket(self) -> None:
-        """Release the listening socket (after ``serve_forever`` returns)."""
-        self._httpd.server_close()
 
 
 def build_session(args: argparse.Namespace) -> ServiceSession:

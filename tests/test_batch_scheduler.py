@@ -186,8 +186,7 @@ class TestReplicatedCampaigns:
             jobs, cluster, "ig-el", replicates=4, seed=9
         )
         pooled = run_replicated_campaigns(
-            jobs, cluster, "ig-el", replicates=4, seed=9,
-            workers=2, engine="pool",
+            jobs, cluster, "ig-el", replicates=4, seed=9, workers=2,
         )
         persistent = run_replicated_campaigns(
             jobs, cluster, "ig-el", replicates=4, seed=9,
@@ -232,7 +231,7 @@ class TestReplicatedCampaigns:
         # deterministic CampaignMetrics: a rerun reproduces everything
         rerun = run_replicated_campaigns(
             jobs, cluster, "ig-el", batch_policy="fixed", batch_size=2,
-            replicates=3, seed=4, workers=2, engine="pool",
+            replicates=3, seed=4, workers=2, engine="persistent",
         )
         for f, r in zip(fixed, rerun):
             assert f.makespan == r.makespan

@@ -10,7 +10,7 @@ Two cheap gates for the documentation suite:
   files.
 
 CI's docs job runs this file alongside executing the README quickstart
-and the five-executor figure pin.
+and the three-executor figure pin.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ DOCUMENTED_CLASSES = (
     engine.Executor,
     engine.EngineStats,
     engine.SerialExecutor,
-    engine.PoolExecutor,
     engine.PersistentPoolExecutor,
-    engine.AsyncExecutor,
     engine.QueueExecutor,
     engine.Broker,
     engine.FileBroker,
@@ -49,7 +47,6 @@ class TestEngineDocCoverage:
     """The public engine surface reads as a contract under pydoc."""
 
     def test_engine_module_docstrings(self):
-        import repro.engine.async_exec
         import repro.engine.broker
         import repro.engine.broker_server
         import repro.engine.cache
@@ -61,7 +58,6 @@ class TestEngineDocCoverage:
 
         for module in (
             engine,
-            repro.engine.async_exec,
             repro.engine.broker,
             repro.engine.broker_server,
             repro.engine.cache,

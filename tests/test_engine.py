@@ -8,7 +8,6 @@ from repro.engine import (
     ENGINES,
     EngineStats,
     PersistentPoolExecutor,
-    PoolExecutor,
     RunRequest,
     SerialExecutor,
     WorkloadCache,
@@ -118,7 +117,9 @@ class TestExecutors:
     def test_chunk_size_does_not_change_results(self):
         expected = [execute_request(r) for r in _requests(7)]
         for chunk_size in (1, 2, 7):
-            with PoolExecutor(workers=2, chunk_size=chunk_size) as executor:
+            with PersistentPoolExecutor(
+                workers=2, chunk_size=chunk_size
+            ) as executor:
                 assert executor.map(_requests(7)) == expected
 
     def test_persistent_pool_reused_across_dispatches(self):
@@ -131,26 +132,17 @@ class TestExecutors:
         assert stats.tasks_submitted == 12
         assert stats.dispatches == 3
 
-    def test_pool_spawns_per_dispatch(self):
-        with PoolExecutor(workers=2) as executor:
-            executor.map(_requests(8))
-            executor.map(_requests(8))
-            stats = executor.stats()
-        assert stats.pool_launches == 2
-        assert stats.pool_reuses == 0
-
     def test_single_chunk_skips_the_pool(self):
-        with PoolExecutor(workers=2, chunk_size=16) as executor:
+        with PersistentPoolExecutor(workers=2, chunk_size=16) as executor:
             executor.map(_requests(4))
             assert executor.stats().pool_launches == 0
 
     def test_workers_one_runs_inline(self):
-        for cls in (PoolExecutor, PersistentPoolExecutor):
-            with cls(workers=1) as executor:
-                assert executor.map(_requests(3)) == [
-                    execute_request(r) for r in _requests(3)
-                ]
-                assert executor.stats().pool_launches == 0
+        with PersistentPoolExecutor(workers=1) as executor:
+            assert executor.map(_requests(3)) == [
+                execute_request(r) for r in _requests(3)
+            ]
+            assert executor.stats().pool_launches == 0
 
     def test_serial_counts_workload_reuse(self):
         requests = [
@@ -165,7 +157,7 @@ class TestExecutors:
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ConfigurationError):
-            PoolExecutor(workers=0)
+            PersistentPoolExecutor(workers=0)
 
     def test_rejects_non_request(self):
         with SerialExecutor() as executor:
@@ -183,13 +175,8 @@ class TestFactory:
     def test_resolve_engine_defaults(self):
         assert resolve_engine(None, None) == "serial"
         assert resolve_engine(None, 1) == "serial"
-        assert resolve_engine(None, 4) == "pool"
+        assert resolve_engine(None, 4) == "persistent"
         assert resolve_engine("persistent", 1) == "persistent"
-
-    def test_resolve_engine_pooled_default(self):
-        assert resolve_engine(None, 4, pooled_default="persistent") == "persistent"
-        assert resolve_engine(None, 1, pooled_default="persistent") == "serial"
-        assert resolve_engine("pool", 4, pooled_default="persistent") == "pool"
 
     def test_ensure_executor_owns_and_closes(self):
         from repro.engine import ensure_executor

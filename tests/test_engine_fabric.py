@@ -1,12 +1,12 @@
-"""Unit tests of the async/queue execution fabric.
+"""Unit tests of the queue execution fabric.
 
 Covers the :class:`~repro.engine.broker.FileBroker` transport, the
 ``python -m repro.engine.worker`` entrypoint, the
 :class:`~repro.engine.QueueExecutor` supervision paths (stale-claim
-requeue, dead-fleet inline fallback, error propagation) and the
-:class:`~repro.engine.AsyncExecutor` pool lifecycle.  The byte-identity
-of both engines against the serial reference is pinned alongside the
-other executors in ``tests/test_perf_equivalence.py``.
+requeue, dead-fleet inline fallback, error propagation).  The
+byte-identity of the queue engine against the serial reference is
+pinned alongside the other executors in
+``tests/test_perf_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.engine import (
-    AsyncExecutor,
     Broker,
     FileBroker,
     QueueExecutor,
@@ -440,33 +439,6 @@ class TestQueueExecutor:
             assert executor.map(_requests(3)) == [
                 execute_request(r) for r in _requests(3)
             ]
-            assert executor.stats().pool_launches == 0
-
-
-class TestAsyncExecutor:
-    def test_pool_persists_across_dispatches(self):
-        with AsyncExecutor(workers=2) as executor:
-            for _ in range(3):
-                assert executor.map(_requests(9)) == [
-                    execute_request(r) for r in _requests(9)
-                ]
-            stats = executor.stats()
-        assert stats.pool_launches == 1
-        assert stats.pool_reuses == 2
-        assert executor._pool is None  # closed
-
-    def test_stream_covers_all_chunks(self):
-        with AsyncExecutor(workers=2, chunk_size=2) as executor:
-            seen = {}
-            for start, results in executor.map_stream(_requests(7)):
-                assert start not in seen
-                seen[start] = results
-        flat = [r for s in sorted(seen) for r in seen[s]]
-        assert flat == [execute_request(r) for r in _requests(7)]
-
-    def test_workers_one_runs_inline(self):
-        with AsyncExecutor(workers=1) as executor:
-            executor.map(_requests(4))
             assert executor.stats().pool_launches == 0
 
 

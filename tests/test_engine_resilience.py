@@ -362,7 +362,7 @@ class TestResultJournal:
 
 
 class TestJournalledExecution:
-    @pytest.mark.parametrize("engine", ["pool", "async", "queue"])
+    @pytest.mark.parametrize("engine", ["persistent", "queue"])
     def test_rerun_skips_finished_chunks(self, tmp_path, engine):
         requests = _requests(8)
         reference = SerialExecutor().map(requests)
@@ -391,11 +391,11 @@ class TestJournalledExecution:
         requests = _requests(8)
         journal = ResultJournal(tmp_path)
         with create_executor(
-            "pool", workers=1, chunk_size=4, journal=journal
+            "persistent", workers=1, chunk_size=4, journal=journal
         ) as warm:
             warm.map(requests[:4])  # "crashed" after the first chunk
         with create_executor(
-            "pool", workers=1, chunk_size=4, journal=journal
+            "persistent", workers=1, chunk_size=4, journal=journal
         ) as resumed:
             assert resumed.map(requests) == SerialExecutor().map(requests)
             stats = resumed.stats()
@@ -418,7 +418,7 @@ class TestChaosExecution:
     def test_runner_faults_retry_in_place_everywhere(self):
         requests = _requests(6)
         reference = SerialExecutor().map(requests)
-        for engine in ("serial", "pool"):
+        for engine in ("serial", "persistent"):
             with create_executor(
                 engine,
                 workers=2,

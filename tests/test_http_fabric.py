@@ -135,6 +135,39 @@ class TestFraming:
         finally:
             server.shutdown()
 
+    @pytest.mark.parametrize(
+        "path, doc",
+        [
+            ("/api/submit", b'{"task_id": "t-x", "payload": 123}'),
+            ("/api/complete", b'{"task_id": "t-0", "payload": null}'),
+            (
+                "/api/dead_letter",
+                b'{"task_id": "t-0", "payload": "", "info": 3}',
+            ),
+            ("/api/claim", b'{"worker_id": 7}'),
+            ("/api/heartbeat", b'{"worker_id": 7}'),
+            ("/api/requeue", b'{"task_id": ["t-0"]}'),
+        ],
+        ids=["submit", "complete", "dead_letter", "claim", "heartbeat",
+             "requeue"],
+    )
+    def test_wrongly_typed_fields_are_400_before_any_state_change(
+        self, tmp_path, path, doc
+    ):
+        spool = tmp_path / "spool"
+        server, url = _start_server(spool)
+        try:
+            HTTPBroker(url, token=TOKEN).submit("t-0", b"queued")
+            status, body = raw_post(url, path, doc, token=TOKEN)
+            assert status == 400, body
+            status, body = raw_post(
+                url, "/api/live_workers", b'{"horizon": 60}', token=TOKEN
+            )
+            assert status == 200 and body["workers"] == []
+            assert (spool / "queue" / "t-0.task").read_bytes() == b"queued"
+        finally:
+            server.shutdown()
+
 
 class TestServerSideLeases:
     def test_claim_nonce_replay_is_idempotent(self, tmp_path):

@@ -4,8 +4,8 @@ The fast simulator path, the batched profile accessors and the unified
 execution engine are pure optimisations: every observable output must be
 byte-identical to the seed-literal reference (``Simulator(reference=
 True)``) and to the serial engine under common random numbers.  These tests pin that contract — including the
-engine guarantee that all five executors (serial, pool, persistent,
-async and queue) produce byte-identical figure series.
+engine guarantee that all three executors (serial, persistent and
+queue) produce byte-identical figure series.
 """
 
 import os
@@ -17,9 +17,7 @@ from repro.cluster import Cluster
 from repro.core.state import TaskRuntime
 from repro.engine import (
     ENGINES,
-    AsyncExecutor,
     PersistentPoolExecutor,
-    PoolExecutor,
     QueueExecutor,
     SerialExecutor,
     create_executor,
@@ -147,7 +145,7 @@ class TestParallelMatchesSerial:
                 seed=5,
                 workers=2,
                 chunk_size=chunk_size,
-                engine="pool",
+                engine="persistent",
             )
             for key in serial.makespans:
                 assert np.array_equal(
@@ -170,29 +168,11 @@ class TestParallelMatchesSerial:
 
     def test_workers_one_equals_serial(self):
         serial = run_scenario(CONFIG, FAULT_SERIES, seed=2)
-        same = run_scenario(CONFIG, FAULT_SERIES, seed=2, workers=1, engine="pool")
+        same = run_scenario(
+            CONFIG, FAULT_SERIES, seed=2, workers=1, engine="persistent"
+        )
         for key in serial.makespans:
             assert np.array_equal(serial.makespans[key], same.makespans[key])
-
-    def test_deprecated_shim_still_works(self):
-        from repro.experiments.parallel import (
-            default_chunk_size as shim_chunk_size,
-            run_scenario_parallel,
-        )
-
-        serial = run_scenario(CONFIG, FAULT_SERIES, seed=7)
-        with pytest.deprecated_call():
-            fanned = run_scenario_parallel(
-                CONFIG, FAULT_SERIES, seed=7, workers=2
-            )
-        for key in serial.makespans:
-            assert np.array_equal(serial.makespans[key], fanned.makespans[key])
-        with pytest.deprecated_call():
-            assert shim_chunk_size(50, 4) == default_chunk_size(50, 4)
-        from repro.exceptions import ConfigurationError
-
-        with pytest.deprecated_call(), pytest.raises(ConfigurationError):
-            run_scenario_parallel(CONFIG, FAULT_SERIES, workers=0)
 
 
 class TestEngineEquivalence:
@@ -210,17 +190,15 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("figure", ["fig7", "fig10"])
     def test_figure_series_byte_identical_tiny(self, figure):
-        """The five-executor identity pin (serial is the reference).
+        """The three-executor identity pin (serial is the reference).
 
-        Covers the full executor matrix: both process pools, the
-        asyncio executor and the broker-backed queue executor must all
-        reproduce the serial figure series byte-for-byte.
+        Covers the full executor matrix: the persistent process pool
+        and the broker-backed queue executor must both reproduce the
+        serial figure series byte-for-byte.
         """
         reference = run_figure(figure, scale="tiny", seed=1, engine="serial")
         for executor in (
-            PoolExecutor(workers=2),
             PersistentPoolExecutor(workers=2),
-            AsyncExecutor(workers=2),
             QueueExecutor(workers=2),
         ):
             with executor:
@@ -238,7 +216,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("figure", ["fig7", "fig10"])
     def test_figure_series_byte_identical_small(self, figure):
         reference = run_figure(figure, scale="small", seed=1, engine="serial")
-        for engine in ("pool", "persistent", "async", "queue"):
+        for engine in ("persistent", "queue"):
             result = run_figure(
                 figure, scale="small", seed=1, engine=engine, workers=2
             )
@@ -304,7 +282,7 @@ class TestDecisionKernelFigures:
         # The options ride inside the RunRequest payload, so pooled
         # workers honour them too.
         default = run_scenario(CONFIG, FAULT_SERIES, seed=11)
-        with create_executor("pool", workers=2) as executor:
+        with create_executor("persistent", workers=2) as executor:
             reference = run_scenario(
                 CONFIG,
                 FAULT_SERIES,
@@ -346,7 +324,7 @@ class TestStreamingEquivalence:
         from repro.experiments.runner import scenario_requests
 
         requests = scenario_requests(CONFIG, FAULT_SERIES, seed=3)
-        with PoolExecutor(workers=2, chunk_size=2) as executor:
+        with PersistentPoolExecutor(workers=2, chunk_size=2) as executor:
             seen = {}
             for start, results in executor.map_stream(requests):
                 for offset, result in enumerate(results):

@@ -124,14 +124,14 @@ class TestVectorisedSamplers:
 
 
 class TestValidateParallel:
-    """Engine-driven sampling (one PR-2 satellite): serial == pool."""
+    """Engine-driven sampling (one PR-2 satellite): serial == pooled."""
 
     def test_z_test_identical_serial_vs_pool(self, model):
         serial = validate_expected_time(
             model, 0, 4, samples=300, seed=1, engine="serial"
         )
         pooled = validate_expected_time(
-            model, 0, 4, samples=300, seed=1, engine="pool", workers=2
+            model, 0, 4, samples=300, seed=1, workers=2
         )
         persistent = validate_expected_time(
             model, 0, 4, samples=300, seed=1, engine="persistent", workers=2
@@ -145,10 +145,10 @@ class TestValidateParallel:
 
     def test_chunk_layout_independent_of_workers(self, model):
         two = validate_expected_time(
-            model, 0, 4, samples=200, seed=3, engine="pool", workers=2
+            model, 0, 4, samples=200, seed=3, engine="persistent", workers=2
         )
         four = validate_expected_time(
-            model, 0, 4, samples=200, seed=3, engine="pool", workers=4
+            model, 0, 4, samples=200, seed=3, engine="persistent", workers=4
         )
         assert two.empirical_mean == four.empirical_mean
         assert two.z_score == four.z_score
@@ -166,7 +166,7 @@ class TestValidateParallel:
         assert a.passed, a.describe()
         b = validate_expected_time(
             model, 0, 4, samples=200, seed=3, chunk_samples=64,
-            engine="pool", workers=2,
+            engine="persistent", workers=2,
         )
         assert a.empirical_mean == b.empirical_mean
 
