@@ -31,14 +31,6 @@ wire rides a seeded :class:`~repro.engine.ChaosHTTPTransport` (resets,
 5xx, timeouts, truncated bodies) against an in-process broker server —
 the partition-tolerance soak for ``python -m
 repro.engine.broker_server`` fleets.
-
-A third leg (``run_shard_soak``) soaks the **sharded fabric**: the
-sweep runs through a three-shard :class:`~repro.engine.ShardRouter`
-while a seeded ``shard_down`` fault blackholes exactly one shard
-mid-campaign (a :class:`~repro.engine.ChaosShardBroker` per shard, the
-victim chosen by the plan seed).  The router's breaker must open, the
-stranded chunks must fail over to the survivors, and the series must
-still equal the serial reference byte-for-byte.
 ``REPRO_BENCH_SCALE`` (``tiny``/``small``) sizes the sweep's scenarios;
 ``REPRO_CHAOS_SEED`` picks the plan seed (default 2026).
 """
@@ -242,91 +234,6 @@ def run_http_soak(plan: FaultPlan = WIRE_PLAN) -> Dict[str, object]:
     }
 
 
-def _shard_plan(shard_count: int = 3, rate: float = 0.4):
-    """The first plan at/after CHAOS_SEED downing exactly one shard."""
-    seed = CHAOS_SEED
-    while True:
-        plan = FaultPlan(seed=seed, shard_down=rate, shard_down_delay=0.3)
-        downed = [
-            index
-            for index in range(shard_count)
-            if plan.decide(plan.shard_down, "shard-down", index)
-        ]
-        if len(downed) == 1:
-            return plan, downed[0]
-        seed += 1
-
-
-def run_shard_soak() -> Dict[str, object]:
-    """One sweep over a three-shard router with one shard blackholed.
-
-    A ``shard_down`` plan (seed searched from ``CHAOS_SEED`` until it
-    downs exactly one of the three shards) blackholes that shard's
-    transport shortly after the campaign starts.  The submitter router
-    and both worker routers must open the victim's breaker, migrate the
-    stranded chunks to the survivors and keep the series byte-identical
-    to the serial reference.
-    """
-    import shutil
-    import tempfile
-    import threading
-
-    from repro.engine.cache import shared_cache
-    from repro.engine.worker import serve
-
-    plan, victim = _shard_plan()
-    shared_cache.clear()
-    with create_executor("serial") as executor:
-        reference = _sweep_digest(executor)
-
-    shared_cache.clear()
-    root = tempfile.mkdtemp(prefix="bench-shard-chaos-")
-    spec = ",".join(os.path.join(root, f"shard-{i}") for i in range(3))
-    router = connect_broker(spec, chaos_plan=plan)
-    workers = [
-        threading.Thread(
-            target=serve,
-            args=(connect_broker(spec, chaos_plan=plan),),
-            kwargs={"poll_interval": 0.01, "max_idle": 60.0},
-            daemon=True,
-        )
-        for _ in range(WORKERS)
-    ]
-    for worker in workers:
-        worker.start()
-    start = time.perf_counter()
-    try:
-        with QueueExecutor(
-            workers=WORKERS,
-            poll_interval=0.01,
-            heartbeat_timeout=2.0,
-            broker=router,
-        ) as executor:
-            digest = _sweep_digest(executor)
-            stats = executor.stats().cache_info()
-    finally:
-        try:
-            router.request_stop()
-        except Exception:
-            pass
-        for worker in workers:
-            worker.join(timeout=30.0)
-        shutil.rmtree(root, ignore_errors=True)
-    injected = dict(router._shards[victim].broker.injected)
-    assert digest == reference, (
-        f"sharded series (shard plan seed {plan.seed}, shard {victim} "
-        "down) diverged from the serial reference"
-    )
-    return {
-        "seconds": time.perf_counter() - start,
-        "digest": digest,
-        "stats": stats,
-        "injected": injected,
-        "victim_shard": victim,
-        "plan_seed": plan.seed,
-    }
-
-
 def chaos_overhead(results: Dict[str, object]) -> float:
     """Chaotic sweep seconds over fault-free queue sweep seconds."""
     return results["chaotic"]["seconds"] / results["quiet"]["seconds"]
@@ -348,10 +255,9 @@ def faults_fired(results: Dict[str, object]) -> bool:
 def payload_from(
     results: Dict[str, object],
     http: Optional[Dict[str, object]] = None,
-    shard: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     payload = {
-        "schema": 3,
+        "schema": 4,
         "scale": BENCH_SCALE,
         "workers": WORKERS,
         "chaos_seed": CHAOS_SEED,
@@ -376,22 +282,12 @@ def payload_from(
             "stats": http["stats"],
             "injected": http["injected"],
         }
-    if shard is not None:
-        payload["benchmarks"]["shard_chaotic"] = {
-            "seconds": shard["seconds"],
-            "stats": shard["stats"],
-            "injected": shard["injected"],
-            "victim_shard": shard["victim_shard"],
-            "plan_seed": shard["plan_seed"],
-        }
     return payload
 
 
 def write_baseline(path: Path = DEFAULT_BASELINE) -> Dict[str, object]:
     """Measure everything and record the committed baseline JSON."""
-    payload = payload_from(
-        run_soak(), http=run_http_soak(), shard=run_shard_soak()
-    )
+    payload = payload_from(run_soak(), http=run_http_soak())
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
@@ -418,17 +314,6 @@ def test_http_transport_chaos_is_byte_identical_and_non_vacuous():
     assert results["stats"]["wire_retries"] > 0
 
 
-def test_shard_loss_soak_is_byte_identical_and_non_vacuous():
-    """Acceptance gate for the fabric: losing a shard changes nothing."""
-    results = run_shard_soak()
-    assert results["injected"].get("shard-down", 0) >= 1, (
-        "the shard plan blackholed nothing — check the ChaosShardBroker "
-        "wiring under connect_broker"
-    )
-    assert results["stats"]["breaker_opens"] >= 1
-    assert results["stats"]["shard_failovers"] >= 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
@@ -450,9 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.write:
         payload = write_baseline(args.output)
     else:
-        payload = payload_from(
-            run_soak(), http=run_http_soak(), shard=run_shard_soak()
-        )
+        payload = payload_from(run_soak(), http=run_http_soak())
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""Checkpoint tuning: period strategies, costs, and silent errors.
+"""Checkpoint tuning: period strategies and checkpoint costs.
 
-Three studies on one task set:
+Two studies on one task set:
 
 1. **Strategy choice** — Young's first-order period (the paper's choice,
    Eq. 1) against Daly's higher-order refinement and naive fixed periods:
    how much does the period formula matter for the expected makespan?
 2. **Checkpoint cost** — sweep the unit cost ``c`` (Figs. 12-13): cheap
    checkpoints close the gap to fault-free execution.
-3. **Silent errors** — the paper's future-work extension: add
-   verification to the pattern and report the optimal work length and
-   overhead as the silent-error rate grows.
 
 Run:  python examples/checkpoint_tuning.py
 """
@@ -19,14 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
-    Cluster,
-    ExpectedTimeModel,
-    SilentErrorConfig,
-    SilentErrorModel,
-    simulate,
-    uniform_pack,
-)
+from repro import Cluster, ExpectedTimeModel, simulate, uniform_pack
 from repro.experiments import render_table
 from repro.resilience import (
     DalyStrategy,
@@ -35,7 +25,6 @@ from repro.resilience import (
     YoungStrategy,
 )
 
-YEAR = 365.25 * 86400.0
 cluster = Cluster.with_mtbf_years(32, mtbf_years=0.1)
 pack = uniform_pack(6, m_inf=20_000, m_sup=60_000, seed=9)
 
@@ -102,40 +91,4 @@ print(
         rows,
     )
 )
-print("\ncheaper checkpoints -> cheaper failures -> the two contexts meet.\n")
-
-# -- 3. silent errors + verification (future-work extension) --------------
-print("== 3. silent errors with verification ==\n")
-rows = []
-for silent_mtbf_years in (10.0, 1.0, 0.1):
-    config = SilentErrorConfig(
-        silent_rate=1.0 / (silent_mtbf_years * YEAR),
-        verification_unit_cost=0.1,
-    )
-    model = SilentErrorModel(pack, cluster, config)
-    work = model.optimal_work(0, 8)
-    rows.append(
-        [
-            f"{silent_mtbf_years:g}y",
-            f"{model.first_order_work(0, 8):.4g}s",
-            f"{work:.4g}s",
-            f"{model.verification_overhead(0, 8):.2%}",
-            f"{model.expected_time(0, 8):.5g}s",
-        ]
-    )
-print(
-    render_table(
-        [
-            "silent MTBF/proc",
-            "w* (1st order)",
-            "w* (numeric)",
-            "verify overhead",
-            "E[time] T1 j=8",
-        ],
-        rows,
-    )
-)
-print(
-    "\nmore silent errors -> shorter patterns (verify more often) and a"
-    "\nlarger share of time spent verifying."
-)
+print("\ncheaper checkpoints -> cheaper failures -> the two contexts meet.")

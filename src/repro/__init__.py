@@ -68,10 +68,7 @@ from .resilience import (
     ExpectedTimeModel,
     ExponentialFaults,
     FaultInjector,
-    ReplicatedExpectedTimeModel,
     ResilienceModel,
-    SilentErrorConfig,
-    SilentErrorModel,
     YoungStrategy,
 )
 from .simulation import SimulationResult, Simulator, simulate
@@ -124,10 +121,7 @@ __all__ = [
     "PackCostOracle",
     "Partition",
     "poisson_stream",
-    "ReplicatedExpectedTimeModel",
     "ResilienceModel",
-    "SilentErrorConfig",
-    "SilentErrorModel",
     "YoungStrategy",
     "competitive_report",
     "fault_free_lower_bound",

@@ -17,7 +17,7 @@
 The same entry point is reachable as ``python -m repro.cli``.
 
 The execution commands (``run``, ``compare``, ``batch``, ``validate``)
-accept ``--engine {serial,pool,persistent,async,queue}`` and
+accept ``--engine {serial,persistent,queue}`` and
 ``--workers N`` to pick the run-fabric (:mod:`repro.engine`) that fans
 their work out; results are byte-identical under every engine and
 worker count, and ``--verbose`` prints the engine's
@@ -28,20 +28,17 @@ executes.  The ``queue`` engine self-hosts a local broker spool plus
 ``--workers`` worker subprocesses (``python -m repro.engine.worker``);
 its statistics — profile-cache and decision-state counters included —
 travel back across the queue boundary like any other engine's.
-``--broker SPEC[,SPEC...]`` points that engine at an *externally
-served* broker instead — an ``http(s)://`` URL of a running
+``--broker SPEC`` points that engine at one *externally served* broker
+instead — an ``http(s)://`` URL of a running
 ``python -m repro.engine.broker_server`` (``--broker-token`` or
-``$REPRO_BROKER_TOKEN`` authenticates), a shared spool directory, or a
-comma-separated list of those (a sharded fabric behind a
-``ShardRouter`` with health-probed failover; ``--verbose`` prints the
-per-shard breakdown) — and an elastic fleet of
-``python -m repro.engine.worker`` processes, joining and draining at
-will, executes the campaign.  Two
-resilience knobs ride along (``docs/RESILIENCE.md``): ``--journal
-DIR`` records finished chunks so a re-run of the same campaign resumes
-instead of recomputing, and ``--chaos PLAN`` arms deterministic fault
-injection (``--verbose`` then also prints the retry / requeue /
-dead-letter / journal digest).  The benchmark suite under
+``$REPRO_BROKER_TOKEN`` authenticates) or a shared spool directory —
+and an elastic fleet of ``python -m repro.engine.worker`` processes,
+joining and draining at will, executes the campaign.  Two resilience
+knobs ride along (``docs/RESILIENCE.md``): ``--journal DIR`` records
+finished chunks so a re-run of the same campaign resumes instead of
+recomputing, and ``--chaos PLAN`` arms deterministic fault injection
+(``--verbose`` then also prints the retry / requeue / dead-letter /
+journal digest).  The benchmark suite under
 ``benchmarks/`` reads the ``REPRO_BENCH_SCALE`` environment variable
 (``tiny``/``small``/``paper``) to pick its scaling preset.
 """
@@ -144,15 +141,13 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--broker",
         default=None,
-        metavar="SPEC[,SPEC...]",
+        metavar="SPEC",
         help=(
             "dispatch through an externally served broker (implies "
             "--engine queue): an http(s):// URL of a running "
-            "`python -m repro.engine.broker_server`, a FileBroker "
-            "spool directory, or a comma-separated list of those — a "
-            "sharded fabric routed with health-probed failover; "
-            "workers join with "
-            "`python -m repro.engine.worker --broker ...` (same list)"
+            "`python -m repro.engine.broker_server` or a FileBroker "
+            "spool directory; workers join with "
+            "`python -m repro.engine.worker --broker SPEC`"
         ),
     )
     parser.add_argument(
@@ -227,11 +222,6 @@ def _report_engine(
             print(f"resilience: {stats.describe_resilience()}")
         if stats.any_fleet_events():
             print(f"fleet: {stats.describe_fleet()}")
-        shards = getattr(
-            getattr(executor, "broker", None), "describe_fleet", None
-        )
-        if shards is not None:
-            print(shards())
 
 
 def build_parser() -> argparse.ArgumentParser:

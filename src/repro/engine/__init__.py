@@ -61,13 +61,7 @@ from __future__ import annotations
 
 from .broker import Broker, FileBroker, worker_identity
 from .cache import WorkloadCache, shared_cache
-from .chaos import (
-    ChaosBroker,
-    ChaosCrash,
-    ChaosHTTPTransport,
-    ChaosShardBroker,
-    FaultPlan,
-)
+from .chaos import ChaosBroker, ChaosCrash, ChaosHTTPTransport, FaultPlan
 from .executors import (
     ENGINES,
     EngineStats,
@@ -84,7 +78,6 @@ from .journal import ResultJournal, ensure_journal
 from .queue_exec import QueueExecutor
 from .request import RunRequest, execute_request
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .shard_router import ShardRouter
 
 __all__ = [
     "ENGINES",
@@ -93,7 +86,6 @@ __all__ = [
     "ChaosBroker",
     "ChaosCrash",
     "ChaosHTTPTransport",
-    "ChaosShardBroker",
     "EngineStats",
     "Executor",
     "FaultPlan",
@@ -105,7 +97,6 @@ __all__ = [
     "RetryPolicy",
     "RunRequest",
     "SerialExecutor",
-    "ShardRouter",
     "WorkloadCache",
     "connect_broker",
     "create_executor",

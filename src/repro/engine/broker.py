@@ -51,16 +51,30 @@ import socket
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["Broker", "FileBroker", "worker_identity"]
+__all__ = ["Broker", "FileBroker", "spool_id", "worker_identity"]
 
 
 def worker_identity() -> str:
     """A broker-unique worker id: ``host-pid-nonce``."""
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+
+
+def spool_id(ident: str) -> str:
+    """``ident``, checked to be safe as a spool file name.
+
+    Task and worker ids become file names under the spool.  An id with
+    a ``/`` or a NUL byte, or one that is empty, ``.`` or ``..``,
+    raises :class:`~repro.exceptions.ConfigurationError` (a 400 over
+    HTTP) before anything touches disk, so no id names a file outside
+    the spool.
+    """
+    if "/" in ident or "\0" in ident or ident in ("", ".", ".."):
+        raise ConfigurationError(f"invalid spool id {ident!r}")
+    return ident
 
 
 @runtime_checkable
@@ -197,15 +211,14 @@ class FileBroker:
             os.fsync(handle.fileno())
         os.replace(staged, target)
 
-    def _queue_path(self, task_id: str) -> Path:
-        if "/" in task_id or task_id in ("", ".", ".."):
-            raise ConfigurationError(f"invalid task id {task_id!r}")
-        return self.root / "queue" / f"{task_id}.task"
+    def _path(self, sub: str, ident: str, suffix: str) -> Path:
+        """``<root>/<sub>/<ident><suffix>``: the one id-to-path map."""
+        return self.root / sub / f"{spool_id(ident)}{suffix}"
 
     # -- Broker protocol ---------------------------------------------------
     def submit(self, task_id: str, payload: bytes) -> None:
         """Stage the payload and rename it into ``queue/``."""
-        self._write_atomic(self._queue_path(task_id), payload)
+        self._write_atomic(self._path("queue", task_id, ".task"), payload)
 
     def claim(self, worker_id: str) -> Optional[Tuple[str, bytes]]:
         """Take the lexicographically first queued task, if any.
@@ -237,18 +250,16 @@ class FileBroker:
 
     def complete(self, task_id: str, payload: bytes) -> None:
         """Publish the result and drop the claim (idempotent)."""
-        self._write_atomic(
-            self.root / "results" / f"{task_id}.result", payload
-        )
+        self._write_atomic(self._path("results", task_id, ".result"), payload)
         for suffix in (".task", ".owner"):
             try:
-                os.remove(self.root / "claimed" / f"{task_id}{suffix}")
+                os.remove(self._path("claimed", task_id, suffix))
             except FileNotFoundError:
                 pass  # requeued meanwhile, or a duplicate completion
 
     def fetch_result(self, task_id: str) -> Optional[bytes]:
         """Read and consume one result file, if it has landed."""
-        path = self.root / "results" / f"{task_id}.result"
+        path = self._path("results", task_id, ".result")
         try:
             payload = path.read_bytes()
         except FileNotFoundError:
@@ -268,7 +279,7 @@ class FileBroker:
         the sole copy of a result.
         """
         try:
-            return (self.root / "results" / f"{task_id}.result").read_bytes()
+            return self._path("results", task_id, ".result").read_bytes()
         except FileNotFoundError:
             return None
 
@@ -276,13 +287,13 @@ class FileBroker:
         """Move a claimed task back to ``queue/`` (e.g. dead claimant)."""
         try:
             os.replace(
-                self.root / "claimed" / f"{task_id}.task",
-                self._queue_path(task_id),
+                self._path("claimed", task_id, ".task"),
+                self._path("queue", task_id, ".task"),
             )
         except FileNotFoundError:
             return False  # completed (or re-claimed) in the meantime
         try:
-            os.remove(self.root / "claimed" / f"{task_id}.owner")
+            os.remove(self._path("claimed", task_id, ".owner"))
         except FileNotFoundError:
             pass
         return True
@@ -291,8 +302,8 @@ class FileBroker:
         """Remove the queued payload and/or result file for ``task_id``."""
         removed = False
         for path in (
-            self._queue_path(task_id),
-            self.root / "results" / f"{task_id}.result",
+            self._path("queue", task_id, ".task"),
+            self._path("results", task_id, ".result"),
         ):
             try:
                 os.remove(path)
@@ -309,8 +320,8 @@ class FileBroker:
         is withdrawn, so quarantine is the task's terminal state until
         an operator fetches it back.
         """
-        self._write_atomic(self.root / "dead" / f"{task_id}.task", payload)
-        self._write_atomic(self.root / "dead" / f"{task_id}.info", info)
+        self._write_atomic(self._path("dead", task_id, ".task"), payload)
+        self._write_atomic(self._path("dead", task_id, ".info"), info)
         self.discard(task_id)
 
     def dead_letters(self) -> List[str]:
@@ -323,8 +334,8 @@ class FileBroker:
         self, task_id: str
     ) -> Optional[Tuple[bytes, bytes]]:
         """Remove one quarantined task; ``(payload, info)`` or ``None``."""
-        task_path = self.root / "dead" / f"{task_id}.task"
-        info_path = self.root / "dead" / f"{task_id}.info"
+        task_path = self._path("dead", task_id, ".task")
+        info_path = self._path("dead", task_id, ".info")
         try:
             payload = task_path.read_bytes()
         except FileNotFoundError:
@@ -342,7 +353,7 @@ class FileBroker:
 
     def heartbeat(self, worker_id: str) -> None:
         """Touch the worker's beat file (mtime is the liveness clock)."""
-        path = self.root / "workers" / f"{worker_id}.beat"
+        path = self._path("workers", worker_id, ".beat")
         try:
             os.utime(path)
         except FileNotFoundError:
@@ -369,7 +380,7 @@ class FileBroker:
         decisions see fleet departures promptly.
         """
         try:
-            os.remove(self.root / "workers" / f"{worker_id}.beat")
+            os.remove(self._path("workers", worker_id, ".beat"))
         except FileNotFoundError:
             pass
 
@@ -409,23 +420,6 @@ class FileBroker:
     def pending_tasks(self) -> int:
         """Queued (unclaimed) task count — monitoring helper."""
         return sum(1 for _ in self.root.joinpath("queue").glob("*.task"))
-
-    def probe(self) -> Dict[str, object]:
-        """Health probe for the shard router's circuit breaker.
-
-        A missing spool must *fail* the probe, not read as an empty
-        queue (``glob`` over an absent directory is silently empty), so
-        the structure is checked explicitly before the depth counts.
-        """
-        for sub in ("queue", "claimed", "results"):
-            if not (self.root / sub).is_dir():
-                raise OSError(
-                    f"spool {self.root} is missing its {sub}/ directory"
-                )
-        return {
-            "queued": self.pending_tasks(),
-            "stop": self.stop_requested(),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FileBroker({str(self.root)!r})"

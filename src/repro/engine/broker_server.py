@@ -25,7 +25,8 @@ story (the operator runbook is ``docs/RESILIENCE.md``):
   after boot — late enough for surviving workers to re-announce
   themselves, soon enough that work lost with a dead worker requeues.
 * **Idempotent wire semantics.**  Claims carry a client nonce and the
-  last response per worker is cached and replayed, and result fetches
+  last response per worker is cached and replayed (after a restart,
+  from the claim's owner record in the spool), and result fetches
   are two-phase (peek, then ack) — so the
   :class:`~repro.engine.http_broker.HTTPBroker` client may blindly
   retry any operation whose response was lost to the network.
@@ -39,35 +40,23 @@ one request per operation, a bearer token compared in constant time,
 from __future__ import annotations
 
 import argparse
-import base64
 import os
 import threading
 import time
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from .._jsonhttp import JSONServer
-from .broker import FileBroker
+from .broker import FileBroker, spool_id
+from .http_broker import _b64, _unb64
 
 __all__ = ["SCHEMA_VERSION", "BrokerService", "BrokerServer", "main"]
 
 #: Version of the wire operation set + status document.  Bump it when
-#: an operation's semantics change incompatibly; shard-router health
-#: probes compare it to tell protocol skew (permanent exclusion) from
-#: a mere restart (``boot_monotonic`` moved — transient, re-admitted).
+#: an operation's semantics change incompatibly.
 SCHEMA_VERSION = 2
 
 #: Hard cap on request bodies (a chunk payload is typically ~KBs).
 MAX_BODY_BYTES = 256 * 1024 * 1024
-
-
-def _b64(payload: bytes) -> str:
-    """Bytes -> JSON-safe base64 text."""
-    return base64.b64encode(payload).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
-    """Inverse of :func:`_b64`."""
-    return base64.b64decode(text.encode("ascii"))
 
 
 def _text(data: Dict, key: str, *, optional: bool = False) -> str:
@@ -84,6 +73,12 @@ def _text(data: Dict, key: str, *, optional: bool = False) -> str:
         kind = type(value).__name__
         raise TypeError(f"{key!r} must be a string, got {kind}")
     return value
+
+
+def _id(data: Dict, key: str) -> str:
+    """``data[key]`` as a task or worker id: a string naming no path
+    outside the spool (:func:`~repro.engine.broker.spool_id`)."""
+    return spool_id(_text(data, key))
 
 
 class BrokerService:
@@ -140,12 +135,12 @@ class BrokerService:
 
     # -- durable operations (spool-backed) ---------------------------------
     def _op_submit(self, data: Dict) -> Dict:
-        task_id = _text(data, "task_id")
+        task_id = _id(data, "task_id")
         self.spool.submit(task_id, _unb64(_text(data, "payload")))
         return {}
 
     def _op_claim(self, data: Dict) -> Dict:
-        worker_id = _text(data, "worker_id")
+        worker_id = _id(data, "worker_id")
         nonce = data.get("nonce")
         with self._lock:
             cached = self._claim_replay.get(worker_id)
@@ -155,7 +150,9 @@ class BrokerService:
                 # claim — the partition-tolerance linchpin).
                 return dict(cached[1])
             self._note_beat(worker_id)
-        task = self.spool.claim(worker_id)
+        task = self._recorded_claim(worker_id) if cached is None else None
+        if task is None:
+            task = self.spool.claim(worker_id)
         with self._lock:
             if task is None:
                 response: Dict = {"task_id": None}
@@ -169,23 +166,39 @@ class BrokerService:
                 self._claim_replay[worker_id] = (nonce, dict(response))
         return response
 
+    def _recorded_claim(
+        self, worker_id: str
+    ) -> Optional[Tuple[str, bytes]]:
+        """A claim the spool records for a worker this server never
+        answered: a previous server made it and died before replying,
+        so hand it back instead of stranding it under a live owner."""
+        claimed = self.spool.root.joinpath("claimed")
+        for owner in sorted(claimed.glob("*.owner")):
+            try:
+                if owner.read_text().strip() == worker_id:
+                    task = owner.with_suffix(".task")
+                    return task.stem, task.read_bytes()
+            except FileNotFoundError:
+                continue  # completed or requeued meanwhile
+        return None
+
     def _op_complete(self, data: Dict) -> Dict:
-        task_id = _text(data, "task_id")
+        task_id = _id(data, "task_id")
         self.spool.complete(task_id, _unb64(_text(data, "payload")))
         with self._lock:
             self._release_lease(task_id)
         return {}
 
     def _op_peek_result(self, data: Dict) -> Dict:
-        payload = self.spool.peek_result(_text(data, "task_id"))
+        payload = self.spool.peek_result(_id(data, "task_id"))
         return {"payload": None if payload is None else _b64(payload)}
 
     def _op_ack_result(self, data: Dict) -> Dict:
-        removed = self.spool.fetch_result(_text(data, "task_id"))
+        removed = self.spool.fetch_result(_id(data, "task_id"))
         return {"removed": removed is not None}
 
     def _op_requeue(self, data: Dict) -> Dict:
-        task_id = _text(data, "task_id")
+        task_id = _id(data, "task_id")
         requeued = self.spool.requeue(task_id)
         if requeued:
             with self._lock:
@@ -193,10 +206,10 @@ class BrokerService:
         return {"requeued": requeued}
 
     def _op_discard(self, data: Dict) -> Dict:
-        return {"removed": self.spool.discard(_text(data, "task_id"))}
+        return {"removed": self.spool.discard(_id(data, "task_id"))}
 
     def _op_dead_letter(self, data: Dict) -> Dict:
-        task_id = _text(data, "task_id")
+        task_id = _id(data, "task_id")
         self.spool.dead_letter(
             task_id,
             _unb64(_text(data, "payload")),
@@ -210,7 +223,7 @@ class BrokerService:
         return {"task_ids": self.spool.dead_letters()}
 
     def _op_fetch_dead_letter(self, data: Dict) -> Dict:
-        fetched = self.spool.fetch_dead_letter(_text(data, "task_id"))
+        fetched = self.spool.fetch_dead_letter(_id(data, "task_id"))
         if fetched is None:
             return {"payload": None}
         payload, info = fetched
@@ -226,11 +239,11 @@ class BrokerService:
     # -- temporal operations (server monotonic clock) ----------------------
     def _op_heartbeat(self, data: Dict) -> Dict:
         with self._lock:
-            self._note_beat(_text(data, "worker_id"))
+            self._note_beat(_id(data, "worker_id"))
         return {}
 
     def _op_deregister(self, data: Dict) -> Dict:
-        worker_id = _text(data, "worker_id")
+        worker_id = _id(data, "worker_id")
         with self._lock:
             self._beats.pop(worker_id, None)
             self._claim_replay.pop(worker_id, None)
@@ -294,10 +307,8 @@ class BrokerService:
         with self._lock:
             status: Dict[str, object] = {
                 "spool": str(self.spool.root),
-                # schema_version vs boot_monotonic is how a shard
-                # router's health probe tells a *restarted* server
-                # (boot stamp moved, welcome it back) from *protocol
-                # skew* (schema changed, exclude it permanently).
+                # A moved boot stamp tells a monitor the server was
+                # restarted; a changed schema tells it the protocol was.
                 "schema_version": SCHEMA_VERSION,
                 "boot_monotonic": self._started,
                 "uptime": self._clock() - self._started,

@@ -43,7 +43,7 @@ import json
 import socket
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from ..exceptions import ConfigurationError, TransientEngineError
 from ..rng import derive_rng
@@ -53,7 +53,6 @@ __all__ = [
     "ChaosBroker",
     "ChaosCrash",
     "ChaosHTTPTransport",
-    "ChaosShardBroker",
     "stable_task_key",
 ]
 
@@ -91,12 +90,6 @@ _WIRE_RATE_FIELDS = (
     "wire_truncate",
 )
 
-#: FaultPlan fields that are *shard*-level rates (the shard router).
-_SHARD_RATE_FIELDS = (
-    "shard_down",
-    "shard_flap",
-)
-
 #: FaultPlan fields that are injection *rates* (probabilities in [0, 1]).
 _RATE_FIELDS = (
     "crash_before_claim",
@@ -106,7 +99,7 @@ _RATE_FIELDS = (
     "corrupt_result",
     "slow_worker",
     "runner_fault",
-) + _WIRE_RATE_FIELDS + _SHARD_RATE_FIELDS
+) + _WIRE_RATE_FIELDS
 
 
 @dataclass(frozen=True)
@@ -155,17 +148,8 @@ class FaultPlan:
         the request is sent, and a response body cut in half.  At most
         one fires per logical operation; the retry always sees a clean
         wire.
-    shard_down, shard_flap:
-        Shard-router faults, armed by wrapping each shard broker of a
-        multi-spec ``connect_broker`` in a :class:`ChaosShardBroker`
-        (keyed by shard index): a blackholed shard transport starting
-        ``shard_down_delay`` seconds after the shard's first operation
-        — *mid-campaign*, with work in flight — lasting forever
-        (``shard_down``, exercising breaker-open failover) or
-        ``shard_flap_duration`` seconds (``shard_flap``, exercising
-        half-open probe re-admission).
-    stall_duration, slow_delay, shard_down_delay, shard_flap_duration:
-        Durations for the stall / slow / shard injections.
+    stall_duration, slow_delay:
+        Durations for the stall / slow injections.
     """
 
     seed: int = 0
@@ -180,12 +164,8 @@ class FaultPlan:
     wire_5xx: float = 0.0
     wire_timeout: float = 0.0
     wire_truncate: float = 0.0
-    shard_down: float = 0.0
-    shard_flap: float = 0.0
     stall_duration: float = 0.3
     slow_delay: float = 0.02
-    shard_down_delay: float = 0.25
-    shard_flap_duration: float = 1.0
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -194,13 +174,7 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"FaultPlan.{name} must be in [0, 1], got {rate}"
                 )
-        durations = (
-            self.stall_duration,
-            self.slow_delay,
-            self.shard_down_delay,
-            self.shard_flap_duration,
-        )
-        if any(duration < 0 for duration in durations):
+        if self.stall_duration < 0 or self.slow_delay < 0:
             raise ConfigurationError("chaos durations must be >= 0")
 
     # -- decisions ---------------------------------------------------------
@@ -233,10 +207,6 @@ class FaultPlan:
     def any_wire_faults(self) -> bool:
         """Whether any HTTP wire-level injection rate is non-zero."""
         return any(getattr(self, name) > 0.0 for name in _WIRE_RATE_FIELDS)
-
-    def any_shard_faults(self) -> bool:
-        """Whether any shard-router injection rate is non-zero."""
-        return any(getattr(self, name) > 0.0 for name in _SHARD_RATE_FIELDS)
 
     # -- wire format -------------------------------------------------------
     def to_json(self) -> str:
@@ -304,7 +274,38 @@ class FaultPlan:
         return f"FaultPlan(seed={self.seed}, {', '.join(active) or 'no faults'})"
 
 
-class ChaosBroker:
+class _SingleShot:
+    """Single-shot, site-keyed injection bookkeeping for the wrappers.
+
+    :meth:`_first` is true only on the first sight of an ``(op, key)``
+    pair, so the retry after an injected fault always sees a clean
+    transport.  :meth:`_fires` is the plan's coin at
+    ``(site, stable_task_key(key))``; a fired fault is counted in
+    ``injected`` under ``label`` (the site unless given).
+    """
+
+    def __init__(self, plan: FaultPlan):
+        self.plan = plan
+        self.injected: Dict[str, int] = {}
+        self._seen: Set[Tuple[str, str]] = set()
+
+    def _first(self, op: str, key: str) -> bool:
+        if (op, key) in self._seen:
+            return False
+        self._seen.add((op, key))
+        return True
+
+    def _fires(
+        self, rate: float, site: str, key: str, label: Optional[str] = None
+    ) -> bool:
+        if not self.plan.decide(rate, site, stable_task_key(key)):
+            return False
+        label = label or site
+        self.injected[label] = self.injected.get(label, 0) + 1
+        return True
+
+
+class ChaosBroker(_SingleShot):
     """A :class:`~repro.engine.broker.Broker` wrapper that injects faults.
 
     Wraps any broker and perturbs the *transport* deterministically:
@@ -321,50 +322,40 @@ class ChaosBroker:
     """
 
     def __init__(self, broker, plan: FaultPlan):
+        super().__init__(plan)
         self.broker = broker
-        self.plan = plan
-        self.injected: Dict[str, int] = {}
-        self._op_counts: Dict[Tuple[str, str], int] = {}
-
-    def _first_call(self, op: str, task_id: str) -> bool:
-        key = (op, task_id)
-        count = self._op_counts.get(key, 0)
-        self._op_counts[key] = count + 1
-        return count == 0
-
-    def _fire(self, site: str) -> None:
-        self.injected[site] = self.injected.get(site, 0) + 1
 
     def _maybe_io_error(self, op: str, task_id: str) -> None:
-        if self._first_call(op, task_id) and self.plan.decide(
-            self.plan.broker_io_error, f"io-{op}", stable_task_key(task_id)
+        if self._first(op, task_id) and self._fires(
+            self.plan.broker_io_error, f"io-{op}", task_id
         ):
-            self._fire(f"io-{op}")
             raise OSError(f"chaos: injected {op} I/O error for {task_id!r}")
 
     # -- perturbed operations ----------------------------------------------
     def submit(self, task_id: str, payload: bytes) -> None:
+        """Submit, perhaps after one injected ``OSError``."""
         self._maybe_io_error("submit", task_id)
         self.broker.submit(task_id, payload)
 
     def fetch_result(self, task_id: str) -> Optional[bytes]:
+        """Fetch; the first try may raise ``OSError`` or truncate."""
         self._maybe_io_error("fetch", task_id)
         payload = self.broker.fetch_result(task_id)
         if payload is None:
             return None
-        if self._first_call("corrupt", task_id) and self.plan.decide(
-            self.plan.corrupt_result, "corrupt", stable_task_key(task_id)
+        if self._first("corrupt", task_id) and self._fires(
+            self.plan.corrupt_result, "corrupt", task_id
         ):
-            self._fire("corrupt")
             return payload[: max(1, len(payload) // 2)]
         return payload
 
     def requeue(self, task_id: str) -> bool:
+        """Requeue, perhaps after one injected ``OSError``."""
         self._maybe_io_error("requeue", task_id)
         return self.broker.requeue(task_id)
 
     def __getattr__(self, name: str):
-        # Every other operation (claim, complete, heartbeat, supervise,
+        # Every other operation (claim, complete, heartbeat,
         # engine_counters, ...) passes straight through; callers probe
         # the optional ones with getattr(broker, name, None).
         return getattr(self.broker, name)
@@ -373,149 +364,7 @@ class ChaosBroker:
         return f"ChaosBroker({self.broker!r}, {self.plan.describe()})"
 
 
-class ChaosShardBroker:
-    """Blackhole one shard of a router's transport, deterministically.
-
-    Wraps one shard broker of a
-    :class:`~repro.engine.shard_router.ShardRouter` (a multi-spec
-    ``connect_broker`` arms one wrapper per shard, keyed by index).
-    Whether *this* shard goes dark is a pure function of
-    ``(plan.seed, site, shard_index)``; the outage begins
-    ``plan.shard_down_delay`` seconds after the wrapper's first
-    operation — mid-campaign, so chunks are in flight when the shard
-    vanishes — and lasts forever (``shard_down``) or
-    ``plan.shard_flap_duration`` seconds (``shard_flap``; the recovered
-    shard must then pass the router's half-open probe to be
-    re-admitted).  During the outage every operation — the health probe
-    included — raises :class:`~repro.exceptions.TransientEngineError`,
-    exactly what a killed server looks like through a fail-fast wire
-    policy.
-    """
-
-    def __init__(
-        self,
-        broker,
-        plan: FaultPlan,
-        shard_index: int,
-        *,
-        clock=time.monotonic,
-    ):
-        self.broker = broker
-        self.plan = plan
-        self.shard_index = int(shard_index)
-        self._clock = clock
-        self._first_op: Optional[float] = None
-        down = plan.decide(plan.shard_down, "shard-down", self.shard_index)
-        flap = plan.decide(plan.shard_flap, "shard-flap", self.shard_index)
-        self._mode = "down" if down else ("flap" if flap else None)
-        self.injected: Dict[str, int] = {}
-
-    def _gate(self, op: str) -> None:
-        """Raise if this shard is inside its scheduled blackout."""
-        if self._mode is None:
-            return
-        now = self._clock()
-        if self._first_op is None:
-            self._first_op = now
-        start = self._first_op + self.plan.shard_down_delay
-        if now < start:
-            return
-        if (
-            self._mode == "flap"
-            and now >= start + self.plan.shard_flap_duration
-        ):
-            return
-        site = f"shard-{self._mode}"
-        self.injected[site] = self.injected.get(site, 0) + 1
-        raise TransientEngineError(
-            f"chaos: shard {self.shard_index} blackholed ({op})"
-        )
-
-    # -- Broker protocol (every op gated) ----------------------------------
-    def submit(self, task_id: str, payload: bytes) -> None:
-        self._gate("submit")
-        self.broker.submit(task_id, payload)
-
-    def claim(self, worker_id: str) -> Optional[Tuple[str, bytes]]:
-        self._gate("claim")
-        return self.broker.claim(worker_id)
-
-    def complete(self, task_id: str, payload: bytes) -> None:
-        self._gate("complete")
-        self.broker.complete(task_id, payload)
-
-    def fetch_result(self, task_id: str) -> Optional[bytes]:
-        self._gate("fetch_result")
-        return self.broker.fetch_result(task_id)
-
-    def requeue(self, task_id: str) -> bool:
-        self._gate("requeue")
-        return self.broker.requeue(task_id)
-
-    def discard(self, task_id: str) -> bool:
-        self._gate("discard")
-        return self.broker.discard(task_id)
-
-    def dead_letter(self, task_id: str, payload: bytes, info: bytes) -> None:
-        self._gate("dead_letter")
-        self.broker.dead_letter(task_id, payload, info)
-
-    def dead_letters(self) -> List[str]:
-        self._gate("dead_letters")
-        return self.broker.dead_letters()
-
-    def fetch_dead_letter(
-        self, task_id: str
-    ) -> Optional[Tuple[bytes, bytes]]:
-        self._gate("fetch_dead_letter")
-        return self.broker.fetch_dead_letter(task_id)
-
-    def heartbeat(self, worker_id: str) -> None:
-        self._gate("heartbeat")
-        self.broker.heartbeat(worker_id)
-
-    def deregister(self, worker_id: str) -> None:
-        self._gate("deregister")
-        self.broker.deregister(worker_id)
-
-    def live_workers(self, horizon: float) -> List[str]:
-        self._gate("live_workers")
-        return self.broker.live_workers(horizon)
-
-    def stale_claims(self, horizon: float) -> List[str]:
-        self._gate("stale_claims")
-        return self.broker.stale_claims(horizon)
-
-    def request_stop(self) -> None:
-        self._gate("request_stop")
-        self.broker.request_stop()
-
-    def stop_requested(self) -> bool:
-        self._gate("stop_requested")
-        return self.broker.stop_requested()
-
-    def probe(self) -> Dict[str, object]:
-        # Gated too: a blackholed shard must fail its health probe, or
-        # the router would re-admit a shard whose transport is dark.
-        self._gate("probe")
-        probe = getattr(self.broker, "probe", None)
-        if probe is None:
-            return {"stop": self.broker.stop_requested()}
-        return probe()
-
-    def __getattr__(self, name: str):
-        # Observability extras (pending_tasks, engine_counters, ...)
-        # pass through ungated.
-        return getattr(self.broker, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ChaosShardBroker({self.broker!r}, index={self.shard_index}, "
-            f"mode={self._mode})"
-        )
-
-
-class ChaosHTTPTransport:
+class ChaosHTTPTransport(_SingleShot):
     """An HTTP transport wrapper that perturbs the wire deterministically.
 
     Wraps anything with ``send(op, body, *, key) -> (status, bytes)``
@@ -541,41 +390,30 @@ class ChaosHTTPTransport:
     """
 
     def __init__(self, transport, plan: FaultPlan):
+        super().__init__(plan)
         self.transport = transport
-        self.plan = plan
         self.url = getattr(transport, "url", "")
-        self.injected: Dict[str, int] = {}
-        self._seen: Set[Tuple[str, str]] = set()
 
-    def _fire(self, site: str) -> None:
-        self.injected[site] = self.injected.get(site, 0) + 1
+    def _wire(self, rate: float, fault: str, op: str, key: str) -> bool:
+        return self._fires(rate, f"wire-{fault}-{op}", key, f"wire-{fault}")
 
     def send(self, op: str, body: bytes, *, key: str) -> Tuple[int, bytes]:
         """Forward through the wrapped transport, perhaps perturbed once."""
         plan = self.plan
-        site_key = (op, key)
-        if site_key not in self._seen:
-            self._seen.add(site_key)
-            chaos_key = stable_task_key(key)
-            if plan.decide(plan.wire_timeout, f"wire-timeout-{op}", chaos_key):
-                self._fire("wire-timeout")
+        if self._first(op, key):
+            if self._wire(plan.wire_timeout, "timeout", op, key):
                 raise socket.timeout(
                     f"chaos: injected timeout on {op} ({key!r})"
                 )
-            if plan.decide(plan.wire_reset, f"wire-reset-{op}", chaos_key):
-                self._fire("wire-reset")
+            if self._wire(plan.wire_reset, "reset", op, key):
                 self.transport.send(op, body, key=key)  # the server DID act
                 raise ConnectionResetError(
                     f"chaos: response lost for {op} ({key!r}); "
                     "the server processed the request"
                 )
-            if plan.decide(plan.wire_5xx, f"wire-5xx-{op}", chaos_key):
-                self._fire("wire-5xx")
+            if self._wire(plan.wire_5xx, "5xx", op, key):
                 return 503, b'{"error": "chaos: injected 503"}'
-            if plan.decide(
-                plan.wire_truncate, f"wire-truncate-{op}", chaos_key
-            ):
-                self._fire("wire-truncate")
+            if self._wire(plan.wire_truncate, "truncate", op, key):
                 status, response = self.transport.send(op, body, key=key)
                 return status, response[: len(response) // 2]
         return self.transport.send(op, body, key=key)

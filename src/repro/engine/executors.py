@@ -107,9 +107,6 @@ class EngineStats:
     lease_expiries: int = 0     #: server-side claim leases judged expired
     worker_joins: int = 0       #: workers first seen by the broker server
     worker_leaves: int = 0      #: workers that deregistered (graceful drain)
-    shard_failovers: int = 0    #: shard breakers opened with failover sweeps
-    breaker_opens: int = 0      #: shard circuit-breaker open transitions
-    chunks_migrated: int = 0    #: chunks resubmitted from a dead shard
     journal_hits: int = 0       #: chunks served from the result journal
     journal_misses: int = 0     #: chunks the journal had not seen yet
 
@@ -137,26 +134,16 @@ class EngineStats:
             or self.lease_expiries
             or self.worker_joins
             or self.worker_leaves
-            or self.shard_failovers
-            or self.breaker_opens
-            or self.chunks_migrated
         )
 
     def describe_fleet(self) -> str:
         """One-line remote-broker fleet digest for ``--verbose``."""
-        text = (
+        return (
             f"worker joins: {self.worker_joins} "
             f"leaves: {self.worker_leaves} / "
             f"lease expiries: {self.lease_expiries} "
             f"wire retries: {self.wire_retries}"
         )
-        if self.shard_failovers or self.breaker_opens or self.chunks_migrated:
-            text += (
-                f" / shard failovers: {self.shard_failovers} "
-                f"breaker opens: {self.breaker_opens} "
-                f"chunks migrated: {self.chunks_migrated}"
-            )
-        return text
 
     def describe_resilience(self) -> str:
         """One-line retry/quarantine/journal digest for ``--verbose``."""

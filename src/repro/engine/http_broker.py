@@ -226,7 +226,6 @@ class HTTPBroker:
         body: Dict[str, object],
         *,
         key: Optional[str] = None,
-        retry: bool = True,
     ) -> Dict:
         """One logical operation: POST + classify + retry transients.
 
@@ -245,8 +244,9 @@ class HTTPBroker:
                     self.wire_retries += 1
             return self._round_trip(op, payload, key)
 
-        policy = self.retry_policy if retry else None
-        return execute_with_retry(attempt, seed=_wire_seed(key), policy=policy)
+        return execute_with_retry(
+            attempt, seed=_wire_seed(key), policy=self.retry_policy
+        )
 
     # -- Broker protocol ---------------------------------------------------
     def submit(self, task_id: str, payload: bytes) -> None:
@@ -382,21 +382,6 @@ class HTTPBroker:
         """Whether shutdown has been requested."""
         return bool(self._call("stop_requested", {})["stop"])
 
-    def probe(self) -> Dict[str, object]:
-        """One *unretried* ``/status`` round trip — the health probe.
-
-        The shard router's circuit breaker calls this to decide
-        (re-)admission; a probe must answer fast from the live server
-        or fail fast, never sit in wire-retry backoff against a dead
-        one.  The returned status document carries ``schema_version``
-        (protocol skew detection) and ``boot_monotonic`` (restart
-        detection) — see :mod:`repro.engine.broker_server`.
-        """
-        status = self._call("status", {}, retry=False)
-        with self._lock:
-            self._last_status = status
-        return status
-
     # -- observability -----------------------------------------------------
     def server_status(self) -> Dict[str, object]:
         """The server's ``/status`` document (queue depths, counters)."""
@@ -443,63 +428,35 @@ def connect_broker(
     retry_policy: Optional[RetryPolicy] = DEFAULT_WIRE_POLICY,
     chaos_plan=None,
 ):
-    """A broker from a CLI-style spec — or a shard router from several.
+    """A broker from a CLI-style spec.
 
-    One spec is an ``http(s)://`` URL (an :class:`HTTPBroker`, with
+    The spec is an ``http(s)://`` URL (an :class:`HTTPBroker`, with
     ``chaos_plan`` wire faults, if any, armed below it via
     :class:`~repro.engine.chaos.ChaosHTTPTransport`) or a
     :class:`~repro.engine.broker.FileBroker` spool directory.  A
-    URL-shaped spec with any other scheme (``redis://...``) raises
+    URL-shaped spec with any other scheme (``redis://...``) or a
+    comma-separated list raises
     :class:`~repro.exceptions.PermanentEngineError` naming the
-    supported schemes.
-
-    A **comma-separated list** of specs builds a
-    :class:`~repro.engine.shard_router.ShardRouter` over the individual
-    brokers, in list order (the order is part of the routing key — use
-    the same list everywhere).  Sharded sub-brokers default to the
-    fail-fast :data:`~repro.engine.shard_router.SHARD_WIRE_POLICY`
-    (the router can route around a slow shard, so per-shard patience
-    buys nothing), and a ``chaos_plan`` with shard faults armed wraps
-    each shard in a
-    :class:`~repro.engine.chaos.ChaosShardBroker` keyed by its index.
+    supported forms, instead of silently becoming a spool directory
+    named after the spec.
 
     Shared by CLI ``--broker`` and the worker entrypoint so both sides
     of the fabric accept the same notation.
     """
+    supported = (
+        ", ".join(f"{scheme}://HOST[:PORT]" for scheme in _SUPPORTED_SCHEMES)
+        + " or a spool DIR"
+    )
     if "," in spec:
-        specs = [part.strip() for part in spec.split(",") if part.strip()]
-        from .shard_router import SHARD_WIRE_POLICY, ShardRouter
-
-        per_shard_policy = (
-            SHARD_WIRE_POLICY
-            if retry_policy is DEFAULT_WIRE_POLICY
-            else retry_policy
+        raise PermanentEngineError(
+            f"one broker per campaign: {spec!r} lists several — "
+            f"supported specs: {supported}"
         )
-        brokers = [
-            connect_broker(
-                part,
-                token=token,
-                timeout=timeout,
-                retry_policy=per_shard_policy,
-                chaos_plan=chaos_plan,
-            )
-            for part in specs
-        ]
-        if chaos_plan is not None and chaos_plan.any_shard_faults():
-            from .chaos import ChaosShardBroker
-
-            brokers = [
-                ChaosShardBroker(broker, chaos_plan, index)
-                for index, broker in enumerate(brokers)
-            ]
-        return ShardRouter(brokers)
     match = _SCHEME_RE.match(spec)
     if match and match.group("scheme").lower() not in _SUPPORTED_SCHEMES:
         raise PermanentEngineError(
             f"unsupported broker scheme {match.group('scheme')!r} in "
-            f"{spec!r} — supported specs: "
-            + ", ".join(f"{scheme}://HOST[:PORT]" for scheme in _SUPPORTED_SCHEMES)
-            + ", a spool DIR, or a comma-separated list of those"
+            f"{spec!r} — supported specs: {supported}"
         )
     if match:
         transport = HTTPTransport(spec, token, timeout=timeout)

@@ -1,6 +1,6 @@
 """The queue executor: run-fabric dispatch through a pluggable broker.
 
-:class:`QueueExecutor` is the fifth engine behind the
+:class:`QueueExecutor` is the third engine behind the
 :class:`~repro.engine.executors.Executor` interface and the first whose
 workers need not live in this process tree: every chunk of
 :class:`~repro.engine.request.RunRequest` is pickled and pushed through
@@ -19,10 +19,12 @@ Two deployment shapes, one class:
   temporary directory and spawns ``workers`` local worker subprocesses
   against it, cleaning both up on :meth:`~QueueExecutor.close`.  This
   is what CLI ``--engine queue`` uses.
-* **Shared broker**: pass a broker whose spool other processes — on
-  this host or any host mounting the spool — serve with
-  ``python -m repro.engine.worker --broker DIR``.  The executor only
-  submits and collects; the worker fleet is yours (see
+* **Shared broker**: pass one broker — a spool directory other
+  processes on this host or any host mounting it serve with
+  ``python -m repro.engine.worker --broker DIR``, or an
+  :class:`~repro.engine.http_broker.HTTPBroker` whose server they
+  reach with ``--broker URL`` (CLI ``--broker SPEC``).  The executor
+  only submits and collects; the worker fleet is yours (see
   ``examples/remote_campaign.py``).
 
 Supervision (the full story is ``docs/RESILIENCE.md``): workers
@@ -227,16 +229,6 @@ class QueueExecutor(_PooledExecutor):
             return self._chaos
         return self._broker
 
-    @property
-    def broker(self) -> Optional[Broker]:
-        """The attached broker (``None`` for a not-yet-started spool).
-
-        Exposed so callers can reach transport observability — e.g. a
-        :class:`~repro.engine.shard_router.ShardRouter`'s per-shard
-        ``describe_fleet()`` breakdown under CLI ``--verbose``.
-        """
-        return self._broker
-
     def _spawn_fleet(self) -> None:
         """Launch ``workers`` local worker subprocesses on the spool."""
         command = [
@@ -413,7 +405,7 @@ class QueueExecutor(_PooledExecutor):
             try:
                 broker.dead_letter(task_id, payloads[task_id], text.encode())
             except (TransientEngineError, OSError):
-                pass  # quarantine is best-effort (e.g. every shard down)
+                pass  # quarantine is best-effort (e.g. broker down)
             self._stats.dead_lettered += 1
             dead.append((task_id, attempts[task_id], text))
             pending.pop(task_id, None)
@@ -500,12 +492,6 @@ class QueueExecutor(_PooledExecutor):
                         ):
                             requeued.add(task_id)
                             self._stats.requeues += 1
-                supervise = getattr(broker, "supervise", None)
-                if supervise is not None:
-                    # Shard-aware brokers use the idle beat to run
-                    # half-open health probes and migrate chunks off
-                    # shards whose breaker opened (see ShardRouter).
-                    supervise()
                 if self._should_execute_inline(broker, idle_since):
                     try:
                         claimed = broker.claim(self._submitter)

@@ -4,15 +4,11 @@
 
     python -m repro.engine.worker --broker /path/to/spool
     python -m repro.engine.worker --broker http://host:8642 --broker-token T
-    python -m repro.engine.worker --broker http://a:8642,http://b:8642
 
-runs one worker process against a broker — a local
-:class:`~repro.engine.broker.FileBroker` spool directory, (the
+runs one worker process against one broker — a local
+:class:`~repro.engine.broker.FileBroker` spool directory or (the
 elastic-fleet shape) an ``http(s)://`` URL of a running
-``python -m repro.engine.broker_server``, or a comma-separated list of
-those specs (a sharded fabric: the worker serves every shard through a
-:class:`~repro.engine.shard_router.ShardRouter` and migrates off a
-shard whose breaker opens) — claim a task, unpickle its
+``python -m repro.engine.broker_server`` — claim a task, unpickle its
 tuple of :class:`~repro.engine.request.RunRequest`, execute it exactly
 like an in-process chunk (same code path as every other engine, so
 results are byte-identical by construction), and publish a result
@@ -258,15 +254,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--broker",
         required=True,
-        metavar="SPEC[,SPEC...]",
+        metavar="SPEC",
         help=(
             "broker to serve: an http(s):// URL of a "
-            "`python -m repro.engine.broker_server`, a FileBroker "
-            "spool directory shared with the submitter, or a "
-            "comma-separated list of those — a sharded fabric the "
-            "worker serves through a ShardRouter, migrating off any "
-            "shard whose health probe fails (list the shards in the "
-            "submitter's order)"
+            "`python -m repro.engine.broker_server` or a FileBroker "
+            "spool directory shared with the submitter"
         ),
     )
     parser.add_argument(

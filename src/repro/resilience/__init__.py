@@ -23,28 +23,8 @@ from .expected_time import (
     stacked_raw_profiles,
 )
 from .faults import FaultInjector, NullFaultInjector
-from .replication import (
-    ReplicatedExpectedTimeModel,
-    crossover_mtbf,
-    mnfti,
-    mnfti_asymptotic,
-    mtti,
-)
-from .silent import (
-    SilentErrorConfig,
-    SilentErrorModel,
-    simulate_silent_execution,
-)
 
 __all__ = [
-    "ReplicatedExpectedTimeModel",
-    "crossover_mtbf",
-    "mnfti",
-    "mnfti_asymptotic",
-    "mtti",
-    "SilentErrorConfig",
-    "SilentErrorModel",
-    "simulate_silent_execution",
     "CheckpointStrategy",
     "DalyStrategy",
     "FixedPeriodStrategy",

@@ -10,10 +10,6 @@ flag — is pinned here *once* and run against every transport:
 * ``http`` — :class:`repro.engine.HTTPBroker` against an in-process
   token-authenticated :class:`repro.engine.broker_server.BrokerServer`
   wrapping the same spool implementation;
-* ``sharded`` — a :class:`repro.engine.ShardRouter` over two FileBroker
-  spools (the sharded fabric must speak the same contract as any
-  single transport — with one documented exception: claim order is
-  per-shard FIFO, not global FIFO);
 * ``chaos`` — a :class:`repro.engine.ChaosBroker` wrapping a FileBroker
   with an all-zero-rate :class:`repro.engine.FaultPlan`: with nothing
   armed, the chaos wrapper must be a *true no-op pass-through* of the
@@ -22,7 +18,7 @@ flag — is pinned here *once* and run against every transport:
   semantics.
 
 A behaviour that holds for one transport but not the others is a bug
-in the remote/routing layer, and this suite is where it surfaces.
+in the remote or chaos layer, and this suite is where it surfaces.
 """
 
 import pytest
@@ -31,20 +27,14 @@ from repro.engine import ChaosBroker, FaultPlan
 from repro.engine.broker import Broker, FileBroker
 from repro.engine.broker_server import BrokerServer
 from repro.engine.http_broker import HTTPBroker
-from repro.engine.shard_router import ShardRouter
 
 
-@pytest.fixture(params=["file", "http", "sharded", "chaos"])
+@pytest.fixture(params=["file", "http", "chaos"])
 def broker(request, tmp_path):
     """The same spool semantics, reached through each transport."""
     spool = tmp_path / "spool"
     if request.param == "file":
         yield FileBroker(spool)
-        return
-    if request.param == "sharded":
-        yield ShardRouter(
-            [FileBroker(tmp_path / "shard-a"), FileBroker(tmp_path / "shard-b")]
-        )
         return
     if request.param == "chaos":
         # every rate zero: the wrapper must never inject, only delegate
@@ -93,14 +83,8 @@ class TestBrokerContract:
         for task_id in ("t-0002", "t-0001", "t-0003"):
             broker.submit(task_id, task_id.encode())
         order = [broker.claim("w1")[0] for _ in range(3)]
-        # Exactly-once drain holds everywhere ...
-        assert sorted(order) == ["t-0001", "t-0002", "t-0003"]
+        assert order == ["t-0001", "t-0002", "t-0003"]
         assert broker.claim("w1") is None
-        if not isinstance(broker, ShardRouter):
-            # ... but global FIFO only per transport: a router hash-
-            # partitions tasks, so lexicographic order is per-shard
-            # (chunk reassembly is order-independent by design).
-            assert order == ["t-0001", "t-0002", "t-0003"]
 
     def test_requeue_returns_a_claimed_task(self, broker):
         broker.submit("t-0001", b"payload")

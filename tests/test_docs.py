@@ -38,6 +38,9 @@ DOCUMENTED_CLASSES = (
     engine.Broker,
     engine.FileBroker,
     engine.HTTPBroker,
+    engine.FaultPlan,
+    engine.ChaosBroker,
+    engine.ChaosHTTPTransport,
     engine.RunRequest,
     engine.WorkloadCache,
 )

@@ -20,15 +20,13 @@ EXPECTED_OUTPUT = {
     "quickstart.py": "redistribution gain",
     "heuristic_tournament.py": "competitive ratios",
     "capacity_planning.py": "recommendation",
-    "checkpoint_tuning.py": "silent errors with verification",
-    "replication_tradeoff.py": "crossover",
+    "checkpoint_tuning.py": "checkpoint unit cost",
     "multi_pack_scheduling.py": "best partition by simulation",
     "trace_forensics.py": "event log",
     "np_hardness_demo.py": "Theorem 2: always",
     "batch_campaign.py": "reading:",
     "phase_diagram.py": "per-cell paired comparisons",
     "remote_campaign.py": "byte-identical to the serial run",
-    "sharded_campaign.py": "byte-identical across the shard loss",
     "online_service.py": "certified online lower bound",
 }
 

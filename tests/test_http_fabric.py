@@ -9,22 +9,30 @@ The tentpole pins of the HTTP transport
   injected under the client;
 * a broker server killed mid-campaign and restarted on the same spool
   loses nothing: the campaign stalls through the partition and
-  converges to the same bytes, with zero duplicated chunk results;
+  converges to the same bytes, with zero duplicated chunk results —
+  including the SIGKILL drill on the paper figures, where the server
+  is a real subprocess killed the moment work lands in its spool;
 * fleets are elastic: workers join over HTTP mid-campaign and drain
   gracefully on SIGTERM (finish the claimed chunk, publish, leave),
   and the ``EngineStats`` fleet counters record it all;
 * authentication failures are *permanent* (no retry storm against a
   wrong token), server-side claim leases expire on the server's own
   monotonic clock, and idempotent claim nonces make a lost response
-  harmless.
+  harmless;
+* ``connect_broker`` speaks one broker per campaign and refuses specs
+  it cannot serve, and no task or worker id names a file outside the
+  spool, locally or over HTTP.
 """
 
+import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -37,11 +45,15 @@ from repro.engine import (
     SerialExecutor,
     connect_broker,
 )
-from repro.engine.broker import FileBroker
-from repro.engine.broker_server import BrokerService, BrokerServer
-from repro.engine.http_broker import _b64
+from repro.engine.broker import FileBroker, spool_id
+from repro.engine.broker_server import (
+    SCHEMA_VERSION,
+    BrokerServer,
+    BrokerService,
+)
+from repro.engine.http_broker import DEFAULT_WIRE_POLICY, _b64
 from repro.engine.worker import serve
-from repro.exceptions import PermanentEngineError
+from repro.exceptions import ConfigurationError, PermanentEngineError
 from repro.experiments import run_figure
 
 TOKEN = "fabric-test-token"
@@ -63,6 +75,49 @@ def _requests(count, fn=_square):
 def _start_server(spool, *, port=0):
     server = BrokerServer(FileBroker(spool), token=TOKEN, port=port)
     return server, server.start()
+
+
+def _spawn_server(spool):
+    """A broker server subprocess (SIGKILL-able); (proc, url, port)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = ":".join(sys.path)
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-u",
+            "-m",
+            "repro.engine.broker_server",
+            "--spool",
+            str(spool),
+            "--port",
+            "0",
+            "--token",
+            TOKEN,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    line = proc.stdout.readline()
+    match = re.search(r"on (http://\S+)", line)
+    if match is None:
+        proc.kill()
+        raise RuntimeError(f"broker server failed to start: {line!r}")
+    url = match.group(1)
+    return proc, url, int(url.rsplit(":", 1)[1])
+
+
+def _min_patience(policy):
+    """The shortest total backoff ``policy`` sleeps before giving up."""
+    return sum(
+        min(
+            policy.backoff_max,
+            policy.backoff_base * policy.backoff_factor ** (attempt - 1),
+        )
+        * (1.0 - policy.jitter)
+        for attempt in range(1, policy.max_attempts)
+    )
 
 
 def _start_worker_thread(url, *, chaos_plan=None, **kwargs):
@@ -109,6 +164,97 @@ class TestAuthentication:
                 broker._call("_op_claim", {})
         finally:
             server.shutdown()
+
+
+class TestConnectBroker:
+    def test_unknown_scheme_is_permanent_and_names_the_supported(self):
+        with pytest.raises(PermanentEngineError) as err:
+            connect_broker("redis://localhost:6379/0")
+        message = str(err.value)
+        assert "redis" in message
+        assert "http://" in message and "https://" in message
+        with pytest.raises(PermanentEngineError):
+            connect_broker("ftp://example.com/spool")
+
+    def test_single_specs_still_connect(self, tmp_path):
+        assert isinstance(connect_broker(str(tmp_path / "spool")), FileBroker)
+        remote = connect_broker("http://127.0.0.1:1", token="t")
+        assert isinstance(remote, HTTPBroker)  # lazy: no server contact
+
+    @pytest.mark.parametrize(
+        "spec", ["{tmp}/a,{tmp}/b", "http://127.0.0.1:1,http://127.0.0.1:2"]
+    )
+    def test_a_comma_list_fails_loudly(self, tmp_path, spec):
+        """Not a spool directory literally named ``a,b``."""
+        with pytest.raises(PermanentEngineError) as err:
+            connect_broker(spec.format(tmp=tmp_path))
+        message = str(err.value)
+        assert "http://HOST[:PORT]" in message and "spool DIR" in message
+        assert list(tmp_path.iterdir()) == []
+
+
+def _tree(root):
+    """Every file under ``root`` with its bytes."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+#: Every broker operation that builds a spool path from a task or
+#: worker id (``peek_result`` exists on the spool only; over HTTP
+#: ``fetch_result`` peeks, then acks).
+_PATH_OPS = {
+    "submit": lambda broker, bad: broker.submit(bad, b"x"),
+    "complete": lambda broker, bad: broker.complete(bad, b"x"),
+    "fetch_result": lambda broker, bad: broker.fetch_result(bad),
+    "peek_result": lambda broker, bad: broker.peek_result(bad),
+    "requeue": lambda broker, bad: broker.requeue(bad),
+    "discard": lambda broker, bad: broker.discard(bad),
+    "dead_letter": lambda broker, bad: broker.dead_letter(bad, b"x", b"!"),
+    "fetch_dead_letter": lambda broker, bad: broker.fetch_dead_letter(bad),
+    "heartbeat": lambda broker, bad: broker.heartbeat(bad),
+    "deregister": lambda broker, bad: broker.deregister(bad),
+}
+
+
+class TestSpoolPathTraversal:
+    @pytest.mark.parametrize(
+        "transport, op",
+        [("file", op) for op in sorted(_PATH_OPS)]
+        + [("http", op) for op in sorted(_PATH_OPS) if op != "peek_result"],
+    )
+    def test_ids_never_reach_outside_the_spool(self, tmp_path, transport, op):
+        """``../../escape`` from any spool subdirectory is ``tmp_path``:
+        decoys planted there must be neither read, written nor removed,
+        and the spool itself must not change."""
+        for suffix in (".task", ".info", ".result", ".beat", ".owner"):
+            (tmp_path / f"escape{suffix}").write_bytes(b"decoy")
+        spool = tmp_path / "spool"
+        server = None
+        if transport == "file":
+            broker = FileBroker(spool)
+        else:
+            server, url = _start_server(spool)
+            broker = HTTPBroker(url, token=TOKEN)
+        try:
+            before = _tree(tmp_path)
+            with pytest.raises((ConfigurationError, PermanentEngineError)):
+                _PATH_OPS[op](broker, "../../escape")
+            assert _tree(tmp_path) == before
+            assert broker.live_workers(60.0) == []
+        finally:
+            if server is not None:
+                server.shutdown()
+
+    @pytest.mark.parametrize(
+        "bad", ["", ".", "..", "a/b", "/abs", "nul\0byte"]
+    )
+    def test_spool_id_refuses_path_shaped_ids(self, bad):
+        with pytest.raises(ConfigurationError):
+            spool_id(bad)
+        assert spool_id("t-0001") == "t-0001"
 
 
 class TestFraming:
@@ -169,6 +315,34 @@ class TestFraming:
             server.shutdown()
 
 
+class TestStatusDocument:
+    def test_status_carries_schema_version_and_boot_stamp(self, tmp_path):
+        service = BrokerService(tmp_path / "spool", clock=lambda: 5.0)
+        status = service.handle("status", {})
+        assert status["schema_version"] == SCHEMA_VERSION
+        assert status["boot_monotonic"] == 5.0
+        # a restarted service on the same spool moves the boot stamp
+        reborn = BrokerService(tmp_path / "spool", clock=lambda: 9.0)
+        assert reborn.handle("status", {})["boot_monotonic"] == 9.0
+
+    def test_get_status_and_server_status_see_the_same_document(
+        self, tmp_path
+    ):
+        server, url = _start_server(tmp_path / "spool")
+        try:
+            request = urllib.request.Request(
+                f"{url}/status",
+                headers={"Authorization": f"Bearer {TOKEN}"},
+            )
+            with urllib.request.urlopen(request, timeout=5.0) as response:
+                document = json.loads(response.read())
+            assert document["schema_version"] == SCHEMA_VERSION
+            served = HTTPBroker(url, token=TOKEN).server_status()
+            assert served["boot_monotonic"] == document["boot_monotonic"]
+        finally:
+            server.shutdown()
+
+
 class TestServerSideLeases:
     def test_claim_nonce_replay_is_idempotent(self, tmp_path):
         service = BrokerService(tmp_path / "spool")
@@ -222,6 +396,28 @@ class TestServerSideLeases:
         assert reborn.handle("claim", {"worker_id": "w2", "nonce": "n2"})[
             "task_id"
         ] == "t-0001"
+
+    def test_a_claim_whose_reply_died_with_the_server_is_handed_back(
+        self, tmp_path
+    ):
+        spool = tmp_path / "spool"
+        first = BrokerService(spool)
+        first.handle("submit", {"task_id": "t-0001", "payload": _b64(b"a")})
+        first.handle("submit", {"task_id": "t-0002", "payload": _b64(b"b")})
+        # the server claims for "w", then is SIGKILLed before replying:
+        # the restarted server has no nonce cache, only the spool
+        first.handle("claim", {"worker_id": "w", "nonce": "n1"})
+        reborn = BrokerService(spool)
+        again = reborn.handle("claim", {"worker_id": "w", "nonce": "n1"})
+        assert again == {"task_id": "t-0001", "payload": _b64(b"a")}
+        # a worker the spool records nothing for claims as usual, and
+        # once answered, "w" claims fresh work again
+        other = reborn.handle("claim", {"worker_id": "v", "nonce": "m1"})
+        assert other["task_id"] == "t-0002"
+        reborn.handle("complete", {"task_id": "t-0001", "payload": ""})
+        assert reborn.handle("claim", {"worker_id": "w", "nonce": "n2"}) == {
+            "task_id": None
+        }
 
     def test_lease_expiry_reaches_engine_stats(self, tmp_path):
         from conftest import wait_for
@@ -365,6 +561,80 @@ class TestPartitionRecovery:
             worker.join(timeout=15.0)
             for reborn in replacement:
                 reborn.shutdown()
+
+
+    @pytest.mark.parametrize("figure", ["fig7", "fig10"])
+    def test_figures_survive_a_sigkilled_server(
+        self, tmp_path, figure
+    ):
+        """The SIGKILL drill: one broker server, killed mid-campaign.
+
+        The server is a real subprocess.  As soon as a task lands in
+        its spool it is SIGKILLed, stays dark for less than the wire
+        policy's patience, and restarts on the same port and spool.
+        Submitter and workers stall through the outage on wire retries;
+        the figure must match the serial reference byte for byte with
+        nothing dead-lettered.
+        """
+        dark = 0.5 * _min_patience(DEFAULT_WIRE_POLICY)
+        reference = run_figure(figure, scale="tiny", seed=1, engine="serial")
+        spool = tmp_path / "spool"
+        proc, url, port = _spawn_server(spool)
+        broker = HTTPBroker(url, token=TOKEN)
+        workers = [_start_worker_thread(url, max_idle=30.0) for _ in range(2)]
+        killed = threading.Event()
+        reborn = []
+
+        def kill_and_restart():
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if any(spool.glob("queue/*.task")) or any(
+                    spool.glob("claimed/*.task")
+                ):
+                    proc.send_signal(signal.SIGKILL)
+                    proc.wait(timeout=10.0)
+                    killed.set()
+                    break
+                time.sleep(0.002)
+            if not killed.is_set():
+                return
+            time.sleep(dark)
+            server = BrokerServer(FileBroker(spool), token=TOKEN, port=port)
+            server.start()
+            reborn.append(server)
+
+        assassin = threading.Thread(target=kill_and_restart, daemon=True)
+        assassin.start()
+        try:
+            # a claim cut off between its two spool writes has no owner
+            # and requeues one horizon after the restart: keep it short
+            with QueueExecutor(
+                workers=2, broker=broker, heartbeat_timeout=3.0
+            ) as executor:
+                remote = run_figure(
+                    figure, scale="tiny", seed=1, executor=executor
+                )
+                stats = executor.stats()
+            assert killed.is_set(), "the campaign never reached the server"
+            assert remote.x_values == reference.x_values
+            assert remote.normalized == reference.normalized
+            assert remote.means == reference.means
+            assert stats.dead_lettered == 0
+            assert stats.wire_retries >= 1
+            assassin.join(timeout=30.0)
+            assert not assassin.is_alive() and reborn, "no restart"
+        finally:
+            assassin.join(timeout=30.0)
+            if reborn:
+                broker.request_stop()
+            for worker in workers:
+                worker.join(timeout=20.0)
+            if proc.poll() is None:  # pragma: no cover - cleanup
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for server in reborn:
+                server.shutdown()
 
 
 class TestElasticFleet:
