@@ -11,7 +11,9 @@ Drives a seeded arrival trace through both replay paths of
   JSON round-tripped exactly as the HTTP framing does —
 
 asserts the two canonical documents are byte-identical (the service
-acceptance gate), that no job was lost or double-counted, and records
+acceptance gate), that no job was lost or double-counted, that the
+service replay's Eq. 4 profile misses do not exceed the committed count
+(a deterministic count, so the gate cannot flake), and records
 
 * end-to-end **throughput** (jobs/s and requests/s through the service
   stack), and
@@ -38,6 +40,9 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
+import pytest
+
+from repro.resilience.expected_time import ExpectedTimeModel
 from repro.service import (
     ReplayConfig,
     canonical_bytes,
@@ -93,9 +98,11 @@ def run_bench() -> Dict[str, object]:
     reference = replay_reference(trace, CONFIG)
     reference_seconds = time.perf_counter() - start
 
+    hits0, misses0 = ExpectedTimeModel.process_cache_snapshot()
     start = time.perf_counter()
     served, responses = replay_service(trace, CONFIG)
     service_seconds = time.perf_counter() - start
+    hits, misses = ExpectedTimeModel.process_cache_snapshot()
 
     assert canonical_bytes(reference) == canonical_bytes(served), (
         "service replay diverged from the offline reference"
@@ -118,6 +125,8 @@ def run_bench() -> Dict[str, object]:
             "requests": len(responses),
             "epochs": len(served.epochs),
             "makespan": served.makespan,
+            "profile_hits": hits - hits0,
+            "profile_misses": misses - misses0,
         },
         "reference": {"seconds": reference_seconds},
         "service": {"seconds": service_seconds},
@@ -185,6 +194,19 @@ def test_decision_latency_within_sanity_ceiling():
     assert decision_latency_p99(results) <= MAX_DECISION_LATENCY, (
         f"p99 decision latency {decision_latency_p99(results):.4f}s over "
         f"the {MAX_DECISION_LATENCY}s ceiling"
+    )
+
+
+def test_profile_misses_within_committed_count():
+    """Count gate: a fresh service replay misses the Eq. 4 envelope
+    store no more often than the committed baseline recorded."""
+    committed = json.loads(DEFAULT_BASELINE.read_text())
+    if (committed["scale"], committed["seed"]) != (BENCH_SCALE, BENCH_SEED):
+        pytest.skip("baseline recorded at another scale or seed")
+    misses = run_bench()["trace"]["profile_misses"]
+    assert misses <= committed["trace"]["profile_misses"], (
+        f"{misses} profile misses, committed "
+        f"{committed['trace']['profile_misses']}"
     )
 
 

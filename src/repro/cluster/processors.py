@@ -76,6 +76,33 @@ class ProcessorMap:
             bucket.add(proc)
         return granted
 
+    def acquire_all(self, counts: Dict[int, int]) -> None:
+        """Grant every ``task: count`` pair at once, in ``counts`` order.
+
+        The processor ids are exactly those successive :meth:`acquire`
+        calls would grant (failures strike ids, so they must match).
+        """
+        sizes = list(counts.values())
+        for count in sizes:
+            self._check_even(count)
+        cut = len(self._free) - sum(sizes)
+        if cut < 0:
+            raise CapacityError(
+                f"{len(sizes)} tasks requested {sum(sizes)} processors but "
+                f"only {len(self._free)} are free"
+            )
+        granted = self._free[cut:][::-1]  # the stack's pop order
+        del self._free[cut:]
+        self._owner.update(
+            zip(granted, [t for t, c in counts.items() for _ in range(c)])
+        )
+        start = 0
+        for task, count in counts.items():
+            self._held.setdefault(task, set()).update(
+                granted[start : start + count]
+            )
+            start += count
+
     def release(self, task: int, count: Optional[int] = None) -> List[int]:
         """Return ``count`` processors of ``task`` (default: all) to the pool."""
         bucket = self._held.get(task)

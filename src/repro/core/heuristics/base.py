@@ -146,7 +146,7 @@ def apply_move(
     holds a :class:`~repro.core.kernels.DecisionCache`, the expected
     finish is read off the cache's envelope state
     (:meth:`~repro.core.kernels.DecisionCache.envelope_value` —
-    bit-identical, no model-ring round trip).
+    bit-identical, no envelope-store round trip).
     """
     i = rt.index
     rc = model.rc_factor * redistribution_cost(

@@ -277,7 +277,8 @@ class DecisionCache:
         # -- per-task persistent rows -----------------------------------
         self._fin = np.empty((n, width))        #: candidate finish matrix
         self._rc = np.empty((n, width))         #: rc_factor * RC rows
-        self._cost_rows = np.empty((n, width))  #: checkpoint-cost rows
+        #: checkpoint-cost rows (the model's stacked block, read-only here)
+        self._cost_rows = model._stacked_grids()["cost"]
         self._keep = np.empty(n)                #: Alg. 5 keep-running finishes
         # -- per-task mirrors and validity ------------------------------
         self._sigma = np.full(n, -1, dtype=np.int64)
@@ -310,8 +311,6 @@ class DecisionCache:
         self._pb = np.empty((n, width))
         self._pc = np.empty((n, width))
         self._pd = np.empty((n, width))
-        for i in range(n):
-            self._cost_rows[i] = model.grid(i).cost
         self._sizes = np.fromiter(
             (model.pack[i].size for i in range(n)), dtype=float, count=n
         )
@@ -419,13 +418,13 @@ class DecisionCache:
         Serves the commit-time scalar read — ``apply_move``'s
         expected-finish refresh at the decision's ``alpha^t`` — from the
         envelope row the decision just evaluated in the ``_prof``
-        workspace, skipping the model ring entirely.  Bit-identical by
+        workspace, skipping the model's envelope store entirely.  Bit-identical by
         construction: the row is addressed through ``_prof_pos`` (valid
         only for rows written by the *latest* ``_profile_rows`` pass)
         and its alpha key, and the envelope is a pure function of
         ``(task, quantised alpha)`` — a stale-but-matching row holds the
         same bits a fresh evaluation would.  A cold, repurposed or
-        key-mismatched row falls back to the model (a ring hit whenever
+        key-mismatched row falls back to the model (a store hit whenever
         the row was lazily materialised this decision).  ``k`` must be
         an on-grid even count, which every heuristic's granted
         allocation is.
@@ -511,10 +510,10 @@ class DecisionCache:
     def _profile_rows(self, sub: np.ndarray, k: int) -> np.ndarray:
         """Envelope rows of the stale tasks, delta-patched per task.
 
-        Replaces the model-ring lookup (:meth:`~repro.resilience.
+        Replaces the model's envelope-store lookup (:meth:`~repro.resilience.
         expected_time.ExpectedTimeModel.profile_rows_into`) on the
         per-decision hot path with cache-local per-task profile state —
-        no per-row key tuples, dict probes, ring insertions or result
+        no per-row key tuples, dict probes, store insertions or result
         copies (the pass evaluates straight into the ``_prof``
         workspace).  Two tiers per row:
 
@@ -535,7 +534,7 @@ class DecisionCache:
         flow through the same elementwise operations in the same order
         (``N^ff`` equality is exact float comparison, and the cached
         base holds the exact ``N^ff * exp_period`` product the fresh
-        pass would recompute).  Bypassing the model ring is value-safe
+        pass would recompute).  Bypassing the store is value-safe
         — profiles are pure functions of ``(task, quantised alpha)``,
         never of cache history.  ``_prof_pos``/``_env_key`` record
         which task owns each workspace row and at which alpha key, so
@@ -556,7 +555,7 @@ class DecisionCache:
         d = self._pd[:k]
         np.take(blocks["t_ff"], sub, axis=0, out=b)
         np.multiply(alpha_q[:, None], b, out=c)   # c = work
-        np.take(blocks["wpp"], sub, axis=0, out=b)
+        np.take(blocks["work_per_period"], sub, axis=0, out=b)
         np.divide(c, b, out=d)
         np.floor(d, out=d)                        # d = N^ff
         np.multiply(d, b, out=b)

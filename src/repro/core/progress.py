@@ -19,7 +19,7 @@ simulator as the completion event time.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "elapsed_work_fraction",
     "checkpointed_work_fraction",
     "projected_finish",
+    "projected_finishes",
     "remaining_after_elapsed",
     "remaining_after_failure",
     "remaining_after_failure_from_values",
@@ -88,6 +89,26 @@ def projected_finish(
     return t_last + work + n_ff * cost
 
 
+def projected_finishes(
+    t_last: np.ndarray,
+    alpha: np.ndarray,
+    t_ff: np.ndarray,
+    tau: np.ndarray,
+    cost: np.ndarray,
+) -> np.ndarray:
+    """:func:`projected_finish` of several tasks at once.
+
+    Elementwise over the same floats, so entry ``r`` equals the scalar
+    form of the same task bit for bit (the simulator's run prologue).
+    """
+    work = alpha * t_ff
+    wpp = tau - cost
+    n_ff = np.floor(work / wpp)
+    # An exact multiple elides the useless final checkpoint.
+    n_ff -= (n_ff > 0) & (np.abs(work - n_ff * wpp) <= 1e-9)
+    return np.where(alpha <= 0.0, t_last, t_last + work + n_ff * cost)
+
+
 def remaining_after_elapsed(
     model: ExpectedTimeModel, i: int, j: int, alpha: float, t: float, t_last: float
 ) -> float:
@@ -133,7 +154,7 @@ def remaining_from_arrays(
     return np.minimum(alpha, np.maximum(0.0, alpha - done))
 
 
-class Residual:
+class Residual(NamedTuple):
     """Frozen snapshot of one live task at a re-pack probe time.
 
     ``alpha`` is the remaining work fraction at the probe; ``stall`` the
@@ -145,55 +166,51 @@ class Residual:
     left unchanged resumes bit-identically.
     """
 
-    __slots__ = ("alpha", "stall", "sigma", "t_last")
-
-    def __init__(self, alpha: float, stall: float, sigma: int, t_last: float):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "stall", stall)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "t_last", t_last)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Residual is immutable")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Residual(alpha={self.alpha!r}, stall={self.stall!r}, "
-            f"sigma={self.sigma}, t_last={self.t_last!r})"
-        )
+    alpha: float
+    stall: float
+    sigma: int
+    t_last: float
 
 
 def residual_workload(
-    model: ExpectedTimeModel,
     runtimes: Sequence["TaskRuntime"],
     t: float,
+    t_ff: np.ndarray,
+    tau: np.ndarray,
+    cost: np.ndarray,
 ) -> "dict[int, Residual]":
     """Residual workload of every uncompleted runtime at time ``t``.
 
     The rolling-horizon extraction: at an epoch boundary the online
     service reads the remaining fraction of each live task off the
     simulator state and re-co-schedules the residuals as a fresh pack.
-    A task still inside a blackout window (``t < t_last``) has already
+    ``t_ff``/``tau``/``cost`` hold each task's grid values at its
+    current allocation, indexed by task (the simulator's mirrors).  A
+    task still inside a blackout window (``t < t_last``) has already
     banked its post-rollback ``alpha`` — it carries that fraction plus
     the unserved stall; a running task subtracts the useful work done
-    since its pattern restart (:func:`remaining_after_elapsed`, the same
+    since its pattern restart, in one :func:`remaining_from_arrays`
+    pass (bit-identical to :func:`remaining_after_elapsed`, the same
     arithmetic as the in-run heuristics' ``alpha^t_i``).
     """
-    residuals = {}
-    for rt in runtimes:
-        if rt.completed:
-            continue
-        i = rt.index
-        if t < rt.t_last:
-            residuals[i] = Residual(
-                rt.alpha, rt.t_last - t, rt.sigma, rt.t_last
-            )
-        else:
-            alpha_t = remaining_after_elapsed(
-                model, i, rt.sigma, rt.alpha, t, rt.t_last
-            )
-            residuals[i] = Residual(alpha_t, 0.0, rt.sigma, rt.t_last)
-    return residuals
+    live = [rt for rt in runtimes if not rt.completed]
+    idx = np.array([rt.index for rt in live], dtype=np.int64)
+    alpha_t = remaining_from_arrays(
+        np.array([rt.alpha for rt in live]),
+        np.array([rt.t_last for rt in live]),
+        t_ff[idx],
+        tau[idx],
+        cost[idx],
+        t,
+    )
+    return {
+        rt.index: (
+            Residual(rt.alpha, rt.t_last - t, rt.sigma, rt.t_last)
+            if t < rt.t_last
+            else Residual(alpha, 0.0, rt.sigma, rt.t_last)
+        )
+        for rt, alpha in zip(live, alpha_t.tolist())
+    }
 
 
 def remaining_after_failure(

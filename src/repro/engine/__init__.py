@@ -38,7 +38,7 @@ runner function must honour:
    :data:`repro.engine.cache.shared_cache` must be a pure function of
    its cache key, and any internal caching of a reused object (for
    example the :class:`~repro.resilience.expected_time.ExpectedTimeModel`
-   profile ring, which evaluates on a quantised-alpha grid) must be
+   envelope store, which evaluates on a quantised-alpha grid) must be
    history-independent: a warm hit returns exactly what a cold rebuild
    would.
 

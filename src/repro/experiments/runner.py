@@ -111,7 +111,7 @@ def _replicate_workload(
     """Memoised ``(pack, model)`` for one replicate draw.
 
     The draw is a pure function of ``(config, rep_seed)`` and the
-    model's profile ring is history-independent, so sharing a cached
+    model's envelope store is history-independent, so sharing a cached
     workload across identical requests (the same scenario at several
     sweep points, repeated figures of one campaign) cannot change any
     result — see the determinism contract in :mod:`repro.engine`.

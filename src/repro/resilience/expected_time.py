@@ -24,15 +24,19 @@ Adding processors raises the failure rate, so ``t^R`` is not monotone in
 "threshold" envelope), restoring assumption (5).
 
 The whole grid over even ``j`` is evaluated at once with NumPy (the
-envelope needs the prefix minimum anyway).  Envelope profiles are cached
-in flat preallocated ndarray rows keyed by ``(task, quantised alpha)``:
-rollback alphas are continuous floats, so the alpha is quantised to the
-1e-12 grid — and the profile is *evaluated at the quantised alpha* — to
-keep the hit rate high under faults while staying deterministic: the
-returned envelope is a pure function of ``(task, quantised alpha)``,
-never of what the cache happened to contain (the perturbation is below
-1e-12 relative, far under the model's fidelity).  Eviction is FIFO over
-the row ring.
+envelope needs the prefix minimum anyway).  Envelope rows are stored on
+the task's :class:`TaskGrid`, keyed by quantised alpha: rollback alphas
+are continuous floats, so the alpha is quantised to the 1e-12 grid —
+and the profile is *evaluated at the quantised alpha* — to keep the hit
+rate high under faults while staying deterministic: the returned
+envelope is a pure function of ``(TaskGrid, quantised alpha)``, never of
+what the store happened to contain (the perturbation is below 1e-12
+relative, far under the model's fidelity).  Rows live and die with
+their grid: figure runs build grids per model, while the online service
+hands each running job's grid to every model it builds, so the job's
+rows carry from epoch to epoch.  Each model bounds the rows it inserts
+by ``cache_size``, FIFO over its own insertions.
+
 This is the hot path of the library; the batch accessors
 (:meth:`ExpectedTimeModel.expected_times`,
 :meth:`ExpectedTimeModel.profile_batch`) let the scheduling heuristics
@@ -43,9 +47,9 @@ single vectorised call instead of per-slot scalar lookups.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -127,21 +131,33 @@ def last_period(alpha: float, t_ff: float, tau: float, cost: float) -> float:
     return alpha * t_ff - n_ff * (tau - cost)
 
 
-@dataclass(frozen=True)
+#: The value rows of :attr:`TaskGrid.block`, in order.
+GRID_ROWS = (
+    "t_ff", "cost", "tau", "lam", "prefactor", "exp_period", "work_per_period"
+)
+
+
+@dataclass(frozen=True, eq=False)
 class TaskGrid:
     """Precomputed per-task arrays over the even-``j`` grid.
 
-    ``index k`` corresponds to ``j = 2 (k + 1)``.
+    ``index k`` corresponds to ``j = 2 (k + 1)``.  The seven value rows
+    live in one ``(7, width)`` :attr:`block`; the named fields are views
+    of its rows (:data:`GRID_ROWS` order), so a model stacks its grids
+    with one ``np.stack``.  ``envelopes`` maps a quantised alpha key to
+    the read-only Eq. (6) envelope row at that alpha (module docstring);
+    it is not a field, and grids hash by identity (``eq=False``).
     """
 
     j: np.ndarray          #: even processor counts 2, 4, ..., j_max
-    t_ff: np.ndarray       #: fault-free times t_{i,j}
-    cost: np.ndarray       #: checkpoint costs C_{i,j}
-    tau: np.ndarray        #: checkpoint periods tau_{i,j}
-    lam: np.ndarray        #: task failure rates lambda * j
-    prefactor: np.ndarray  #: e^{lambda j R} (1/(lambda j) + D)
-    exp_period: np.ndarray  #: e^{lambda j tau} - 1
-    work_per_period: np.ndarray  #: tau - C
+    block: np.ndarray      #: (7, width) value rows, GRID_ROWS order
+    t_ff: np.ndarray = field(init=False)       #: fault-free times t_{i,j}
+    cost: np.ndarray = field(init=False)       #: checkpoint costs C_{i,j}
+    tau: np.ndarray = field(init=False)        #: checkpoint periods tau_{i,j}
+    lam: np.ndarray = field(init=False)        #: task failure rates lambda * j
+    prefactor: np.ndarray = field(init=False)  #: e^{lambda j R} (1/(lambda j) + D)
+    exp_period: np.ndarray = field(init=False)  #: e^{lambda j tau} - 1
+    work_per_period: np.ndarray = field(init=False)  #: tau - C
 
     @classmethod
     def build(
@@ -158,36 +174,32 @@ class TaskGrid:
         can serve every model that shares those (the online service keeps
         one per running job across its re-packs).
         """
-        t_ff = np.asarray(task.fault_free_time(j), dtype=float)
-        cost = np.asarray(resilience.cost(task, j), dtype=float)
-        tau = np.asarray(resilience.period(task, j), dtype=float)
-        lam = np.asarray(resilience.task_lambda(j), dtype=float)
+        block = np.empty((len(GRID_ROWS), len(j)))
+        t_ff, cost, tau, lam, prefactor, exp_period, work_per_period = block
+        t_ff[:] = task.fault_free_time(j)
+        cost[:] = resilience.cost(task, j)
+        tau[:] = resilience.period(task, j)
+        lam[:] = resilience.task_lambda(j)
         recovery = cost  # buddy protocol: R = C
         with np.errstate(over="ignore"):
             # exp overflow -> inf: the expected time legitimately diverges
             # on hopeless (MTBF << period) configurations
-            prefactor = np.exp(lam * recovery) * (1.0 / lam + downtime)
-            exp_period = np.expm1(lam * tau)
-        work_per_period = tau - cost
+            prefactor[:] = np.exp(lam * recovery) * (1.0 / lam + downtime)
+            np.expm1(lam * tau, out=exp_period)
+        np.subtract(tau, cost, out=work_per_period)
         if np.any(work_per_period <= 0):
             raise ConfigurationError(
                 f"task {task.index}: checkpoint period does not exceed its "
                 "cost; the checkpoint strategy is inconsistent"
             )
-        return cls(
-            j=j,
-            t_ff=t_ff,
-            cost=cost,
-            tau=tau,
-            lam=lam,
-            prefactor=prefactor,
-            exp_period=exp_period,
-            work_per_period=work_per_period,
-        )
+        return cls(j=j, block=block)
 
     def __post_init__(self) -> None:
-        # slot() sits on every scalar accessor; memoise its arithmetic
-        # (the dataclass is frozen, hence the object.__setattr__).
+        # The dataclass is frozen, hence the object.__setattr__.
+        for name, row in zip(GRID_ROWS, self.block):
+            object.__setattr__(self, name, row)
+        object.__setattr__(self, "envelopes", {})
+        # slot() sits on every scalar accessor; memoise its arithmetic.
         object.__setattr__(self, "_slot_memo", {})
         object.__setattr__(self, "_size", len(self.j))
 
@@ -295,8 +307,11 @@ class ExpectedTimeModel:
     max_procs:
         Largest ``j`` in the grid (defaults to ``cluster.processors``).
     cache_size:
-        Number of ``(task, alpha)`` profiles kept alive (FIFO eviction
-        over a preallocated row ring).
+        Number of envelope rows this model keeps inserted in its grids'
+        stores (FIFO over its own insertions; an evicted row is dropped
+        from whichever grid holds it and stays valid for any holder).
+        Rows other models inserted into shared grids are read, never
+        counted or evicted here.
     rc_factor:
         Multiplier on every redistribution cost ``RC_i^{j->k}`` seen by
         the heuristics (ablation knob: 0 makes redistribution free, large
@@ -308,7 +323,7 @@ class ExpectedTimeModel:
         blocks; ``True`` keeps the original per-call ``np.stack`` paths
         (:func:`stacked_raw_profiles`) verbatim.  Both are bit-identical,
         and the public ``reference`` attribute may be flipped at any
-        time — the profile ring is keyed only by ``(task, quantised
+        time — stored rows are keyed only by ``(grid, quantised
         alpha)``, so warm entries stay valid.  ``Simulator(reference=
         True)`` sets it on the model it runs.
     grids:
@@ -316,7 +331,8 @@ class ExpectedTimeModel:
         callers that keep grids across models (the online service).  Each
         must be :meth:`TaskGrid.build` of that task over this model's
         ``j_grid`` with the same resilience model and downtime; by
-        default grids are built lazily by :meth:`grid`.
+        default grids are built lazily by :meth:`grid`.  Handed grids
+        bring their stored envelope rows with them.
     """
 
     @staticmethod
@@ -366,25 +382,15 @@ class ExpectedTimeModel:
                     f"task of the {len(pack)}-task pack"
                 )
             self._grids = dict(enumerate(grids))
-        # Flat profile store: one preallocated row array per live envelope,
-        # grown on demand up to cache_size and then recycled FIFO.
-        # _profile_views maps (task, quantised-alpha) -> read-only row and
-        # _row_keys tracks each row's occupant for the eviction.  A row is
-        # only reused in place when no caller still references it (checked
-        # via the refcount); otherwise a fresh array takes its slot and the
-        # holder keeps the old, still-valid envelope — the semantics the
-        # seed's OrderedDict cache gave for free.
         self._cache_size = int(cache_size)
-        self._rows: list[np.ndarray] = []
-        self._profile_views: Dict[tuple[int, int], np.ndarray] = {}
-        self._row_keys: list[Optional[tuple[int, int]]] = []
-        self._clock = 0
+        #: (grid store, alpha key) of every row this model inserted,
+        #: oldest first: the FIFO that cache_size bounds.
+        self._inserted: Deque[tuple[dict, int]] = deque()
         self.cache_hits = 0
         self.cache_misses = 0
-        # Stacked per-task grid block behind profile_rows_into: one
-        # (n_tasks, grid) copy of each TaskGrid field, built once per
-        # model so row-level re-evaluations are pure fancy indexing with
-        # no per-call np.stack of grids.
+        # Every TaskGrid row stacked into (n_tasks, grid) blocks, built
+        # once per model so batched evaluations are pure fancy indexing
+        # with no per-call np.stack of grids.
         self._stacked_block: Optional[Dict[str, np.ndarray]] = None
         self.reference = bool(reference)
         self._backend_obj: Optional[FusedProfileBackend] = None
@@ -420,43 +426,24 @@ class ExpectedTimeModel:
     # -- profiles --------------------------------------------------------------
     @staticmethod
     def _alpha_key(alpha: float) -> int:
-        """Quantised cache key: alphas within ~1e-12 share a profile.
+        """Quantised store key: alphas within ~1e-12 share a profile.
 
         Profiles are evaluated at ``key / 1e12`` (see the module
         docstring), so a hit and a fresh computation agree bit for bit.
         """
         return int(round(alpha * _ALPHA_SCALE))
 
-    def _store_profile(self, key: tuple[int, int], values: np.ndarray) -> np.ndarray:
-        """Insert an envelope into the flat row ring (FIFO eviction)."""
-        if len(self._rows) < self._cache_size:
-            arr = np.empty(self._grid_len, dtype=float)
-            self._rows.append(arr)
-            self._row_keys.append(key)
-        else:
-            slot = self._clock % self._cache_size
-            evicted = self._row_keys[slot]
-            if evicted is not None:
-                del self._profile_views[evicted]
-            arr = self._rows[slot]
-            # Reuse the row in place only when provably unreferenced.
-            # CPython refs here: self._rows + local arr + getrefcount
-            # argument = 3; more means a caller still holds the evicted
-            # envelope (or a view of it).  Extra transient references can
-            # only over-count, i.e. force a harmless fresh allocation;
-            # interpreters without refcounts always take the safe branch.
-            getrefcount = getattr(sys, "getrefcount", None)
-            if getrefcount is None or getrefcount(arr) > 3:
-                arr = np.empty(self._grid_len, dtype=float)
-                self._rows[slot] = arr
-            else:
-                arr.setflags(write=True)
-            self._row_keys[slot] = key
-        self._clock += 1
-        arr[:] = values
-        arr.setflags(write=False)
-        self._profile_views[key] = arr
-        return arr
+    def _insert(
+        self, envelopes: dict, key: int, row: np.ndarray
+    ) -> np.ndarray:
+        """Store a read-only envelope row in a grid's store (FIFO-bounded)."""
+        envelopes[key] = row
+        inserted = self._inserted
+        inserted.append((envelopes, key))
+        if len(inserted) > self._cache_size:
+            store, old = inserted.popleft()
+            store.pop(old, None)
+        return row
 
     def profile(self, i: int, alpha: float = 1.0) -> np.ndarray:
         """Envelope ``t^R_{i,j}(alpha)`` for every even ``j`` in the grid.
@@ -464,13 +451,13 @@ class ExpectedTimeModel:
         Returns the Eq. (6) running minimum, so the result is non-increasing
         in ``j`` (assumption (5) holds by construction).  The envelope is
         evaluated at the 1e-12-quantised ``alpha`` (module docstring), so
-        the result never depends on cache history.
+        the result never depends on store history.
         """
-        if alpha < 0.0 or alpha > 1.0 + 1e-12:
+        if not 0.0 <= alpha <= 1.0 + 1e-12:
             raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
-        a_key = self._alpha_key(alpha)
-        key = (i, a_key)
-        cached = self._profile_views.get(key)
+        key = self._alpha_key(alpha)
+        envelopes = self.grid(i).envelopes
+        cached = envelopes.get(key)
         if cached is not None:
             self.cache_hits += 1
             _PROCESS_PROFILE_COUNTERS[0] += 1
@@ -479,68 +466,83 @@ class ExpectedTimeModel:
         _PROCESS_PROFILE_COUNTERS[1] += 1
         backend = self._get_backend()
         if backend is None:
-            grid = self.grid(i)
-            raw = self.raw_profile(i, a_key / _ALPHA_SCALE, grid)
+            raw = self.raw_profile(i, key / _ALPHA_SCALE)
         else:
-            raw = backend.raw_row(i, a_key / _ALPHA_SCALE)
+            raw = backend.raw_row(i, key / _ALPHA_SCALE)
         envelope = np.minimum.accumulate(raw)
-        return self._store_profile(key, envelope)
+        envelope.setflags(write=False)
+        return self._insert(envelopes, key, envelope)
+
+    def _rows_into(
+        self,
+        indices: Sequence[int],
+        alphas: np.ndarray,
+        out: np.ndarray,
+        store: bool = True,
+    ) -> np.ndarray:
+        """Envelope row of each ``(indices[r], alphas[r])`` into ``out[r]``.
+
+        The one lookup behind the batched accessors.  Keys are quantised
+        in one ``np.rint`` pass (bit-equal to the scalar
+        ``int(round(...))`` key: both round half to even); the misses —
+        each distinct ``(task, key)`` once — run in one raw-row pass and
+        are stored unless ``store`` is false; then every row lands in
+        ``out`` in one slice assignment.
+        """
+        for alpha in alphas.tolist():
+            if not 0.0 <= alpha <= 1.0 + 1e-12:  # NaN fails too
+                raise ConfigurationError(
+                    f"alpha must be in [0, 1], got {alpha}"
+                )
+        keys = np.rint(alphas * _ALPHA_SCALE).astype(np.int64).tolist()
+        grid, built = self.grid, self._grids.get
+        stores = [(built(i) or grid(i)).envelopes for i in indices]
+        found = [store.get(key) for store, key in zip(stores, keys)]
+        missing: Dict[tuple[int, int], list[int]] = {}
+        for pos, row in enumerate(found):
+            if row is None:
+                missing.setdefault((indices[pos], keys[pos]), []).append(pos)
+        misses = sum(map(len, missing.values()))
+        hits = len(found) - misses
+        self.cache_hits += hits
+        self.cache_misses += misses
+        _PROCESS_PROFILE_COUNTERS[0] += hits
+        _PROCESS_PROFILE_COUNTERS[1] += misses
+        if missing:
+            sel = np.array([i for i, _ in missing], dtype=np.int64)
+            alpha_q = np.array([key for _, key in missing]) / _ALPHA_SCALE
+            backend = self._get_backend()
+            if backend is None:
+                raw = stacked_raw_profiles(
+                    [grid(i) for i in sel.tolist()], alpha_q
+                )
+            else:
+                raw = backend.raw_rows(sel, alpha_q)
+            block = np.minimum.accumulate(raw, axis=1)  # a fresh array
+            block.setflags(write=False)
+            for row, ((_, key), positions) in zip(block, missing.items()):
+                if store:
+                    self._insert(stores[positions[0]], key, row)
+                for pos in positions:
+                    found[pos] = row
+        if found:
+            out[: len(found)] = found
+        return out
 
     def profile_batch(
         self, indices: Sequence[int], alpha: float = 1.0
     ) -> np.ndarray:
         """Envelopes of several tasks at one ``alpha``, stacked row-wise.
 
-        Cached profiles are gathered; the missing ones are evaluated in a
+        Stored rows are gathered; the missing ones are evaluated in a
         single vectorised pass over their stacked grids (one ``expm1``
-        over a 2-D block instead of one call per task) and inserted into
-        the cache.  Returns an array of shape ``(len(indices), grid)``.
+        over a 2-D block instead of one call per task) and stored.
+        Returns an array of shape ``(len(indices), grid)``.
         """
-        if alpha < 0.0 or alpha > 1.0 + 1e-12:
-            raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
         indices = list(indices)
-        out = np.empty((len(indices), self._grid_len), dtype=float)
-        a_key = self._alpha_key(alpha)
-        # Duplicate task indices must evaluate (and store) only once.
-        missing: list[int] = []
-        positions_of: Dict[int, list[int]] = {}
-        for pos, i in enumerate(indices):
-            cached = self._profile_views.get((i, a_key))
-            if cached is not None:
-                self.cache_hits += 1
-                _PROCESS_PROFILE_COUNTERS[0] += 1
-                out[pos] = cached
-            else:
-                self.cache_misses += 1
-                _PROCESS_PROFILE_COUNTERS[1] += 1
-                if i not in positions_of:
-                    positions_of[i] = []
-                    missing.append(pos)
-                positions_of[i].append(pos)
-        if not missing:
-            return out
-        alpha_q = a_key / _ALPHA_SCALE  # evaluate at the quantised alpha
-        backend = self._get_backend()
-        if backend is None:
-            grids = [self.grid(indices[pos]) for pos in missing]
-            block = stacked_raw_profiles(
-                grids, np.full(len(grids), alpha_q, dtype=float)
-            )
-        else:
-            sel = np.fromiter(
-                (indices[pos] for pos in missing), dtype=np.int64,
-                count=len(missing),
-            )
-            block = backend.raw_rows(
-                sel, np.full(len(missing), alpha_q, dtype=float)
-            )
-        np.minimum.accumulate(block, axis=1, out=block)
-        for k, pos in enumerate(missing):
-            i = indices[pos]
-            self._store_profile((i, a_key), block[k])
-            for dup_pos in positions_of[i]:
-                out[dup_pos] = block[k]
-        return out
+        out = np.empty((len(indices), self._grid_len))
+        alphas = np.full(len(indices), float(alpha))
+        return self._rows_into(indices, alphas, out)
 
     def profile_matrix(
         self, indices: Sequence[int], alphas: Sequence[float]
@@ -551,82 +553,31 @@ class ExpectedTimeModel:
         scheduling decision point every task carries a distinct
         remaining-work fraction, so the decision kernels
         (:mod:`repro.core.kernels`) need one envelope row per ``(task,
-        alpha)`` pair.  Cached rows are gathered; the missing ones are
-        evaluated in a single :func:`stacked_raw_profiles` pass and
-        inserted.  Row ``r`` is bit-identical to
+        alpha)`` pair.  Row ``r`` is bit-identical to
         ``profile(indices[r], alphas[r])``.  Returns an array of shape
         ``(len(indices), grid)``.
         """
         indices = list(indices)
         alphas_arr = ensure_alpha_vector(alphas, len(indices), "profile_matrix")
-        if alphas_arr.size and (
-            float(alphas_arr.min()) < 0.0
-            or float(alphas_arr.max()) > 1.0 + 1e-12
-        ):
-            raise ConfigurationError(
-                f"every alpha must be in [0, 1], got {alphas_arr.tolist()}"
-            )
-        out = np.empty((len(indices), self._grid_len), dtype=float)
-        keys: list[tuple[int, int]] = []
-        missing: list[int] = []
-        positions_of: Dict[tuple[int, int], list[int]] = {}
-        for pos, i in enumerate(indices):
-            key = (i, self._alpha_key(float(alphas_arr[pos])))
-            keys.append(key)
-            cached = self._profile_views.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                _PROCESS_PROFILE_COUNTERS[0] += 1
-                out[pos] = cached
-            else:
-                self.cache_misses += 1
-                _PROCESS_PROFILE_COUNTERS[1] += 1
-                if key not in positions_of:
-                    positions_of[key] = []
-                    missing.append(pos)
-                positions_of[key].append(pos)
-        if not missing:
-            return out
-        alpha_q = np.array(
-            [keys[pos][1] / _ALPHA_SCALE for pos in missing], dtype=float
-        )
-        backend = self._get_backend()
-        if backend is None:
-            grids = [self.grid(indices[pos]) for pos in missing]
-            block = stacked_raw_profiles(grids, alpha_q)
-        else:
-            sel = np.fromiter(
-                (indices[pos] for pos in missing), dtype=np.int64,
-                count=len(missing),
-            )
-            block = backend.raw_rows(sel, alpha_q)
-        np.minimum.accumulate(block, axis=1, out=block)
-        for row, pos in enumerate(missing):
-            self._store_profile(keys[pos], block[row])
-            for dup_pos in positions_of[keys[pos]]:
-                out[dup_pos] = block[row]
-        return out
+        out = np.empty((len(indices), self._grid_len))
+        return self._rows_into(indices, alphas_arr, out)
 
     def _stacked_grids(self) -> Dict[str, np.ndarray]:
-        """The per-task grid fields stacked into (n_tasks, grid) blocks.
+        """Every :class:`TaskGrid` row stacked into ``(n_tasks, grid)`` blocks.
 
-        Built once per model (forcing every task grid) and reused by
-        every :meth:`profile_rows_into` call — the per-simulation scratch
-        the decision-state engine rides on.  Row ``i`` of each block is a
-        copy of the corresponding :class:`TaskGrid` array of task ``i``,
-        so fancy-indexed evaluations are bit-identical to
-        :func:`stacked_raw_profiles` over freshly stacked grids.
+        Built once per model (forcing every task grid) with one
+        ``np.stack`` of the grids' value blocks, keyed by
+        :data:`GRID_ROWS`; row ``i`` of each block is a copy of task
+        ``i``'s grid array, so fancy-indexed evaluations are
+        bit-identical to :func:`stacked_raw_profiles` over freshly
+        stacked grids.
         """
         block = self._stacked_block
         if block is None:
-            grids = [self.grid(i) for i in range(len(self.pack))]
-            block = {
-                "t_ff": np.stack([g.t_ff for g in grids]),
-                "wpp": np.stack([g.work_per_period for g in grids]),
-                "lam": np.stack([g.lam for g in grids]),
-                "prefactor": np.stack([g.prefactor for g in grids]),
-                "exp_period": np.stack([g.exp_period for g in grids]),
-            }
+            stacked = np.stack(
+                [self.grid(i).block for i in range(len(self.pack))], axis=1
+            )
+            block = dict(zip(GRID_ROWS, stacked))
             self._stacked_block = block
         return block
 
@@ -638,25 +589,18 @@ class ExpectedTimeModel:
         *,
         store: bool = True,
     ) -> np.ndarray:
-        """Row-level profile re-evaluation: :meth:`profile_matrix` into scratch.
+        """:meth:`profile_matrix` into caller-preallocated scratch.
 
         Writes the envelope row of each ``(indices[r], alphas[r])`` pair
-        into ``out[r]`` (caller-preallocated, shape ``(len(indices),
-        grid)``) and returns ``out``.  Cached rows are gathered from the
-        profile ring; missing rows are evaluated in one fused pass over
-        the persistent stacked grid block (:meth:`_stacked_grids`) —
-        no per-call ``np.stack`` — and inserted into the ring so later
-        scalar reads (e.g. the heuristics' ``apply_move`` bookkeeping)
-        still hit.  Row ``r`` is bit-identical to
-        ``profile(indices[r], alphas[r])``; the decision-state engine
-        (:class:`repro.core.kernels.DecisionCache`) relies on that.
+        into ``out[r]`` (shape at least ``(len(indices), grid)``) and
+        returns ``out``.  Row ``r`` is bit-identical to
+        ``profile(indices[r], alphas[r])``.
 
-        ``store=False`` skips the ring insertion of freshly evaluated
-        rows (they are still read from the ring when present).  Right
-        for per-event alphas that never recur — storing them would be
-        pure eviction churn — and value-safe either way, since profiles
-        are pure functions of ``(task, quantised alpha)``, never of
-        cache history.
+        ``store=False`` skips storing freshly evaluated rows (stored
+        rows are still read).  Right for per-event alphas that never
+        recur — storing them would be pure eviction churn — and
+        value-safe either way, since profiles are pure functions of
+        ``(grid, quantised alpha)``, never of store history.
         """
         indices = list(indices)
         alphas_arr = ensure_alpha_vector(
@@ -667,69 +611,7 @@ class ExpectedTimeModel:
                 f"profile_rows_into scratch too small: out shape "
                 f"{out.shape}, need ({len(indices)}, {self._grid_len})"
             )
-        if alphas_arr.size and (
-            float(alphas_arr.min()) < 0.0
-            or float(alphas_arr.max()) > 1.0 + 1e-12
-        ):
-            raise ConfigurationError(
-                f"every alpha must be in [0, 1], got {alphas_arr.tolist()}"
-            )
-        keys: list[tuple[int, int]] = []
-        missing: list[int] = []
-        positions_of: Dict[tuple[int, int], list[int]] = {}
-        for pos, i in enumerate(indices):
-            key = (i, self._alpha_key(float(alphas_arr[pos])))
-            keys.append(key)
-            cached = self._profile_views.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                _PROCESS_PROFILE_COUNTERS[0] += 1
-                out[pos] = cached
-            else:
-                self.cache_misses += 1
-                _PROCESS_PROFILE_COUNTERS[1] += 1
-                if key not in positions_of:
-                    positions_of[key] = []
-                    missing.append(pos)
-                positions_of[key].append(pos)
-        if not missing:
-            return out
-        sel = np.fromiter(
-            (indices[pos] for pos in missing), dtype=np.int64,
-            count=len(missing),
-        )
-        alpha_q = np.array(
-            [keys[pos][1] / _ALPHA_SCALE for pos in missing], dtype=float
-        )
-        backend = self._get_backend()
-        if backend is None:
-            # Reference mode: the multi-grid branch of
-            # stacked_raw_profiles, operation for operation, over
-            # fancy-indexed rows of the persistent block.
-            stacked = self._stacked_grids()
-            t_ff = stacked["t_ff"][sel]
-            wpp = stacked["wpp"][sel]
-            work = alpha_q[:, None] * t_ff
-            n_ff = np.floor(work / wpp)
-            tau_last = work - n_ff * wpp
-            lam = stacked["lam"][sel]
-            with np.errstate(over="ignore"):
-                block = stacked["prefactor"][sel] * (
-                    n_ff * stacked["exp_period"][sel]
-                    + np.expm1(lam * tau_last)
-                )
-            zero = alpha_q <= 0.0
-            if bool(np.any(zero)):
-                block[zero] = 0.0
-        else:
-            block = backend.raw_rows(sel, alpha_q)
-        np.minimum.accumulate(block, axis=1, out=block)
-        for row, pos in enumerate(missing):
-            if store:
-                self._store_profile(keys[pos], block[row])
-            for dup_pos in positions_of[keys[pos]]:
-                out[dup_pos] = block[row]
-        return out
+        return self._rows_into(indices, alphas_arr, out, store)
 
     def raw_profile(
         self, i: int, alpha: float, grid: Optional[TaskGrid] = None
@@ -810,7 +692,7 @@ class ExpectedTimeModel:
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "entries": len(self._profile_views),
+            "entries": len(self._inserted),
             "capacity": self._cache_size,
             "hit_rate": self.cache_hits / lookups if lookups else 0.0,
         }

@@ -21,8 +21,8 @@ bit-identical to the reference rows by construction (pinned by
 ``tests/test_properties_profile_backends.py``).
 
 The backend only computes *raw* Eq. (4) rows; the Eq. (6)
-running-minimum envelope, alpha quantisation and ring insertion stay in
-the model, so both paths share the exact same caching semantics.
+running-minimum envelope, alpha quantisation and the envelope store stay
+in the model, so both paths share the exact same caching semantics.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class FusedProfileBackend:
 
     def __init__(self, blocks: Dict[str, np.ndarray]):
         self._t_ff = blocks["t_ff"]
-        self._wpp = blocks["wpp"]
+        self._wpp = blocks["work_per_period"]
         self._lam = blocks["lam"]
         self._prefactor = blocks["prefactor"]
         self._exp_period = blocks["exp_period"]

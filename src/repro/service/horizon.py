@@ -36,12 +36,14 @@ segment whose prologue and event loop are exactly ``Simulator.run``.
 Warm state reused across epochs: each running job's Eq. 4
 :class:`~repro.resilience.expected_time.TaskGrid` (fault-free times,
 checkpoint costs and periods, failure rates and the ``exp`` terms over
-the even-``j`` grid).  A grid depends only on the job and the platform,
-never on the pack, so the engine builds it for the first model built
-over a pack holding the job and hands the same object to every later
-model built while the job runs; it is dropped when the job completes
-or is cancelled, so the store holds at most one grid per running job.
-This is the reuse that pays.  :class:`ExpectedTimeModel` instances are
+the even-``j`` grid) and the Eq. 6 envelope rows stored on it.  A grid
+and its rows depend only on the job and the platform, never on the
+pack, so the engine builds the grid for the first model built over a
+pack holding the job and hands the same object to every later model
+built while the job runs — a new epoch's model reads the rows earlier
+epochs evaluated instead of starting cold.  Grid and rows are dropped
+when the job completes or is cancelled, so the store holds at most one
+grid per running job.  This is the reuse that pays.  :class:`ExpectedTimeModel` instances are
 also memoised in a :class:`~repro.engine.cache.WorkloadCache` keyed by
 the active job multiset (each with a
 :class:`~repro.core.kernels.DecisionCache`
@@ -515,9 +517,10 @@ class OnlineEngine:
         residuals: Dict[str, object] = {}
         carried: Dict[str, tuple] = {}
         if self._sim is not None:
-            runtimes = self._sim.runtimes
+            sim = self._sim
+            runtimes = sim.runtimes
             for idx, res in residual_workload(
-                self._sim.model, runtimes, t
+                runtimes, t, sim._m_tff, sim._m_tau, sim._m_cost
             ).items():
                 jid = self._order[idx]
                 residuals[jid] = res
@@ -680,6 +683,9 @@ class OnlineEngine:
             "makespan": self.makespan(),
             "model_cache": self._models.cache_info(),
             "task_grids": len(self._grids),
+            "envelope_rows": sum(
+                len(grid.envelopes) for grid in self._grids.values()
+            ),
         }
         doc.update(self.counters.as_dict())
         return doc

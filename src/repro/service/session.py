@@ -46,8 +46,12 @@ class ServiceSession:
         return self.engine.now
 
     def _next_job_id(self) -> str:
-        self._auto_id += 1
-        return f"job-{self._auto_id:04d}"
+        """The next ``job-NNNN`` id no job (client-named or not) holds."""
+        while True:
+            self._auto_id += 1
+            job_id = f"job-{self._auto_id:04d}"
+            if job_id not in self.engine.jobs:
+                return job_id
 
     # -- operations ----------------------------------------------------------
     @property

@@ -20,6 +20,8 @@ import heapq
 import math
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["CompletionQueue"]
 
 
@@ -47,6 +49,20 @@ class CompletionQueue(dict):
         if self._mirror is not None:
             self._mirror[i] = t
         heapq.heappush(self._heap, (t, i))
+
+    def assign_all(self, times: np.ndarray) -> None:
+        """``self[i] = times[i]`` for every task, in one pass.
+
+        The heap is built by one ``heapify``; entries are distinct
+        ``(time, index)`` pairs, so :meth:`peek` yields the same
+        sequence as after one assignment per task.
+        """
+        values = times.tolist()
+        dict.update(self, enumerate(values))
+        if self._mirror is not None:
+            self._mirror[: len(values)] = times
+        self._heap.extend(zip(values, range(len(values))))
+        heapq.heapify(self._heap)
 
     def _unsupported(self, *_args, **_kwargs):
         raise TypeError(

@@ -33,6 +33,7 @@ from ..core.optimal import optimal_schedule
 from ..core.policy import Policy, get_policy
 from ..core.progress import (
     projected_finish,
+    projected_finishes,
     remaining_after_failure,
     remaining_after_failure_from_values,
 )
@@ -87,7 +88,7 @@ class Simulator:
         is pinned against: the scalar per-probe heuristics and
         Algorithm 1, the per-call ``np.stack`` Eq. (4) evaluation
         (applied to the model, shared or not — value-safe, since both
-        are bit-identical and the profile ring is history-independent),
+        are bit-identical and stored envelopes are history-independent),
         and the seed's per-``TaskRuntime`` Python scans (early release,
         is-longest test, Fig. 9 snapshot, rollback through the model
         accessors).  Both produce bit-identical executions.
@@ -213,31 +214,41 @@ class Simulator:
         self._m_scratch = np.empty(n, dtype=bool)
 
         order = list(sigma0)
-        slots = []
-        for i in order:
-            count = sigma0[i]
+        counts = list(sigma0.values())
+        for i, count in zip(order, counts):
             rt = runtimes[i]
             rt.assign(count)
-            slots.append(model.grid(i).slot(count))
             if alphas is not None:
                 rt.alpha = float(alphas[i])
             if t_last is not None:
                 rt.t_last = float(t_last[i])
             elif t0 != 0.0:
                 rt.t_last = t0
+        # assign() admits only 0 or even counts >= 2, and every grid of a
+        # model spans the same even j, so slot() of the smallest and the
+        # largest count checks them all (CapacityError off the grid).
+        grid = model.grid(order[0])
+        grid.slot(min(counts))
+        grid.slot(max(counts))
+        idx = np.array(order)
+        slots = (np.array(counts) >> 1) - 1
+        t_last0 = np.array([runtimes[i].t_last for i in order])
         # Every initial envelope in one batched evaluation; row ``pos``
         # is bit-identical to ``profile(order[pos], alpha)``.
         rows = model.profile_matrix(
             order, np.array([runtimes[i].alpha for i in order])
         )
-        for pos, i in enumerate(order):
-            count = sigma0[i]
-            rt = runtimes[i]
-            rt.t_expected = rt.t_last + float(rows[pos, slots[pos]])
-            procs.acquire(i, count)
-            self._m_texp[i] = rt.t_expected
-            self._m_tlast[i] = rt.t_last
-            self._sync_task_mirrors(i, count)
+        t_exp = t_last0 + rows[np.arange(n), slots]
+        for i, value in zip(order, t_exp.tolist()):
+            runtimes[i].t_expected = value
+        procs.acquire_all(sigma0)
+        self._m_texp[idx] = t_exp
+        self._m_tlast[idx] = t_last0
+        self._m_sigma[idx] = counts
+        stacked = model._stacked_grids()
+        self._m_tff[idx] = stacked["t_ff"][idx, slots]
+        self._m_tau[idx] = stacked["tau"][idx, slots]
+        self._m_cost[idx] = stacked["cost"][idx, slots]
 
         if injector is not None:
             self._injector: FaultInjector | NullFaultInjector = injector
@@ -249,8 +260,12 @@ class Simulator:
             self._injector = NullFaultInjector()
 
         finish = CompletionQueue(runtimes, mirror=self._m_finish)
-        for i in range(n):
-            finish[i] = self._projected(runtimes[i])
+        alpha = np.array([rt.alpha for rt in runtimes])
+        finish.assign_all(
+            projected_finishes(
+                self._m_tlast, alpha, self._m_tff, self._m_tau, self._m_cost
+            )
+        )
         # Completion bookkeeping is accumulated event by event instead of
         # being re-derived from the runtimes after the loop.
         self._runtimes = runtimes

@@ -184,6 +184,49 @@ class TestCache:
     def test_grid_reused(self, model):
         assert model.grid(0) is model.grid(0)
 
+    def test_rows_live_on_handed_grids(self, small_pack, small_cluster):
+        # A second model handed the first one's grids reads its rows.
+        first = ExpectedTimeModel(small_pack, small_cluster)
+        row = first.profile(0, 0.3)
+        grids = [first.grid(i) for i in range(len(small_pack))]
+        second = ExpectedTimeModel(small_pack, small_cluster, grids=grids)
+        assert second.profile_matrix([0], [0.3])[0].tobytes() == row.tobytes()
+        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        assert second.cache_info()["entries"] == 0  # not its insertion
+
+    def test_eviction_drops_the_row_from_its_grid(
+        self, small_pack, small_cluster
+    ):
+        model = ExpectedTimeModel(small_pack, small_cluster, cache_size=2)
+        for alpha in (0.1, 0.2, 0.3):
+            model.profile(0, alpha)
+        assert sorted(model.grid(0).envelopes) == [
+            model._alpha_key(0.2), model._alpha_key(0.3)
+        ]
+
+
+class TestNaNAlpha:
+    """A NaN alpha passes every ``<``/``>`` range check; it must still be
+    refused, by name, before it reaches the alpha key."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.profile(0, math.nan),
+            lambda m: m.profile_batch([0, 1], math.nan),
+            lambda m: m.profile_matrix([0, 1], [0.5, math.nan]),
+            lambda m: m.profile_rows_into(
+                [0, 1], np.array([math.nan, 0.5]), np.empty((2, 8))
+            ),
+        ],
+        ids=["profile", "profile_batch", "profile_matrix", "profile_rows_into"],
+    )
+    def test_raises_configuration_error(self, small_pack, small_cluster, call):
+        model = ExpectedTimeModel(small_pack, small_cluster, max_procs=16)
+        with pytest.raises(ConfigurationError, match="got nan"):
+            call(model)
+        assert model.cache_info()["entries"] == 0
+
 
 class TestMaxProcs:
     def test_grid_truncated(self, small_pack, small_cluster):

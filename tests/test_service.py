@@ -83,6 +83,17 @@ class TestServiceAPI:
         second = api.handle("submit", {"size": 7_000.0})["job"]["job_id"]
         assert [first, second] == ["job-0001", "job-0002"]
 
+    def test_auto_job_ids_skip_client_chosen_ids(self):
+        api, session, _clock = make_api()
+        api.handle("submit", {"job_id": "job-0001", "size": 7_000.0})
+        api.handle("submit", {"job_id": "job-0003", "size": 7_000.0})
+        ids = [
+            api.handle("submit", {"size": 7_000.0})["job"]["job_id"]
+            for _ in range(2)
+        ]
+        assert ids == ["job-0002", "job-0004"]
+        assert len(session.engine.jobs) == 4
+
     def test_duplicate_job_id_rejected(self):
         api, _session, _clock = make_api()
         api.handle("submit", {"job_id": "dup", "size": 7_000.0})
@@ -274,6 +285,24 @@ class TestTaskGridStore:
         assert max(seen) >= 2
         assert engine.queued_jobs == [] and engine.active_jobs == []
         assert engine.metrics()["task_grids"] == 0
+
+    def test_envelope_rows_live_only_on_running_jobs_grids(self):
+        engine = GRID_CONFIG.engine()
+        seen = []
+
+        def check(engine):
+            held = engine.metrics()["envelope_rows"]
+            running = sum(
+                len(engine._grids[job_id].envelopes)
+                for job_id in engine.active_jobs
+                if job_id in engine._grids
+            )
+            assert held <= running
+            seen.append(held)
+
+        _drive(engine, generate_trace(4, **GRID_TRACE), after_event=check)
+        assert max(seen) >= 2
+        assert engine.metrics()["envelope_rows"] == 0
 
     def test_job_cancelled_while_queued_never_builds_a_grid(
         self, monkeypatch
