@@ -57,7 +57,7 @@ from ..cluster import Cluster
 from ..exceptions import CapacityError, ConfigurationError
 from ..tasks import Pack, TaskSpec
 from .checkpoint import ResilienceModel
-from .profile_backends import FusedProfileBackend
+from .profile_backends import fused_raw_rows
 
 __all__ = [
     "ExpectedTimeModel",
@@ -89,7 +89,7 @@ def ensure_alpha_vector(
 
     The cache-boundary contract: every public batched accessor runs its
     ``alphas`` through this exactly once, so the kernels underneath
-    (:func:`stacked_raw_profiles`, the fused backend) can assume a
+    (:func:`stacked_raw_profiles`, the fused pass) can assume a
     conforming array and never silently copy on the hot path.  A
     conforming input passes through untouched; a non-float64 or
     non-contiguous one is converted *here*, visibly, instead of inside
@@ -318,9 +318,9 @@ class ExpectedTimeModel:
         values discourage it).  The paper's model is ``rc_factor = 1``.
     reference:
         How the Eq. (4) elementwise pass executes on cache misses:
-        ``False`` (default) runs the :class:`~repro.resilience.
-        profile_backends.FusedProfileBackend` over persistent stacked
-        blocks; ``True`` keeps the original per-call ``np.stack`` paths
+        ``False`` (default) runs :func:`~repro.resilience.
+        profile_backends.fused_raw_rows` over the model's stacked grid
+        block; ``True`` keeps the original per-call ``np.stack`` paths
         (:func:`stacked_raw_profiles`) verbatim.  Both are bit-identical,
         and the public ``reference`` attribute may be flipped at any
         time — stored rows are keyed only by ``(grid, quantised
@@ -388,12 +388,11 @@ class ExpectedTimeModel:
         self._inserted: Deque[tuple[dict, int]] = deque()
         self.cache_hits = 0
         self.cache_misses = 0
-        # Every TaskGrid row stacked into (n_tasks, grid) blocks, built
-        # once per model so batched evaluations are pure fancy indexing
-        # with no per-call np.stack of grids.
+        # Every TaskGrid row stacked, built once per model so batched
+        # evaluations are pure fancy indexing with no per-call np.stack.
+        self._stacked: Optional[np.ndarray] = None
         self._stacked_block: Optional[Dict[str, np.ndarray]] = None
         self.reference = bool(reference)
-        self._backend_obj: Optional[FusedProfileBackend] = None
 
     # -- grids ----------------------------------------------------------------
     @property
@@ -411,17 +410,6 @@ class ExpectedTimeModel:
         )
         self._grids[i] = grid
         return grid
-
-    # -- profile backend -------------------------------------------------------
-    def _get_backend(self) -> Optional[FusedProfileBackend]:
-        """The fused backend, built on first use (``None`` in reference mode)."""
-        if self.reference:
-            return None
-        backend = self._backend_obj
-        if backend is None:
-            backend = FusedProfileBackend(self._stacked_grids())
-            self._backend_obj = backend
-        return backend
 
     # -- profiles --------------------------------------------------------------
     @staticmethod
@@ -464,12 +452,11 @@ class ExpectedTimeModel:
             return cached
         self.cache_misses += 1
         _PROCESS_PROFILE_COUNTERS[1] += 1
-        backend = self._get_backend()
-        if backend is None:
-            raw = self.raw_profile(i, key / _ALPHA_SCALE)
-        else:
-            raw = backend.raw_row(i, key / _ALPHA_SCALE)
-        envelope = np.minimum.accumulate(raw)
+        # One row needs no stacking: both modes evaluate the grid's own
+        # arrays (the single-grid branch of stacked_raw_profiles).
+        envelope = np.minimum.accumulate(
+            self.raw_profile(i, key / _ALPHA_SCALE)
+        )
         envelope.setflags(write=False)
         return self._insert(envelopes, key, envelope)
 
@@ -511,13 +498,12 @@ class ExpectedTimeModel:
         if missing:
             sel = np.array([i for i, _ in missing], dtype=np.int64)
             alpha_q = np.array([key for _, key in missing]) / _ALPHA_SCALE
-            backend = self._get_backend()
-            if backend is None:
+            if self.reference:
                 raw = stacked_raw_profiles(
                     [grid(i) for i in sel.tolist()], alpha_q
                 )
             else:
-                raw = backend.raw_rows(sel, alpha_q)
+                raw = fused_raw_rows(self._stacked_array()[:, sel], alpha_q)
             block = np.minimum.accumulate(raw, axis=1)  # a fresh array
             block.setflags(write=False)
             for row, ((_, key), positions) in zip(block, missing.items()):
@@ -562,24 +548,27 @@ class ExpectedTimeModel:
         out = np.empty((len(indices), self._grid_len))
         return self._rows_into(indices, alphas_arr, out)
 
-    def _stacked_grids(self) -> Dict[str, np.ndarray]:
-        """Every :class:`TaskGrid` row stacked into ``(n_tasks, grid)`` blocks.
+    def _stacked_array(self) -> np.ndarray:
+        """Every grid's value block, stacked: ``(7, n_tasks, grid)``.
 
         Built once per model (forcing every task grid) with one
-        ``np.stack`` of the grids' value blocks, keyed by
-        :data:`GRID_ROWS`; row ``i`` of each block is a copy of task
-        ``i``'s grid array, so fancy-indexed evaluations are
-        bit-identical to :func:`stacked_raw_profiles` over freshly
+        ``np.stack``; ``[k, i]`` is a copy of task ``i``'s
+        :data:`GRID_ROWS` ``[k]`` array, so fancy-indexed evaluations
+        are bit-identical to :func:`stacked_raw_profiles` over freshly
         stacked grids.
         """
-        block = self._stacked_block
-        if block is None:
-            stacked = np.stack(
+        if self._stacked is None:
+            self._stacked = np.stack(
                 [self.grid(i).block for i in range(len(self.pack))], axis=1
             )
-            block = dict(zip(GRID_ROWS, stacked))
-            self._stacked_block = block
-        return block
+        return self._stacked
+
+    def _stacked_grids(self) -> Dict[str, np.ndarray]:
+        """The ``(n_tasks, grid)`` blocks of :meth:`_stacked_array`,
+        keyed by :data:`GRID_ROWS` name."""
+        if self._stacked_block is None:
+            self._stacked_block = dict(zip(GRID_ROWS, self._stacked_array()))
+        return self._stacked_block
 
     def profile_rows_into(
         self,

@@ -466,8 +466,7 @@ class OnlineEngine:
             self.cluster.downtime,
         )
 
-    def _model_for(self, pack: Pack) -> ExpectedTimeModel:
-        key = self._model_key(pack)
+    def _model_for(self, key: tuple, pack: Pack) -> ExpectedTimeModel:
         before = self._models.snapshot()
 
         def build() -> ExpectedTimeModel:
@@ -556,7 +555,8 @@ class OnlineEngine:
             for i, jid in enumerate(order)
         ]
         pack = Pack(specs)
-        model = self._model_for(pack)
+        key = self._model_key(pack)
+        model = self._model_for(key, pack)
         alphas_dec = [
             residuals[jid].alpha if jid in residuals else 1.0 for jid in order
         ]
@@ -605,7 +605,7 @@ class OnlineEngine:
             fault_distribution=self._distribution,
             model=model,
         )
-        cache = self._decision_cache_for(self._model_key(pack), model)
+        cache = self._decision_cache_for(key, model)
         sim._make_decision_cache = lambda: cache  # type: ignore[method-assign]
         sim.start(
             t0=t,

@@ -76,6 +76,31 @@ class TestAcquireRelease:
         assert pmap.count(1) == 6
 
 
+class TestAcquireAll:
+    @pytest.mark.parametrize(
+        "counts", [{0: 2, 1: 4}, {3: 2, 0: 6, 2: 2}, {5: 10}, {1: 4, 0: 2}]
+    )
+    def test_grants_the_ids_successive_acquires_would(self, counts):
+        one_by_one, at_once = ProcessorMap(10), ProcessorMap(10)
+        one_by_one.acquire(9, 0)
+        at_once.acquire(9, 0)
+        for task, count in counts.items():
+            one_by_one.acquire(task, count)
+        at_once.acquire_all(counts)
+        for proc in range(10):
+            assert at_once.owner_of(proc) == one_by_one.owner_of(proc)
+        assert at_once.counts() == one_by_one.counts()
+        assert at_once.free_count == one_by_one.free_count
+        at_once.validate()
+
+    def test_rejects_odd_counts_and_overcommit(self, pmap):
+        with pytest.raises(CapacityError):
+            pmap.acquire_all({0: 2, 1: 3})
+        with pytest.raises(CapacityError):
+            pmap.acquire_all({0: 2, 1: pmap.p})
+        assert pmap.free_count == pmap.p
+
+
 class TestTransferResize:
     def test_transfer_moves_ownership(self, pmap):
         pmap.acquire(0, 8)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -11,6 +12,7 @@ from repro.core import (
     remaining_after_elapsed,
     remaining_after_failure,
 )
+from repro.core.progress import projected_finishes
 
 
 # Hand-picked pattern: t_ff=100, tau=25, cost=5 (so 20 work per period).
@@ -93,6 +95,26 @@ class TestProjectedFinish:
         finish = projected_finish(0.0, alpha, T_FF, TAU, COST)
         done = elapsed_work_fraction(finish, 0.0, T_FF, TAU, COST)
         assert done == pytest.approx(alpha, abs=1e-9)
+
+
+class TestProjectedFinishes:
+    def test_matches_the_scalar_form_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        t_ff = rng.uniform(50.0, 500.0, 64)
+        tau = rng.uniform(10.0, 40.0, 64)
+        cost = tau * rng.uniform(0.05, 0.5, 64)
+        alpha = rng.uniform(0.0, 1.0, 64)
+        # exact multiples of the period (final checkpoint elided), and
+        # finished tasks
+        alpha[:8] = np.arange(1, 9) * (tau[:8] - cost[:8]) / t_ff[:8]
+        alpha[8:12] = 0.0
+        t_last = rng.uniform(0.0, 1e4, 64)
+        got = projected_finishes(t_last, alpha, t_ff, tau, cost)
+        for r in range(64):
+            expected = projected_finish(
+                t_last[r], alpha[r], t_ff[r], tau[r], cost[r]
+            )
+            assert got[r] == expected, r
 
 
 class TestModelWrappers:
