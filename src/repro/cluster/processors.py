@@ -93,15 +93,18 @@ class ProcessorMap:
             )
         granted = self._free[cut:][::-1]  # the stack's pop order
         del self._free[cut:]
-        self._owner.update(
-            zip(granted, [t for t, c in counts.items() for _ in range(c)])
-        )
+        owners: List[int] = []
         start = 0
         for task, count in counts.items():
-            self._held.setdefault(task, set()).update(
-                granted[start : start + count]
-            )
+            ids = granted[start : start + count]
+            bucket = self._held.get(task)
+            if bucket is None:
+                self._held[task] = set(ids)
+            else:
+                bucket.update(ids)
+            owners += [task] * count
             start += count
+        self._owner.update(zip(granted, owners))
 
     def release(self, task: int, count: Optional[int] = None) -> List[int]:
         """Return ``count`` processors of ``task`` (default: all) to the pool."""

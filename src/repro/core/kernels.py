@@ -418,10 +418,11 @@ class DecisionCache:
         Serves the commit-time scalar read — ``apply_move``'s
         expected-finish refresh at the decision's ``alpha^t`` — from the
         envelope row the decision just evaluated in the ``_prof``
-        workspace, skipping the model's envelope store entirely.  Bit-identical by
-        construction: the row is addressed through ``_prof_pos`` (valid
-        only for rows written by the *latest* ``_profile_rows`` pass)
-        and its alpha key, and the envelope is a pure function of
+        workspace, skipping the model's envelope store entirely.
+        Bit-identical by construction: the row is addressed through
+        ``_prof_pos`` (valid only for rows written by the *latest*
+        ``_profile_rows`` pass) and its alpha key, and the envelope is a
+        pure function of
         ``(task, quantised alpha)`` — a stale-but-matching row holds the
         same bits a fresh evaluation would.  A cold, repurposed or
         key-mismatched row falls back to the model (a store hit whenever

@@ -144,18 +144,19 @@ class TaskGrid:
     ``index k`` corresponds to ``j = 2 (k + 1)``.  The seven value rows
     live in one ``(7, width)`` :attr:`block`; the named fields are views
     of its rows (:data:`GRID_ROWS` order), so a model stacks its grids
-    with one ``np.stack``.  ``envelopes`` maps a quantised alpha key to
+    with one ``np.concatenate``.  ``envelopes`` maps a quantised alpha key to
     the read-only Eq. (6) envelope row at that alpha (module docstring);
     it is not a field, and grids hash by identity (``eq=False``).
     """
 
-    j: np.ndarray          #: even processor counts 2, 4, ..., j_max
-    block: np.ndarray      #: (7, width) value rows, GRID_ROWS order
-    t_ff: np.ndarray = field(init=False)       #: fault-free times t_{i,j}
-    cost: np.ndarray = field(init=False)       #: checkpoint costs C_{i,j}
-    tau: np.ndarray = field(init=False)        #: checkpoint periods tau_{i,j}
-    lam: np.ndarray = field(init=False)        #: task failure rates lambda * j
-    prefactor: np.ndarray = field(init=False)  #: e^{lambda j R} (1/(lambda j) + D)
+    j: np.ndarray  #: even processor counts 2, 4, ..., j_max
+    block: np.ndarray  #: (7, width) value rows, GRID_ROWS order
+    t_ff: np.ndarray = field(init=False)  #: fault-free times t_{i,j}
+    cost: np.ndarray = field(init=False)  #: checkpoint costs C_{i,j}
+    tau: np.ndarray = field(init=False)  #: checkpoint periods tau_{i,j}
+    lam: np.ndarray = field(init=False)  #: task failure rates lambda * j
+    #: e^{lambda j R} (1/(lambda j) + D)
+    prefactor: np.ndarray = field(init=False)
     exp_period: np.ndarray = field(init=False)  #: e^{lambda j tau} - 1
     work_per_period: np.ndarray = field(init=False)  #: tau - C
 
@@ -422,16 +423,18 @@ class ExpectedTimeModel:
         return int(round(alpha * _ALPHA_SCALE))
 
     def _insert(
-        self, envelopes: dict, key: int, row: np.ndarray
-    ) -> np.ndarray:
-        """Store a read-only envelope row in a grid's store (FIFO-bounded)."""
-        envelopes[key] = row
+        self, stores: list, keys: list, rows: list
+    ) -> None:
+        """Store read-only envelope rows, ``rows[r]`` under ``keys[r]`` in
+        the grid store ``stores[r]``; FIFO-bounded by ``cache_size`` over
+        this model's insertions."""
+        for envelopes, key, row in zip(stores, keys, rows):
+            envelopes[key] = row
         inserted = self._inserted
-        inserted.append((envelopes, key))
-        if len(inserted) > self._cache_size:
-            store, old = inserted.popleft()
-            store.pop(old, None)
-        return row
+        inserted.extend(zip(stores, keys))
+        while len(inserted) > self._cache_size:
+            envelopes, key = inserted.popleft()
+            envelopes.pop(key, None)
 
     def profile(self, i: int, alpha: float = 1.0) -> np.ndarray:
         """Envelope ``t^R_{i,j}(alpha)`` for every even ``j`` in the grid.
@@ -458,7 +461,8 @@ class ExpectedTimeModel:
             self.raw_profile(i, key / _ALPHA_SCALE)
         )
         envelope.setflags(write=False)
-        return self._insert(envelopes, key, envelope)
+        self._insert([envelopes], [key], [envelope])
+        return envelope
 
     def _rows_into(
         self,
@@ -496,21 +500,23 @@ class ExpectedTimeModel:
         _PROCESS_PROFILE_COUNTERS[0] += hits
         _PROCESS_PROFILE_COUNTERS[1] += misses
         if missing:
-            sel = np.array([i for i, _ in missing], dtype=np.int64)
-            alpha_q = np.array([key for _, key in missing]) / _ALPHA_SCALE
+            sel = [i for i, _ in missing]
+            miss_keys = [key for _, key in missing]
+            alpha_q = np.array(miss_keys) / _ALPHA_SCALE
             if self.reference:
-                raw = stacked_raw_profiles(
-                    [grid(i) for i in sel.tolist()], alpha_q
-                )
+                raw = stacked_raw_profiles([grid(i) for i in sel], alpha_q)
             else:
                 raw = fused_raw_rows(self._stacked_array()[:, sel], alpha_q)
             block = np.minimum.accumulate(raw, axis=1)  # a fresh array
             block.setflags(write=False)
-            for row, ((_, key), positions) in zip(block, missing.items()):
-                if store:
-                    self._insert(stores[positions[0]], key, row)
+            rows = list(block)
+            for row, positions in zip(rows, missing.values()):
                 for pos in positions:
                     found[pos] = row
+            if store:
+                self._insert(
+                    [stores[ps[0]] for ps in missing.values()], miss_keys, rows
+                )
         if found:
             out[: len(found)] = found
         return out
@@ -552,15 +558,16 @@ class ExpectedTimeModel:
         """Every grid's value block, stacked: ``(7, n_tasks, grid)``.
 
         Built once per model (forcing every task grid) with one
-        ``np.stack``; ``[k, i]`` is a copy of task ``i``'s
+        ``np.concatenate``; ``[k, i]`` is a copy of task ``i``'s
         :data:`GRID_ROWS` ``[k]`` array, so fancy-indexed evaluations
         are bit-identical to :func:`stacked_raw_profiles` over freshly
         stacked grids.
         """
         if self._stacked is None:
-            self._stacked = np.stack(
-                [self.grid(i).block for i in range(len(self.pack))], axis=1
-            )
+            n = len(self.pack)
+            self._stacked = np.concatenate(
+                [self.grid(i).block for i in range(n)], axis=1
+            ).reshape(len(GRID_ROWS), n, self._grid_len)
         return self._stacked
 
     def _stacked_grids(self) -> Dict[str, np.ndarray]:

@@ -43,10 +43,10 @@ pack holding the job and hands the same object to every later model
 built while the job runs — a new epoch's model reads the rows earlier
 epochs evaluated instead of starting cold.  Grid and rows are dropped
 when the job completes or is cancelled, so the store holds at most one
-grid per running job.  This is the reuse that pays.  :class:`ExpectedTimeModel` instances are
-also memoised in a :class:`~repro.engine.cache.WorkloadCache` keyed by
-the active job multiset (each with a
-:class:`~repro.core.kernels.DecisionCache`
+grid per running job.  This is the reuse that pays.
+:class:`ExpectedTimeModel` instances are also memoised in a
+:class:`~repro.engine.cache.WorkloadCache` keyed by the active job
+multiset (each with a :class:`~repro.core.kernels.DecisionCache`
 :meth:`~repro.core.kernels.DecisionCache.reset` for the next segment),
 but the multiset changes at almost every epoch: on the 2,000-job
 benchmark trace that memo hits ~2.5% of the time.

@@ -219,7 +219,9 @@ class TestNaNAlpha:
                 [0, 1], np.array([math.nan, 0.5]), np.empty((2, 8))
             ),
         ],
-        ids=["profile", "profile_batch", "profile_matrix", "profile_rows_into"],
+        ids=[
+            "profile", "profile_batch", "profile_matrix", "profile_rows_into"
+        ],
     )
     def test_raises_configuration_error(self, small_pack, small_cluster, call):
         model = ExpectedTimeModel(small_pack, small_cluster, max_procs=16)
