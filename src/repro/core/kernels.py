@@ -422,9 +422,8 @@ class DecisionCache:
         Bit-identical by construction: the row is addressed through
         ``_prof_pos`` (valid only for rows written by the *latest*
         ``_profile_rows`` pass) and its alpha key, and the envelope is a
-        pure function of
-        ``(task, quantised alpha)`` — a stale-but-matching row holds the
-        same bits a fresh evaluation would.  A cold, repurposed or
+        pure function of ``(task, quantised alpha)`` — a stale-but-matching
+        row holds the same bits a fresh evaluation would.  A cold, repurposed or
         key-mismatched row falls back to the model (a store hit whenever
         the row was lazily materialised this decision).  ``k`` must be
         an on-grid even count, which every heuristic's granted

@@ -422,9 +422,7 @@ class ExpectedTimeModel:
         """
         return int(round(alpha * _ALPHA_SCALE))
 
-    def _insert(
-        self, stores: list, keys: list, rows: list
-    ) -> None:
+    def _insert(self, stores: list, keys: list, rows: list) -> None:
         """Store read-only envelope rows, ``rows[r]`` under ``keys[r]`` in
         the grid store ``stores[r]``; FIFO-bounded by ``cache_size`` over
         this model's insertions."""
@@ -486,8 +484,7 @@ class ExpectedTimeModel:
                     f"alpha must be in [0, 1], got {alpha}"
                 )
         keys = np.rint(alphas * _ALPHA_SCALE).astype(np.int64).tolist()
-        grid, built = self.grid, self._grids.get
-        stores = [(built(i) or grid(i)).envelopes for i in indices]
+        stores = [self.grid(i).envelopes for i in indices]
         found = [store.get(key) for store, key in zip(stores, keys)]
         missing: Dict[tuple[int, int], list[int]] = {}
         for pos, row in enumerate(found):
@@ -504,7 +501,9 @@ class ExpectedTimeModel:
             miss_keys = [key for _, key in missing]
             alpha_q = np.array(miss_keys) / _ALPHA_SCALE
             if self.reference:
-                raw = stacked_raw_profiles([grid(i) for i in sel], alpha_q)
+                raw = stacked_raw_profiles(
+                    [self.grid(i) for i in sel], alpha_q
+                )
             else:
                 raw = fused_raw_rows(self._stacked_array()[:, sel], alpha_q)
             block = np.minimum.accumulate(raw, axis=1)  # a fresh array

@@ -83,7 +83,7 @@ class Simulator:
         event — reads one persistent :class:`~repro.core.kernels.
         DecisionCache` that delta-patches only the candidate-matrix rows
         invalidated since the previous decision, Eq. (4) misses run on
-        the fused backend, and the per-failure path scans ndarray
+        the fused pass, and the per-failure path scans ndarray
         mirrors.  ``True`` is the seed-literal reference the fast path
         is pinned against: the scalar per-probe heuristics and
         Algorithm 1, the per-call ``np.stack`` Eq. (4) evaluation
