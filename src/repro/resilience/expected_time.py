@@ -144,9 +144,10 @@ class TaskGrid:
     ``index k`` corresponds to ``j = 2 (k + 1)``.  The seven value rows
     live in one ``(7, width)`` :attr:`block`; the named fields are views
     of its rows (:data:`GRID_ROWS` order), so a model stacks its grids
-    with one ``np.concatenate``.  ``envelopes`` maps a quantised alpha key to
-    the read-only Eq. (6) envelope row at that alpha (module docstring);
-    it is not a field, and grids hash by identity (``eq=False``).
+    with one ``np.concatenate``.  ``envelopes`` maps a quantised alpha
+    key to the read-only Eq. (6) envelope row at that alpha (module
+    docstring); it is not a field, and grids hash by identity
+    (``eq=False``).
     """
 
     j: np.ndarray  #: even processor counts 2, 4, ..., j_max
