@@ -1,6 +1,6 @@
 """Property-based tests of the rolling-horizon service.
 
-Three properties over random arrival scenarios:
+Four properties over random arrival scenarios:
 
 * the re-pack never allocates more than ``p`` processors, and every
   allocation is an even count >= 2 (the paper's buddy-pair platform);
