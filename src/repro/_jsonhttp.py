@@ -85,7 +85,7 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         try:
             data = json.loads(raw) if raw else {}
-        except ValueError:
+        except (ValueError, RecursionError):  # deep nesting overflows
             self._reply(400, {"error": "request body is not JSON"})
             return None
         if not isinstance(data, dict):

@@ -71,9 +71,11 @@ finish matrix at each decision point.  The invariants this rests on
    rebuild at the same ``t``) share one patched matrix.
 3. **Patches are operation-identical to the scalar helpers.**  Stale
    rows are recombined with exactly their operation order
-   (``((t + stall) + RC) + (C + profile)``), the profile rows are
-   bit-identical to :meth:`~repro.resilience.expected_time.
-   ExpectedTimeModel.profile_matrix`, and the remaining-work pass is
+   (``((t + stall) + RC) + (C + profile)``), the profile rows come
+   from the model's own fused Eq. (4) kernel (:func:`~repro.resilience.
+   profile_backends.fused_raw_rows`), so they are bit-identical to
+   :meth:`~repro.resilience.expected_time.ExpectedTimeModel.
+   profile_matrix`, and the remaining-work pass is
    :func:`~repro.core.progress.remaining_from_arrays` over mirror
    subsets (bit-identical to ``remaining_at``).
 
@@ -93,6 +95,7 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from ..resilience.expected_time import _ALPHA_SCALE, ExpectedTimeModel
+from ..resilience.profile_backends import fused_raw_rows
 from .progress import remaining_from_arrays
 from .redistribution import (
     redistribution_cost_matrix,
@@ -110,16 +113,16 @@ __all__ = [
 _EMPTY = np.empty(0)
 
 #: Process-wide decision-state counters ``[rows_patched, rows_reused,
-#: scratch_allocations, profile_env_reused, profile_tau_patched]``,
+#: scratch_allocations, profile_env_reused]``,
 #: summed over every cache this process ever built (same list-cell
 #: pattern as the profile counters — monotone, so the engine can delta
 #: them around a work chunk).
-_PROCESS_DECISION_COUNTERS = [0, 0, 0, 0, 0]
+_PROCESS_DECISION_COUNTERS = [0, 0, 0, 0]
 
 
-def process_decision_snapshot() -> tuple[int, int, int, int, int]:
+def process_decision_snapshot() -> tuple[int, int, int, int]:
     """Process-wide ``(rows_patched, rows_reused, scratch_allocations,
-    profile_env_reused, profile_tau_patched)``.
+    profile_env_reused)``.
 
     ``rows_patched`` counts candidate-matrix rows recomputed by the
     incremental engine; ``rows_reused`` component rows served from the
@@ -129,10 +132,8 @@ def process_decision_snapshot() -> tuple[int, int, int, int, int]:
     ``scratch_allocations`` ndarray blocks preallocated by caches;
     ``profile_env_reused`` profile rows copied from a cache's per-task
     envelope state (quantised alpha unchanged since the last
-    evaluation); ``profile_tau_patched`` profile rows recombined via
-    the ``tau_last``-only patch (``N^ff`` row unchanged, so only the
-    ``expm1`` term was recomputed).  Aggregated across worker processes
-    into :class:`repro.engine.EngineStats`.
+    evaluation).  Aggregated across worker processes into
+    :class:`repro.engine.EngineStats`.
     """
     return tuple(_PROCESS_DECISION_COUNTERS)
 
@@ -262,8 +263,10 @@ class DecisionCache:
     :meth:`invalidate` whenever a task's ``alpha``/``t_last``/``sigma``
     change (failure rollback, redistribution commit) and
     :meth:`note_budget` with the live free-processor count before each
-    decision.  All scratch is preallocated here and reused per
-    decision; `cache_info()` reports the patch/reuse/allocation
+    decision.  Stale rows' Eq. (4) profiles come from the model's one
+    fused kernel, evaluated straight into the cache's workspace (see
+    :meth:`_profile_rows`).  All scratch is preallocated here and
+    reused per decision; `cache_info()` reports the patch/reuse/allocation
     counters (also aggregated process-wide for
     :class:`repro.engine.EngineStats`).
     """
@@ -277,8 +280,9 @@ class DecisionCache:
         # -- per-task persistent rows -----------------------------------
         self._fin = np.empty((n, width))        #: candidate finish matrix
         self._rc = np.empty((n, width))         #: rc_factor * RC rows
-        #: checkpoint-cost rows (the model's stacked block, read-only here)
-        self._cost_rows = model._stacked_grids()["cost"]
+        #: checkpoint-cost rows (the model's stacked block, read-only here;
+        #: GRID_ROWS[1] is "cost")
+        self._cost_rows = model._stacked_array()[1]
         self._keep = np.empty(n)                #: Alg. 5 keep-running finishes
         # -- per-task mirrors and validity ------------------------------
         self._sigma = np.full(n, -1, dtype=np.int64)
@@ -296,21 +300,15 @@ class DecisionCache:
         self._dirty = np.ones(n, dtype=bool)
         self._keep_valid = np.zeros(n, dtype=bool)
         self._pending = np.zeros(n, dtype=bool)
-        # -- per-task profile-delta state (see _profile_rows) -----------
+        # -- which _prof row holds each task's envelope (see _profile_rows)
         self._env_key = np.full(n, -1, dtype=np.int64)  #: alpha key of row
         self._prof_pos = np.full(n, -1, dtype=np.int64)  #: row pos in _prof
-        self._nff = np.empty((n, width))       #: last N^ff row
-        self._nff_base = np.empty((n, width))  #: N^ff * exp_period
-        self._nff_valid = np.zeros(n, dtype=bool)
         # -- per-decision scratch (reused, never reallocated) -----------
         self._prof = np.empty((n, width))
         self._left = np.empty((n, width))
         self._right = np.empty((n, width))
         self._vals = np.empty((n, width))
         self._sufrev = np.empty((n, width))
-        self._pb = np.empty((n, width))
-        self._pc = np.empty((n, width))
-        self._pd = np.empty((n, width))
         self._sizes = np.fromiter(
             (model.pack[i].size for i in range(n)), dtype=float, count=n
         )
@@ -318,8 +316,6 @@ class DecisionCache:
         self.rows_patched = 0
         self.rows_reused = 0
         self.profile_env_reused = 0
-        self.profile_tau_patched = 0
-        self.profile_rows_full = 0
         self.matrices_served = 0
         #: Preallocated ndarray blocks per cache (counted off the live
         #: attributes for the EngineStats allocation report, so adding
@@ -360,7 +356,6 @@ class DecisionCache:
         self._pending.fill(False)
         self._env_key.fill(-1)
         self._prof_pos.fill(-1)
-        self._nff_valid.fill(False)
         self.budget = None
 
     # -- internal patching -------------------------------------------------
@@ -508,93 +503,30 @@ class DecisionCache:
         )
 
     def _profile_rows(self, sub: np.ndarray, k: int) -> np.ndarray:
-        """Envelope rows of the stale tasks, delta-patched per task.
+        """Envelope rows of the stale tasks, evaluated into ``_prof``.
 
-        Replaces the model's envelope-store lookup (:meth:`~repro.resilience.
-        expected_time.ExpectedTimeModel.profile_rows_into`) on the
-        per-decision hot path with cache-local per-task profile state —
-        no per-row key tuples, dict probes, store insertions or result
-        copies (the pass evaluates straight into the ``_prof``
-        workspace).  Two tiers per row:
-
-        * **tau_last patch** — a task whose fresh ``N^ff`` row equals
-          the cached one reuses the cached ``N^ff * exp_period`` base
-          and recomputes only the ``expm1(lam * tau_last)`` term.  The
-          common case: between two nearby decision times the remaining
-          work moves a little, but ``floor(work / wpp)`` is piecewise
-          constant and rarely steps;
-        * **full evaluation** — everything else runs the complete fused
-          Eq. (4) pass and refreshes the cached ``N^ff`` state (with a
-          fast path when *every* row stepped: the bases are then
-          computed in one block multiply, skipping the cached-base
-          gather).
-
-        Both tiers are bit-identical to ``profile_matrix`` /
-        ``profile_rows_into`` by construction: the same float64 values
-        flow through the same elementwise operations in the same order
-        (``N^ff`` equality is exact float comparison, and the cached
-        base holds the exact ``N^ff * exp_period`` product the fresh
-        pass would recompute).  Bypassing the store is value-safe
-        — profiles are pure functions of ``(task, quantised alpha)``,
-        never of cache history.  ``_prof_pos``/``_env_key`` record
+        One :func:`~repro.resilience.profile_backends.fused_raw_rows`
+        pass over the model's stacked grid block at the quantised
+        alphas, then the Eq. (6) running minimum in place — the same
+        kernel and operation order as :meth:`~repro.resilience.
+        expected_time.ExpectedTimeModel.profile_matrix`, so every row is
+        bit-identical to it.  The model's envelope store is bypassed (no
+        per-row dict probes or insertions on the per-decision hot path);
+        that is value-safe because an envelope is a pure function of
+        ``(task, quantised alpha)``.  ``_prof_pos``/``_env_key`` record
         which task owns each workspace row and at which alpha key, so
-        :meth:`envelope_value` can serve the commit-time scalar reads
-        of the same decision.
+        :meth:`envelope_value` can serve the commit-time scalar reads of
+        the same decision.
         """
-        out = self._prof[:k]
-        # Rows written below supersede any earlier workspace layout.
-        self._prof_pos[:] = -1
+        # np.rint rounds half to even, matching the scalar
+        # ``int(round(alpha * SCALE))`` key bit for bit.
         keys = np.rint(self._alpha_t[sub] * _ALPHA_SCALE).astype(np.int64)
-        # Evaluate at the quantised alphas, like every profile path
-        # (np.rint rounds half to even, matching the scalar
-        # ``int(round(alpha * SCALE))`` key bit for bit).
-        alpha_q = keys / _ALPHA_SCALE
-        blocks = self.model._stacked_grids()
-        b = self._pb[:k]
-        c = self._pc[:k]
-        d = self._pd[:k]
-        np.take(blocks["t_ff"], sub, axis=0, out=b)
-        np.multiply(alpha_q[:, None], b, out=c)   # c = work
-        np.take(blocks["work_per_period"], sub, axis=0, out=b)
-        np.divide(c, b, out=d)
-        np.floor(d, out=d)                        # d = N^ff
-        np.multiply(d, b, out=b)
-        np.subtract(c, b, out=c)                  # c = tau_last
-        same = self._nff_valid[sub] & np.all(d == self._nff[sub], axis=1)
-        full_pos = np.nonzero(~same)[0]
-        n_full = int(full_pos.size)
-        if n_full == k:
-            # Every row stepped: refresh the caches and turn d into the
-            # bases in place — one block multiply, no cached-base gather
-            # (bit-identical: same N^ff and exp_period operands).
-            self._nff[sub] = d
-            np.take(blocks["exp_period"], sub, axis=0, out=b)
-            np.multiply(d, b, out=d)              # d = N^ff * exp_period
-            self._nff_base[sub] = d
-            self._nff_valid[sub] = True
-        else:
-            if n_full:
-                full = sub[full_pos]
-                nff_rows = d[full_pos]
-                self._nff[full] = nff_rows
-                self._nff_base[full] = nff_rows * blocks["exp_period"][full]
-                self._nff_valid[full] = True
-            np.take(self._nff_base, sub, axis=0, out=d)
-        n_tau = k - n_full
-        self.profile_tau_patched += n_tau
-        _PROCESS_DECISION_COUNTERS[4] += n_tau
-        self.profile_rows_full += n_full
-        np.take(blocks["lam"], sub, axis=0, out=b)
-        with np.errstate(over="ignore"):
-            np.multiply(b, c, out=c)
-            np.expm1(c, out=c)                    # c = expm1(lam tau_last)
-            np.add(d, c, out=c)                   # c = base + expm1 term
-            np.take(blocks["prefactor"], sub, axis=0, out=b)
-            np.multiply(b, c, out=out)            # raw Eq. (4) rows
-        zero = alpha_q <= 0.0
-        if bool(np.any(zero)):
-            out[zero] = 0.0
-        np.minimum.accumulate(out, axis=1, out=out)  # Eq. (6) envelope
+        raw = fused_raw_rows(
+            self.model._stacked_array()[:, sub], keys / _ALPHA_SCALE
+        )
+        out = np.minimum.accumulate(raw, axis=1, out=self._prof[:k])
+        # Rows written here supersede any earlier workspace layout.
+        self._prof_pos[:] = -1
         self._env_key[sub] = keys
         self._prof_pos[sub] = np.arange(k)
         return out
@@ -686,8 +618,6 @@ class DecisionCache:
             "rows_reused": self.rows_reused,
             "reuse_rate": self.rows_reused / rows if rows else 0.0,
             "profile_env_reused": self.profile_env_reused,
-            "profile_tau_patched": self.profile_tau_patched,
-            "profile_rows_full": self.profile_rows_full,
             "scratch_allocations": self.scratch_allocations,
             "budget": self.budget if self.budget is not None else -1,
         }

@@ -98,7 +98,6 @@ class EngineStats:
     decision_rows_reused: int = 0   #: component rows (finish/RC/keep) reused
     decision_scratch_allocs: int = 0  #: scratch ndarrays preallocated by caches
     decision_profile_env_reused: int = 0  #: profile rows copied from the env cache
-    decision_profile_tau_patched: int = 0  #: profile rows via the tau_last patch
     retries: int = 0            #: retried attempts (in-place + chunk resubmits)
     requeues: int = 0           #: stale claims pushed back onto the queue
     dead_lettered: int = 0      #: chunks quarantined after exhausting retries
@@ -167,7 +166,6 @@ class EngineStats:
             f"reused: {self.decision_rows_reused} "
             f"reuse rate: {self.decision_reuse_rate():.1%} "
             f"profile env reuses: {self.decision_profile_env_reused} "
-            f"tau patches: {self.decision_profile_tau_patched} "
             f"(scratch allocations: {self.decision_scratch_allocs})"
         )
 
@@ -438,15 +436,10 @@ class Executor:
         self,
         workloads: Tuple[int, int],
         profiles: Tuple[int, int],
-        decisions: Tuple[int, int, int, int, int],
+        decisions: Tuple[int, int, int, int],
         engine: Tuple[int] = (0,),
     ) -> None:
-        """Fold one chunk's cache/engine deltas into the statistics.
-
-        ``decisions`` tuples from journals written before the
-        profile-delta counters existed carry three entries; the two new
-        slots then stay zero.
-        """
+        """Fold one chunk's cache/engine deltas into the statistics."""
         self._stats.workloads_reused += workloads[0]
         self._stats.workloads_built += workloads[1]
         self._stats.profile_hits += profiles[0]
@@ -454,9 +447,7 @@ class Executor:
         self._stats.decision_rows_patched += decisions[0]
         self._stats.decision_rows_reused += decisions[1]
         self._stats.decision_scratch_allocs += decisions[2]
-        if len(decisions) > 3:
-            self._stats.decision_profile_env_reused += decisions[3]
-            self._stats.decision_profile_tau_patched += decisions[4]
+        self._stats.decision_profile_env_reused += decisions[3]
         self._stats.retries += engine[0]
 
     def _fold_output(self, chunk_output: Tuple) -> None:

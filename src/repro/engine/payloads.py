@@ -54,9 +54,10 @@ __all__ = [
 ]
 
 #: Result-payload protocol version (bump on layout changes).
-#: v2 (this PR): error payloads carry a retry classification, ok
-#: payloads a fifth engine-counter delta tuple.
-PAYLOAD_VERSION = 2
+#: v2: error payloads carry a retry classification, ok payloads a
+#: fifth engine-counter delta tuple.  v3: the decision-counter delta
+#: tuple has four entries (the ``tau_last`` patch counter is gone).
+PAYLOAD_VERSION = 3
 
 
 def encode_task(requests) -> bytes:

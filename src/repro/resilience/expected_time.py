@@ -178,17 +178,23 @@ class TaskGrid:
         """
         block = np.empty((len(GRID_ROWS), len(j)))
         t_ff, cost, tau, lam, prefactor, exp_period, work_per_period = block
-        t_ff[:] = task.fault_free_time(j)
-        cost[:] = resilience.cost(task, j)
-        tau[:] = resilience.period(task, j)
-        lam[:] = resilience.task_lambda(j)
-        recovery = cost  # buddy protocol: R = C
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             # exp overflow -> inf: the expected time legitimately diverges
-            # on hopeless (MTBF << period) configurations
+            # on hopeless (MTBF << period) configurations.  A task too
+            # large for float64 overflows t_ff or tau instead: refused.
+            t_ff[:] = task.fault_free_time(j)
+            cost[:] = resilience.cost(task, j)
+            tau[:] = resilience.period(task, j)
+            lam[:] = resilience.task_lambda(j)
+            recovery = cost  # buddy protocol: R = C
             prefactor[:] = np.exp(lam * recovery) * (1.0 / lam + downtime)
             np.expm1(lam * tau, out=exp_period)
-        np.subtract(tau, cost, out=work_per_period)
+            np.subtract(tau, cost, out=work_per_period)
+        if not (np.isfinite(t_ff).all() and np.isfinite(work_per_period).all()):
+            raise ConfigurationError(
+                f"task {task.index}: fault-free time or checkpoint period "
+                "is not finite"
+            )
         if np.any(work_per_period <= 0):
             raise ConfigurationError(
                 f"task {task.index}: checkpoint period does not exceed its "
@@ -393,7 +399,6 @@ class ExpectedTimeModel:
         # Every TaskGrid row stacked, built once per model so batched
         # evaluations are pure fancy indexing with no per-call np.stack.
         self._stacked: Optional[np.ndarray] = None
-        self._stacked_block: Optional[Dict[str, np.ndarray]] = None
         self.reference = bool(reference)
 
     # -- grids ----------------------------------------------------------------
@@ -569,13 +574,6 @@ class ExpectedTimeModel:
                 [self.grid(i).block for i in range(n)], axis=1
             ).reshape(len(GRID_ROWS), n, self._grid_len)
         return self._stacked
-
-    def _stacked_grids(self) -> Dict[str, np.ndarray]:
-        """The ``(n_tasks, grid)`` blocks of :meth:`_stacked_array`,
-        keyed by :data:`GRID_ROWS` name."""
-        if self._stacked_block is None:
-            self._stacked_block = dict(zip(GRID_ROWS, self._stacked_array()))
-        return self._stacked_block
 
     def profile_rows_into(
         self,

@@ -38,12 +38,13 @@ Warm state reused across epochs: each running job's Eq. 4
 checkpoint costs and periods, failure rates and the ``exp`` terms over
 the even-``j`` grid) and the Eq. 6 envelope rows stored on it.  A grid
 and its rows depend only on the job and the platform, never on the
-pack, so the engine builds the grid for the first model built over a
-pack holding the job and hands the same object to every later model
-built while the job runs — a new epoch's model reads the rows earlier
-epochs evaluated instead of starting cold.  Grid and rows are dropped
-when the job completes or is cancelled, so the store holds at most one
-grid per running job.  This is the reuse that pays.
+pack, so the engine builds the grid when the job is submitted (a job
+whose grid is inconsistent is refused before it is registered) and
+hands the same object to every model built while the job runs — a new
+epoch's model reads the rows earlier epochs evaluated instead of
+starting cold.  Grid and rows are dropped when the job completes or is
+cancelled, so the store holds at most one grid per queued or running
+job.  This is the reuse that pays.
 :class:`ExpectedTimeModel` instances are also memoised in a
 :class:`~repro.engine.cache.WorkloadCache` keyed by the active job
 multiset (each with a :class:`~repro.core.kernels.DecisionCache`
@@ -215,7 +216,7 @@ class OnlineEngine:
         # One decision cache per memoised model, reset()-reused across
         # segments (bounded alongside the model memo).
         self._dcaches: "OrderedDict[tuple, DecisionCache]" = OrderedDict()
-        # Eq. 4 grid of each running job (module docstring: warm state).
+        # Eq. 4 grid of each live job (module docstring: warm state).
         self._j_grid = even_grid(cluster.processors)
         self._grids: Dict[str, TaskGrid] = {}
         if self.inject_faults:
@@ -336,11 +337,21 @@ class OnlineEngine:
             raise ConfigurationError(
                 f"checkpoint cost must be finite and >= 0, got {ckpt}"
             )
+        # The job's Eq. 4 grid is a pure function of its spec: build it
+        # now, so a grid TaskGrid.build refuses rejects the submit.
+        grid = TaskGrid.build(
+            TaskSpec(
+                index=0, size=size, checkpoint_cost=ckpt,
+                profile=self._profile, name=job_id,
+            ),
+            self._j_grid, self._resilience, self.cluster.downtime,
+        )
         t = self._now if now is None else float(now)
         self.advance_to(t)
         job = JobState(
             job_id=job_id, size=size, checkpoint_cost=ckpt, arrival=t
         )
+        self._grids[job_id] = grid
         self.jobs[job_id] = job
         self._queue.append(job_id)
         self.counters.submissions += 1
@@ -363,6 +374,7 @@ class OnlineEngine:
         job = self.jobs.get(job_id)
         if job is None or job.status in (COMPLETED, CANCELLED):
             return False
+        del self._grids[job_id]
         if job.status == QUEUED:
             self._queue.remove(job_id)
             job.status = CANCELLED
@@ -370,7 +382,6 @@ class OnlineEngine:
             self._record_epoch(t, "cancel", admitted=[], rc_paid=0.0, moves=0)
             return True
         job.status = CANCELLED
-        self._grids.pop(job_id, None)
         self.counters.cancellations += 1
         self._repack(t, "cancel")
         return True
@@ -401,7 +412,7 @@ class OnlineEngine:
             jid = self._order[idx]
             job = self.jobs[jid]
             job.status = COMPLETED
-            self._grids.pop(jid, None)
+            del self._grids[jid]
             job.completion_time = ev_t
             job.alpha_remaining = 0.0
             self.counters.completions += 1
@@ -474,7 +485,7 @@ class OnlineEngine:
                 pack,
                 self.cluster,
                 resilience=self._resilience,
-                grids=[self._job_grid(spec) for spec in pack],
+                grids=[self._grids[spec.name] for spec in pack],
             )
 
         model = self._models.get_or_build(key, build)
@@ -482,16 +493,6 @@ class OnlineEngine:
         self.counters.models_built += misses - before[1]
         self.counters.models_reused += hits - before[0]
         return model
-
-    def _job_grid(self, spec: TaskSpec) -> TaskGrid:
-        """The running job ``spec.name``'s grid, built on first use."""
-        grid = self._grids.get(spec.name)
-        if grid is None:
-            grid = TaskGrid.build(
-                spec, self._j_grid, self._resilience, self.cluster.downtime
-            )
-            self._grids[spec.name] = grid
-        return grid
 
     def _decision_cache_for(
         self, key: tuple, model: ExpectedTimeModel

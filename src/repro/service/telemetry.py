@@ -80,14 +80,11 @@ def service_engine_stats(engine) -> EngineStats:
     hits, misses = ExpectedTimeModel.process_cache_snapshot()
     stats.profile_hits = hits
     stats.profile_misses = misses
-    patched, reused, allocs, env_reused, tau_patched = (
-        process_decision_snapshot()
-    )
+    patched, reused, allocs, env_reused = process_decision_snapshot()
     stats.decision_rows_patched = patched
     stats.decision_rows_reused = reused
     stats.decision_scratch_allocs = allocs
     stats.decision_profile_env_reused = env_reused
-    stats.decision_profile_tau_patched = tau_patched
     stats.workloads_built = engine.counters.models_built
     stats.workloads_reused = engine.counters.models_reused
     stats.tasks_submitted = engine.counters.submissions

@@ -245,10 +245,10 @@ class Simulator:
         self._m_texp[idx] = t_exp
         self._m_tlast[idx] = t_last0
         self._m_sigma[idx] = counts
-        stacked = model._stacked_grids()
-        self._m_tff[idx] = stacked["t_ff"][idx, slots]
-        self._m_tau[idx] = stacked["tau"][idx, slots]
-        self._m_cost[idx] = stacked["cost"][idx, slots]
+        t_ff, cost, tau = model._stacked_array()[:3]  # GRID_ROWS order
+        self._m_tff[idx] = t_ff[idx, slots]
+        self._m_tau[idx] = tau[idx, slots]
+        self._m_cost[idx] = cost[idx, slots]
 
         if injector is not None:
             self._injector: FaultInjector | NullFaultInjector = injector

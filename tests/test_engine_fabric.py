@@ -156,8 +156,8 @@ class TestWorkerServe:
         assert list(results) == [execute_request(r) for r in requests]
         # One delta per process decision counter (kernels.py:
         # rows_patched, rows_reused, scratch_allocations,
-        # profile_env_reused, profile_tau_patched).
-        assert len(decisions) == 5
+        # profile_env_reused).
+        assert len(decisions) == 4
         assert engine == (0,)
 
     def test_error_payload_carries_the_traceback(self, tmp_path):

@@ -10,10 +10,12 @@ from repro.exceptions import CapacityError, ConfigurationError
 from repro.resilience import (
     ExpectedTimeModel,
     ResilienceModel,
+    TaskGrid,
     checkpoint_count,
     last_period,
 )
-from repro.tasks import homogeneous_pack
+from repro.resilience.expected_time import even_grid
+from repro.tasks import Pack, TaskSpec, homogeneous_pack
 
 
 def reference_expected_time(model, i, j, alpha):
@@ -228,6 +230,27 @@ class TestNaNAlpha:
         with pytest.raises(ConfigurationError, match="got nan"):
             call(model)
         assert model.cache_info()["entries"] == 0
+
+
+class TestGridValidation:
+    """``TaskGrid.build`` refuses a grid Eq. 4 cannot be evaluated on,
+    by name, before any model holds it."""
+
+    @pytest.mark.parametrize(
+        "size, match",
+        [(1e200, "does not exceed its cost"), (1e308, "not finite")],
+        ids=["inconsistent-checkpoint", "non-finite"],
+    )
+    def test_refused(self, small_cluster, size, match):
+        task = TaskSpec(index=0, size=size, checkpoint_cost=size)
+        with pytest.raises(ConfigurationError, match=match):
+            TaskGrid.build(
+                task, even_grid(small_cluster.processors),
+                ResilienceModel(small_cluster), small_cluster.downtime,
+            )
+        model = ExpectedTimeModel(Pack([task]), small_cluster)
+        with pytest.raises(ConfigurationError, match=match):
+            model.profile(0, 1.0)
 
 
 class TestMaxProcs:

@@ -124,6 +124,24 @@ class TestServiceAPI:
         assert session.engine.jobs == before
         assert api.handle("drain", {})["lost"] == []
 
+    @pytest.mark.parametrize(
+        "size", [1e200, 1e308], ids=["inconsistent-checkpoint", "non-finite"]
+    )
+    def test_refused_grid_leaves_no_job_behind(self, size):
+        # The job's Eq. 4 grid is built before the job is registered, so
+        # a size the grid refuses (its checkpoint period would not
+        # exceed its cost, or overflows to inf) is a 400 that changes
+        # nothing — with a job running and one queued.
+        api, session, _clock = make_api(processors=4)
+        for name in ("a", "b", "c"):
+            api.handle("submit", {"job_id": name, "size": 6_500.0})
+        jobs, queue = dict(session.engine.jobs), session.engine.queued_jobs
+        with pytest.raises(ConfigurationError):
+            api.handle("submit", {"job_id": "bad", "size": size})
+        assert session.engine.jobs == jobs
+        assert session.engine.queued_jobs == queue == ["c"]
+        assert api.handle("drain", {})["lost"] == []
+
     def test_unknown_and_private_operations_raise_lookup(self):
         api, _session, _clock = make_api()
         with pytest.raises(LookupError):
@@ -272,13 +290,13 @@ class TestTaskGridStore:
                         == getattr(fresh.grid(i), field.name).tobytes()
                     ), (pack[i].name, field.name)
 
-    def test_store_is_bounded_by_running_jobs_and_empty_after_drain(self):
+    def test_store_holds_one_grid_per_live_job_and_none_after_drain(self):
         engine = GRID_CONFIG.engine()
         seen = []
 
         def check(engine):
             held = engine.metrics()["task_grids"]
-            assert held <= len(engine.active_jobs)
+            assert held == len(engine.active_jobs) + len(engine.queued_jobs)
             seen.append(held)
 
         _drive(engine, generate_trace(4, **GRID_TRACE), after_event=check)
@@ -304,7 +322,7 @@ class TestTaskGridStore:
         assert max(seen) >= 2
         assert engine.metrics()["envelope_rows"] == 0
 
-    def test_job_cancelled_while_queued_never_builds_a_grid(
+    def test_each_job_builds_its_grid_once_and_cancel_drops_it(
         self, monkeypatch
     ):
         built = []
@@ -319,9 +337,12 @@ class TestTaskGridStore:
         for name in ("a", "b", "c"):
             api.handle("submit", {"job_id": name, "size": 6_500.0})
         assert session.engine.queued_jobs == ["c"]
+        assert session.engine.metrics()["task_grids"] == 3
         assert api.handle("cancel", {"job_id": "c"})["cancelled"] is True
+        assert session.engine.metrics()["task_grids"] == 2
         assert api.handle("drain", {})["completed"] == 2
-        assert sorted(built) == ["a", "b"]
+        assert sorted(built) == ["a", "b", "c"]
+        assert session.engine.metrics()["task_grids"] == 0
 
 
 def _call(url, path, *, token=None, payload=None, timeout=10.0):
@@ -404,6 +425,16 @@ class TestServiceHTTP:
             token=self.TOKEN,
         )
         assert status == 400 and "finite" in body["error"]
+        status, body = _call(server, "/api/drain", token=self.TOKEN,
+                             payload={})
+        assert status == 200 and body["lost"] == []
+
+    def test_non_finite_grid_submit_is_400_and_loses_nothing(self, server):
+        status, body = _call(
+            server, "/api/submit", token=self.TOKEN,
+            payload={"job_id": "huge", "size": 1e308},
+        )
+        assert status == 400 and "not finite" in body["error"]
         status, body = _call(server, "/api/drain", token=self.TOKEN,
                              payload={})
         assert status == 200 and body["lost"] == []
