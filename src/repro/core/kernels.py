@@ -266,8 +266,8 @@ class DecisionCache:
     decision.  Stale rows' Eq. (4) profiles come from the model's one
     fused kernel, evaluated straight into the cache's workspace (see
     :meth:`_profile_rows`).  All scratch is preallocated here and
-    reused per decision; `cache_info()` reports the patch/reuse/allocation
-    counters (also aggregated process-wide for
+    reused per decision; `cache_info()` reports the
+    patch/reuse/allocation counters (also aggregated process-wide for
     :class:`repro.engine.EngineStats`).
     """
 

@@ -190,7 +190,8 @@ class TaskGrid:
             prefactor[:] = np.exp(lam * recovery) * (1.0 / lam + downtime)
             np.expm1(lam * tau, out=exp_period)
             np.subtract(tau, cost, out=work_per_period)
-        if not (np.isfinite(t_ff).all() and np.isfinite(work_per_period).all()):
+        finite = np.isfinite(t_ff).all() and np.isfinite(work_per_period).all()
+        if not finite:
             raise ConfigurationError(
                 f"task {task.index}: fault-free time or checkpoint period "
                 "is not finite"

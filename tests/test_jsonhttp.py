@@ -10,21 +10,30 @@ import pytest
 from conftest import raw_post
 from repro.engine.broker import FileBroker
 from repro.engine.broker_server import BrokerServer
-from repro.service import ReplayConfig, ServiceServer, ServiceSession, VirtualClock
+from repro.service import (
+    ReplayConfig,
+    ServiceServer,
+    ServiceSession,
+    VirtualClock,
+)
 
 TOKEN = "jsonhttp-test-token"
 
 
 def _broker_server(tmp_path):
-    return BrokerServer(FileBroker(tmp_path / "spool"), token=TOKEN), "/api/claim"
+    server = BrokerServer(FileBroker(tmp_path / "spool"), token=TOKEN)
+    return server, "/api/claim"
 
 
 def _service_server(tmp_path):
-    session = ServiceSession(ReplayConfig(processors=8).engine(), VirtualClock())
-    return ServiceServer(session, token=TOKEN), "/api/submit"
+    engine = ReplayConfig(processors=8).engine()
+    server = ServiceServer(ServiceSession(engine, VirtualClock()), token=TOKEN)
+    return server, "/api/submit"
 
 
-@pytest.fixture(params=[_broker_server, _service_server], ids=["broker", "service"])
+@pytest.fixture(
+    params=[_broker_server, _service_server], ids=["broker", "service"]
+)
 def server(request, tmp_path):
     """``(url, POST path)`` of a live server, shut down afterwards."""
     server, path = request.param(tmp_path)
