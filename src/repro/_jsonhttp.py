@@ -8,7 +8,8 @@ threaded HTTP listener:
   no token means an open server;
 * a ``(method, path) -> op`` route table; anything else is a 404;
 * POST bodies must carry a sane ``Content-Length`` (400), fit under the
-  server's body cap (413) and decode to a JSON object (400);
+  server's body cap (413), arrive without a :data:`READ_TIMEOUT_S`
+  stall (408) and decode to a JSON object (400);
 * one exception-to-status map for what ``handle`` raises:
   ``ReproError``, ``KeyError`` (a missing field), ``TypeError`` and
   ``ValueError`` are a 400, any other ``LookupError`` (an unknown
@@ -29,7 +30,14 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .exceptions import ReproError
 
-__all__ = ["JSONServer"]
+__all__ = ["JSONServer", "READ_TIMEOUT_S"]
+
+#: Seconds one read of a request (its headers or its body) may wait for
+#: bytes.  A client that announces more body than it sends would
+#: otherwise hold a handler thread for as long as it keeps the
+#: connection open.  Fixed, not a server option: no legitimate client
+#: stalls this long mid-request.
+READ_TIMEOUT_S = 10.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -37,6 +45,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro/1"
     protocol_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        # StreamRequestHandler applies ``timeout`` to the connection;
+        # read per connection, so the module constant stays the one knob.
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._serve("GET")
@@ -82,7 +96,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length > max_body:
             self._refuse(413, "request body too large")
             return None
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:  # fewer body bytes than Content-Length said
+            self._refuse(408, "request body timed out")
+            return None
         try:
             data = json.loads(raw) if raw else {}
         except (ValueError, RecursionError):  # deep nesting overflows

@@ -60,6 +60,15 @@ class ProcessorMap:
         """Snapshot ``{task: count}`` for all tasks holding processors."""
         return {task: len(procs) for task, procs in self._held.items() if procs}
 
+    def copy(self) -> "ProcessorMap":
+        """An independent map with the same ownership (a simulator fork)."""
+        twin = ProcessorMap.__new__(ProcessorMap)
+        twin._p = self._p
+        twin._free = list(self._free)
+        twin._owner = dict(self._owner)
+        twin._held = {task: set(procs) for task, procs in self._held.items()}
+        return twin
+
     # -- mutations ----------------------------------------------------------
     def acquire(self, task: int, count: int) -> List[int]:
         """Give ``count`` free processors to ``task`` (count must be even)."""

@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.policy import get_policy
 from ..engine import Executor, RunRequest, ensure_executor
 from ..engine.cache import shared_cache
 from ..exceptions import ConfigurationError
@@ -136,30 +137,102 @@ def _run_replicate(
     """Engine runner: one paired replicate — every series on one draw.
 
     One pack is drawn and one :class:`ExpectedTimeModel` built per
-    replicate, then shared by all series (its profile cache is keyed by
-    ``(task, quantised alpha)``, which is safe across policies).  Fault
-    times depend only on the replicate seed, not on the policy.
-    ``simulator_options`` are extra :class:`Simulator` keywords
-    (``{"reference": True}`` — the reference leg, bit-identical by
-    contract).
+    replicate, then shared by all series (its envelope store is keyed
+    by ``(task, quantised alpha)``, which is safe across policies).
+    Fault times depend only on the replicate seed, not on the policy,
+    so the series share every event up to the first one whose
+    heuristic differs between their policies: :func:`_series_tree`
+    simulates that prefix once.  ``simulator_options`` are extra
+    :class:`Simulator` keywords (``{"reference": True}`` — the
+    reference leg, bit-identical by contract); with any option set,
+    every series runs on its own from ``start()``, which is what the
+    tree is pinned against.
     """
     pack, model = _replicate_workload(config, seed)
-    makespans: Dict[str, float] = {}
+    if simulator_options:
+        results = {
+            spec.key: Simulator(
+                pack,
+                model.cluster,
+                spec.policy,
+                seed=seed,
+                inject_faults=spec.faults,
+                model=model,
+                **simulator_options,
+            ).run()
+            for spec in series
+        }
+    else:
+        results = _series_tree(pack, model, series, seed)
+    makespans = {key: result.makespan for key, result in results.items()}
+    return makespans, results if keep_results else {}
+
+
+def _series_tree(
+    pack: Pack,
+    model: ExpectedTimeModel,
+    series: Tuple[Series, ...],
+    seed: int,
+) -> Dict[str, SimulationResult]:
+    """Every series of one replicate, sharing their common prefixes.
+
+    One simulator starts for the replicate; the fault-free series fork
+    off it right away with a null injector.  A simulator shared by a
+    group of series steps while the next event invokes the same
+    heuristic (or none) under each of their policies
+    (:meth:`Simulator.next_decision`).  Where the group splits it
+    forks one simulator per extra sub-group and carries on with the
+    first.  The tree runs depth-first off an explicit stack, and a
+    simulator is dropped once its leaf result is taken.  Each series'
+    result comes from one ``run()`` of its leaf simulator, which
+    finishes the run from the fork point; it equals an independent
+    ``Simulator(...).run()`` bit for bit.
+    """
+    policies = {spec.key: get_policy(spec.policy) for spec in series}
+    faulty = [spec.key for spec in series if spec.faults]
+    fault_free = [spec.key for spec in series if not spec.faults]
+    first = faulty or fault_free
+    root = Simulator(
+        pack,
+        model.cluster,
+        policies[first[0]],
+        seed=seed,
+        inject_faults=bool(faulty),
+        model=model,
+    )
+    root.start()
+    # (simulator, keys of the series whose state it holds); the
+    # simulator runs the first key's policy.
+    pending: List[Tuple[Simulator, List[str]]] = [(root, first)]
+    if faulty and fault_free:
+        pending.append(
+            (root.fork(policies[fault_free[0]], inject_faults=False),
+             fault_free)
+        )
+    del root  # the stack holds the only references: leaves are freed
     results: Dict[str, SimulationResult] = {}
-    for spec in series:
-        result = Simulator(
-            pack,
-            model.cluster,
-            spec.policy,
-            seed=seed,
-            inject_faults=spec.faults,
-            model=model,
-            **(simulator_options or {}),
-        ).run()
-        makespans[spec.key] = result.makespan
-        if keep_results:
-            results[spec.key] = result
-    return makespans, results
+    while pending:
+        sim, keys = pending.pop()
+        while len(keys) > 1:
+            if sim.tasks_remaining == 0:
+                split = [[key] for key in keys]
+            else:
+                kind = sim.next_decision()
+                groups: Dict[Optional[str], List[str]] = {}
+                for key in keys:
+                    heuristic = getattr(policies[key], kind) if kind else None
+                    name = getattr(heuristic, "name", None)
+                    groups.setdefault(name, []).append(key)
+                if len(groups) == 1:
+                    sim.step()
+                    continue
+                split = list(groups.values())
+            for sub in split[1:]:
+                pending.append((sim.fork(policies[sub[0]]), sub))
+            keys = split[0]
+            sim.policy = policies[keys[0]]
+        results[keys[0]] = sim.run()
+    return {spec.key: results[spec.key] for spec in series}
 
 
 def scenario_requests(

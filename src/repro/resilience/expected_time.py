@@ -193,12 +193,12 @@ class TaskGrid:
         finite = np.isfinite(t_ff).all() and np.isfinite(work_per_period).all()
         if not finite:
             raise ConfigurationError(
-                f"task {task.index}: fault-free time or checkpoint period "
+                f"task {task.name}: fault-free time or checkpoint period "
                 "is not finite"
             )
         if np.any(work_per_period <= 0):
             raise ConfigurationError(
-                f"task {task.index}: checkpoint period does not exceed its "
+                f"task {task.name}: checkpoint period does not exceed its "
                 "cost; the checkpoint strategy is inconsistent"
             )
         return cls(j=j, block=block)

@@ -15,6 +15,7 @@ implements the "re-draw after the blackout" semantics.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from typing import Iterator, List, Optional, Tuple
@@ -94,6 +95,19 @@ class FaultInjector:
             self._drawn += 1
         return (time, proc)
 
+    def fork(self) -> "FaultInjector":
+        """An independent copy that serves the same future failures.
+
+        The pending heap, the RNG state and the distribution (a trace
+        law keeps per-processor cursors) are copied, so drawing from
+        either injector never moves the other.
+        """
+        twin = copy.copy(self)
+        twin._heap = list(self._heap)
+        twin._rng = copy.deepcopy(self._rng)
+        twin._distribution = copy.deepcopy(self._distribution)
+        return twin
+
     def failures_until(self, horizon: float) -> Iterator[Tuple[float, int]]:
         """Consume and yield every failure strictly before ``horizon``."""
         while True:
@@ -119,6 +133,9 @@ class NullFaultInjector:
 
     def pop(self) -> Tuple[float, int]:
         return (math.inf, -1)
+
+    def fork(self) -> "NullFaultInjector":
+        return self
 
     def failures_until(self, horizon: float) -> Iterator[Tuple[float, int]]:
         return iter(())

@@ -339,13 +339,16 @@ class OnlineEngine:
             )
         # The job's Eq. 4 grid is a pure function of its spec: build it
         # now, so a grid TaskGrid.build refuses rejects the submit.
-        grid = TaskGrid.build(
-            TaskSpec(
-                index=0, size=size, checkpoint_cost=ckpt,
-                profile=self._profile, name=job_id,
-            ),
-            self._j_grid, self._resilience, self.cluster.downtime,
-        )
+        try:
+            grid = TaskGrid.build(
+                TaskSpec(
+                    index=0, size=size, checkpoint_cost=ckpt,
+                    profile=self._profile, name=job_id,
+                ),
+                self._j_grid, self._resilience, self.cluster.downtime,
+            )
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{exc} (job size {size:g})") from None
         t = self._now if now is None else float(now)
         self.advance_to(t)
         job = JobState(

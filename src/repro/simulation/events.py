@@ -64,6 +64,15 @@ class CompletionQueue(dict):
         self._heap.extend(zip(values, range(len(values))))
         heapq.heapify(self._heap)
 
+    def fork(self, runtimes: Sequence, mirror=None) -> "CompletionQueue":
+        """The same projections and heap over ``runtimes`` / ``mirror``
+        (a simulator fork's copies); later writes to either queue never
+        reach the other."""
+        twin = CompletionQueue(runtimes, mirror=mirror)
+        dict.update(twin, self)
+        twin._heap = list(self._heap)
+        return twin
+
     def _unsupported(self, *_args, **_kwargs):
         raise TypeError(
             "CompletionQueue only supports item assignment "

@@ -22,6 +22,7 @@ effect.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,7 +108,20 @@ class Simulator:
     and the post-heuristic commit — the only writers, by the
     ``DecisionCache`` invariant 1); ``live = ~completed & ~released``
     flips false at completion and early release, and never flips back.
+
+    :meth:`fork` copies a started simulator's mutable state — runtimes,
+    mirrors, processor map, completion heap, fault injector and counters
+    — under another policy.  Paired series that invoke the same
+    heuristics up to some event share that prefix: the experiments
+    layer steps one simulator through it and forks where the series
+    diverge (:func:`repro.experiments.runner._run_replicate`).
     """
+
+    #: The ndarray mirrors a fork copies (its scratch buffer is fresh).
+    _MIRRORS = (
+        "_m_finish", "_m_texp", "_m_tlast", "_m_sigma", "_m_tff", "_m_tau",
+        "_m_cost", "_m_done", "_m_released", "_m_live",
+    )
 
     def __init__(
         self,
@@ -155,6 +169,18 @@ class Simulator:
         """The run's persistent decision state (overridable for tests)."""
         return DecisionCache(self.model)
 
+    def _decision_cache(self) -> Optional[DecisionCache]:
+        """The run's decision cache, built at its first decision.
+
+        A fresh cache is all-dirty, so building it late (or afresh in a
+        fork) serves the same matrices as one that saw every event
+        (``DecisionCache`` invariant 1).  The reference heuristics have
+        no matrix, so they never cache.
+        """
+        if self._cache is None and not self._reference:
+            self._cache = self._make_decision_cache()
+        return self._cache
+
     def start(
         self,
         *,
@@ -185,10 +211,10 @@ class Simulator:
         pack, cluster, model = self.pack, self.cluster, self.model
         n, p = len(pack), cluster.processors
 
-        # One decision cache per run: every event's decision point
-        # delta-patches it instead of rebuilding the candidate matrix.
-        # The reference heuristics have no matrix, so they never cache.
-        self._cache = None if self._reference else self._make_decision_cache()
+        # One decision cache per run, built at the first decision: every
+        # later decision point delta-patches it instead of rebuilding the
+        # candidate matrix.
+        self._cache = None
 
         runtimes = [TaskRuntime(spec) for spec in pack]
         if sigma0 is None:
@@ -309,6 +335,35 @@ class Simulator:
         t_fail, _ = self._injector.peek()
         return t_comp if t_comp <= t_fail else t_fail
 
+    def next_decision(self) -> Optional[str]:
+        """The heuristic kind the next event may invoke.
+
+        ``"completion"`` or ``"failure"`` when the next event reaches
+        that heuristic slot of the policy; ``None`` when it cannot call
+        any heuristic under any policy — an early-released task's
+        completion, a failure of an idle processor or one masked by a
+        blackout window (the handlers' own early returns) — or when no
+        event is left.  Two simulators in the same state and with
+        policies that agree on the returned slot process the next event
+        identically.
+        """
+        self._require_started()
+        if self._remaining <= 0:
+            return None
+        t_comp, i_comp = self._finish.peek()
+        t_fail, proc = self._injector.peek()
+        if t_comp <= t_fail:
+            if t_comp == math.inf or self._m_released[i_comp]:
+                return None
+            return "completion"
+        owner = self._procs.owner_of(proc)
+        if owner is None:
+            return None
+        rt = self._runtimes[owner]
+        if rt.completed or rt.busy_at(t_fail) or self._m_released[owner]:
+            return None
+        return "failure"
+
     def step(self) -> Optional[Tuple[float, str, int]]:
         """Process the single next event.
 
@@ -398,10 +453,64 @@ class Simulator:
         )
 
     def run(self) -> SimulationResult:
-        """Execute the pack to completion and return the result."""
-        self.start()
+        """Execute the pack to completion and return the result.
+
+        A simulator that was never started starts first (the default
+        :meth:`start`); a started one — a :meth:`fork` in particular —
+        continues from its current event, so a fork's ``run()`` returns
+        the whole run's result, prefix included.
+        """
+        if self._runtimes is None:
+            self.start()
         self.advance()
         return self.result()
+
+    def fork(
+        self, policy: Policy | str, *, inject_faults: bool = True
+    ) -> "Simulator":
+        """An independent copy of this started simulator under ``policy``.
+
+        The copy shares the immutable pack, cluster and model (whose
+        envelope store is history-independent) and copies every piece
+        of mutable state: the runtimes and their ndarray mirrors, the
+        processor map, the completion heap, the fault injector's heap
+        and RNG, the counters and any recorded trace.  It starts without
+        a decision cache and builds a fresh one at its first decision.
+        Stepping either simulator never moves the other, and the fork
+        processes exactly the events an uninterrupted run of ``policy``
+        would, provided every event so far invoked the same heuristics
+        under both policies (see :meth:`next_decision`).
+
+        ``inject_faults=False`` swaps in a null injector: the fault-free
+        series of a replicate forks right after :meth:`start`, which it
+        shares with the fault series.
+        """
+        self._require_started()
+        child = copy.copy(self)
+        child.policy = get_policy(policy) if isinstance(policy, str) else policy
+        if not inject_faults:
+            if self._counters["events"] and self.inject_faults:
+                raise SimulationError(
+                    "a fault-free fork must be taken before the first event"
+                )
+            child.inject_faults = False
+            child._injector = NullFaultInjector()
+        else:
+            child._injector = self._injector.fork()
+        runtimes = [copy.copy(rt) for rt in self._runtimes]
+        child._runtimes = runtimes
+        for name in self._MIRRORS:
+            setattr(child, name, getattr(self, name).copy())
+        child._m_scratch = np.empty_like(self._m_scratch)
+        child._procs = self._procs.copy()
+        child._finish = self._finish.fork(runtimes, mirror=child._m_finish)
+        child._counters = dict(self._counters)
+        child._completion_times = self._completion_times.copy()
+        child._sigma0 = dict(self._sigma0)
+        child._cache = None
+        if self._rec_enabled:
+            child._recorder = copy.deepcopy(self._recorder)
+        return child
 
     # ------------------------------------------------------------------
     def _sync_task_mirrors(self, i: int, sigma: int) -> None:
@@ -526,11 +635,12 @@ class Simulator:
         tasks = self._active_for_redistribution(t, runtimes)
         if not tasks:
             return
-        if self._cache is not None:
-            self._cache.note_budget(procs.free_count)
+        cache = self._decision_cache()
+        if cache is not None:
+            cache.note_budget(procs.free_count)
         changed = self.policy.completion.apply(
             self.model, t, tasks, procs.free_count,
-            reference=self._reference, cache=self._cache,
+            reference=self._reference, cache=cache,
         )
         self._sync_and_reproject(t, changed, runtimes, procs, finish)
 
@@ -638,11 +748,12 @@ class Simulator:
         if self.policy.failure is not None and self._is_longest(rt_f, runtimes):
             tasks = self._active_for_redistribution(t, runtimes, include=f)
             if len(tasks) > 1 or (tasks and procs.free_count >= 2):
-                if self._cache is not None:
-                    self._cache.note_budget(procs.free_count)
+                cache = self._decision_cache()
+                if cache is not None:
+                    cache.note_budget(procs.free_count)
                 changed = self.policy.failure.apply(
                     self.model, t, tasks, procs.free_count, f,
-                    reference=self._reference, cache=self._cache,
+                    reference=self._reference, cache=cache,
                 )
                 self._sync_and_reproject(t, changed, runtimes, procs, finish)
 

@@ -10,10 +10,16 @@ Any change to a scheduling decision, a fault draw or an Eq. 4
 evaluation shows up here without running an oracle.  Regenerate the
 literals only for a deliberate change of behaviour:
 ``PYTHONPATH=src python tests/test_figure_digests.py`` prints the table.
+
+``SMALL_DIGESTS`` pins fig7 and fig10 at ``small`` scale, seed 1, in the
+slow leg (``REPRO_SLOW_TESTS=1``, about half a minute): more replicates
+and larger packs than ``tiny``, so the per-replicate series tree forks
+far more often per figure.
 """
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -35,6 +41,11 @@ TINY_DIGESTS = {
     "fig7": "41714d7104cd2b5bf690bb8afa674746105b307ec8d39d69c3501d9051b1342a",
     "fig8": "ff7d8eaa964faee375429016ea29ac4e41018341a5b99e15e4862408df55e54c",
     "fig9": "393b4791917c3536b1098ddebfb5bd4677b25d10f93ac3c6890a7621c83cd2c7",
+}
+
+SMALL_DIGESTS = {
+    "fig10": "21a30640c38437fafa0740103814a8662a0e7b088acf79bbccdf761beac09176",
+    "fig7": "027236e0873a19a5b67d55a2adb521b81c63489ba5dab530860fa8ba49cbc75e",
 }
 
 
@@ -68,7 +79,21 @@ def test_tiny_digest_unchanged(figure):
     assert figure_digest(result) == TINY_DIGESTS[figure]
 
 
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_SLOW_TESTS"),
+    reason="small-scale sweeps take a while; set REPRO_SLOW_TESTS=1",
+)
+@pytest.mark.parametrize("figure", sorted(SMALL_DIGESTS))
+def test_small_digest_unchanged(figure):
+    result = run_figure(figure, scale="small", seed=1)
+    assert figure_digest(result) == SMALL_DIGESTS[figure]
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     for name in sorted(list_figures()):
         digest = figure_digest(run_figure(name, scale="tiny", seed=1))
+        print(f'    "{name}": "{digest}",')
+    print("small:")
+    for name in sorted(SMALL_DIGESTS):
+        digest = figure_digest(run_figure(name, scale="small", seed=1))
         print(f'    "{name}": "{digest}",')

@@ -142,6 +142,17 @@ class TestServiceAPI:
         assert session.engine.queued_jobs == queue == ["c"]
         assert api.handle("drain", {})["lost"] == []
 
+    def test_refused_grid_names_the_job_and_its_size(self):
+        # The grid is built on a throwaway one-task pack (index 0); the
+        # refusal must name the submitted job, not that index.
+        api, _session, _clock = make_api()
+        with pytest.raises(ConfigurationError) as refused:
+            api.handle("submit", {"job_id": "bad", "size": 1e200})
+        message = str(refused.value)
+        assert message.startswith("task bad: checkpoint period")
+        assert "job size 1e+200" in message
+        assert "task 0" not in message
+
     def test_unknown_and_private_operations_raise_lookup(self):
         api, _session, _clock = make_api()
         with pytest.raises(LookupError):
