@@ -4,13 +4,13 @@ The whole simulator stack — decision cache, array decision kernels,
 fused Eq. 4 backend, ndarray failure path — is measured on a
 *failure-heavy* scenario (low MTBF, large pack, ~5k+ events) whose
 runtime is dominated by rebuild decisions, against the same run under
-``Simulator(reference=True)`` (scalar heuristics, per-call-stacking
-Eq. 4, the seed's per-failure Python scans).
+:class:`repro.oracle.ReferenceSimulator` (scalar heuristics,
+per-call-stacking Eq. 4, the seed's per-failure Python scans).
 
 Measurements:
 
 * ``sim_failure_heavy`` — the default path;
-* ``sim_failure_heavy_reference`` — ``reference=True``;
+* ``sim_failure_heavy_reference`` — the oracle's ``ReferenceSimulator``;
 * ``rebuild`` / ``rebuild_reference`` — one isolated Algorithm-5
   rebuild of an ``n``-task pack on each path (the fast path builds a
   one-shot decision cache, like any cache-less caller).
@@ -44,10 +44,11 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.cluster import Cluster
 from repro.core import optimal_schedule
+from repro import oracle
 from repro.core.heuristics import greedy_rebuild
 from repro.core.state import TaskRuntime
 from repro.resilience import ExpectedTimeModel
-from repro.simulation import simulate
+from repro.simulation import Simulator
 from repro.tasks import uniform_pack
 
 try:  # pytest / sys.path import (benchmarks/ on the path)
@@ -107,10 +108,14 @@ def measure(
 def _sim_runner(reference: bool) -> Callable[[], object]:
     """A zero-argument failure-heavy ``ig-el`` run on one path."""
     pack, cluster, seed = _sim_workload()
-    model = ExpectedTimeModel(pack, cluster, reference=reference)
-    return lambda: simulate(
-        pack, cluster, "ig-el", seed=seed, model=model, reference=reference,
+    model_class, simulator = (
+        (oracle.ReferenceModel, oracle.ReferenceSimulator) if reference
+        else (ExpectedTimeModel, Simulator)
     )
+    model = model_class(pack, cluster)
+    return lambda: simulator(
+        pack, cluster, "ig-el", seed=seed, model=model
+    ).run()
 
 
 def _sim_fields(result) -> Dict[str, float]:
@@ -138,8 +143,9 @@ def _rebuild_once(n: int, reference: bool) -> Callable[[], list]:
     cluster = Cluster.with_mtbf_years(8 * n, 0.02)
     model = ExpectedTimeModel(pack, cluster)
     sigma = optimal_schedule(model, 8 * n)
+    rebuild = oracle.greedy_rebuild if reference else greedy_rebuild
 
-    def rebuild() -> list:
+    def run() -> list:
         runtimes = []
         for i, spec in enumerate(pack):
             rt = TaskRuntime(spec)
@@ -147,7 +153,7 @@ def _rebuild_once(n: int, reference: bool) -> Callable[[], list]:
             rt.t_expected = model.expected_time(i, sigma[i], 1.0)
             runtimes.append(rt)
         t = min(rt.t_expected for rt in runtimes) * 0.5
-        greedy_rebuild(model, t, runtimes, 8 * n, reference=reference)
+        rebuild(model, t, runtimes, 8 * n)
         # Full mutated state, so identity checks compare the actual
         # allocations and bookkeeping, not just which tasks moved.
         return [
@@ -155,7 +161,7 @@ def _rebuild_once(n: int, reference: bool) -> Callable[[], list]:
             for rt in runtimes
         ]
 
-    return rebuild
+    return run
 
 
 def measure_rebuild(reference: bool) -> Dict[str, float]:
@@ -235,8 +241,8 @@ def run_all(names: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, float]
 def sim_speedup_vs_reference(results: Dict[str, Dict[str, float]]) -> float:
     """Reference seconds over default seconds (failure-heavy).
 
-    What the fast path buys end to end over ``Simulator(reference=
-    True)`` on the same simulation.
+    What the fast path buys end to end over the oracle's
+    ``ReferenceSimulator`` on the same simulation.
     """
     return (
         results["sim_failure_heavy_reference"]["seconds"]

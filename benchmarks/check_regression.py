@@ -8,7 +8,7 @@ against the committed baselines ``BENCH_hotpath.json`` /
 host-relative speedups must also stay above their floors: the batched
 expected-times accessor over the scalar loop
 (``--min-batch-speedup``, default 3x) and the default simulator path
-over ``Simulator(reference=True)`` on the failure-heavy simulation
+over :class:`repro.oracle.ReferenceSimulator` on the failure-heavy simulation
 (``--min-speedup-vs-reference``, default 2x at every scale).
 The scheduling service rides the same gate
 (:mod:`benchmarks.bench_service` vs ``BENCH_service.json``): the
@@ -158,8 +158,8 @@ def check_decisions(
     """Decision gate: fresh run vs ``BENCH_decisions.json``.
 
     Enforces the host-relative ``sim_speedup_vs_reference`` floor: the
-    default simulator path against ``Simulator(reference=True)`` on
-    the failure-heavy run.  The committed baseline is recorded at ``small`` scale while CI runs
+    default simulator path against :class:`repro.oracle.
+    ReferenceSimulator` on the failure-heavy run.  The committed baseline is recorded at ``small`` scale while CI runs
     ``tiny``, so the scale is part of the comparability test.
     """
     payload = json.loads(baseline_path.read_text())

@@ -4,10 +4,7 @@ from .base import (
     CompletionHeuristic,
     FailureHeuristic,
     apply_move,
-    candidate_finish_time,
-    candidate_finish_times,
     faulty_stall,
-    remaining_at,
 )
 from .end_local import EndLocal
 from .iterated_greedy import EndGreedy, IteratedGreedy, greedy_rebuild
@@ -17,10 +14,7 @@ __all__ = [
     "CompletionHeuristic",
     "FailureHeuristic",
     "apply_move",
-    "candidate_finish_time",
-    "candidate_finish_times",
     "faulty_stall",
-    "remaining_at",
     "EndLocal",
     "EndGreedy",
     "IteratedGreedy",

@@ -19,10 +19,9 @@ loops of Algorithms 3-5 ("q := 2; while q <= k ...") stop at the first
 improving candidate, which is exactly ``targets[mask.argmax()]`` on the
 boolean improvement mask.
 
-These helpers are the *scalar* decision kernel — the per-probe
-reference that ``reference=True`` runs.  The default path
-(:mod:`repro.core.kernels`) keeps the same values in one delta-patched
-matrix per decision point; the two agree bit for bit by construction.
+The decision kernels (:mod:`repro.core.kernels`) hold these values in
+one delta-patched matrix per decision point; the seed-literal scalar
+helpers they are pinned against live in :mod:`repro.oracle`.
 """
 
 from __future__ import annotations
@@ -30,101 +29,17 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from ...exceptions import CapacityError, SimulationError
 from ...resilience.expected_time import ExpectedTimeModel
 from ..kernels import DecisionCache, faulty_stall
-from ..progress import remaining_after_elapsed
-from ..redistribution import redistribution_cost, redistribution_cost_vector
+from ..redistribution import redistribution_cost
 from ..state import TaskRuntime
 
 __all__ = [
     "CompletionHeuristic",
     "FailureHeuristic",
-    "remaining_at",
-    "candidate_finish_times",
-    "candidate_finish_time",
     "apply_move",
     "faulty_stall",
 ]
-
-
-def remaining_at(
-    model: ExpectedTimeModel, rt: TaskRuntime, t: float
-) -> float:
-    """``alpha^t_i``: remaining work of ``rt`` at decision time ``t``.
-
-    Algorithm 3 line 8 / Algorithm 4-5 line 4: subtract the useful work
-    performed since ``tlastR_i`` (elapsed time minus checkpoints).
-    """
-    return remaining_after_elapsed(
-        model, rt.index, rt.sigma, rt.alpha, t, rt.t_last
-    )
-
-
-def candidate_finish_times(
-    model: ExpectedTimeModel,
-    i: int,
-    j_init: int,
-    alpha_t: float,
-    t: float,
-    stall: float,
-    targets: np.ndarray,
-) -> np.ndarray:
-    """``t_E(k)`` for every even candidate count in ``targets``.
-
-    One batched profile lookup scores the whole candidate set; the scan
-    loops of Algorithms 3-5 never touch a scalar accessor.  The slot
-    arithmetic is inlined (``targets`` are even counts >= 2 by
-    construction here, so only the grid bound needs checking) — external
-    callers wanting full validation should use
-    :meth:`~repro.resilience.expected_time.ExpectedTimeModel.
-    expected_times` instead.
-    """
-    if targets.size == 0:
-        return np.empty(0)
-    grid = model.grid(i)
-    slots = (targets >> 1) - 1
-    if int(slots.max()) >= grid.j.size:
-        raise SimulationError(
-            f"candidate count {int(targets.max())} exceeds the platform grid"
-        )
-    rc = model.rc_factor * redistribution_cost_vector(
-        model.pack[i].size, j_init, targets
-    )
-    profile = model.profile(i, alpha_t)
-    return t + stall + rc + (grid.cost[slots] + profile[slots])
-
-
-def candidate_finish_time(
-    model: ExpectedTimeModel,
-    i: int,
-    j_init: int,
-    alpha_t: float,
-    t: float,
-    stall: float,
-    k: int,
-) -> float:
-    """Scalar ``t_E(k)`` (used when committing a chosen move).
-
-    The arithmetic mirrors :func:`candidate_finish_times` operation for
-    operation so scalar and batched scores agree bit for bit (including
-    raising :class:`SimulationError` for an out-of-grid ``k``).
-    """
-    grid = model.grid(i)
-    try:
-        slot = grid.slot(k)
-    except CapacityError:
-        raise SimulationError(
-            f"candidate count {int(k)} exceeds the platform grid"
-        ) from None
-    rc = model.rc_factor * redistribution_cost(
-        model.pack[i].size, j_init, k
-    )
-    profile = model.profile(i, alpha_t)
-    finish = float(grid.cost[slot] + profile[slot])
-    return t + stall + rc + finish
 
 
 def apply_move(
@@ -176,18 +91,15 @@ class CompletionHeuristic(ABC):
         t: float,
         tasks: Sequence[TaskRuntime],
         free: int,
-        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         """Redistribute ``free`` processors among ``tasks`` at time ``t``.
 
         Mutates the runtimes in place and returns the indices of the tasks
         whose allocation changed (the simulator re-projects those).
-        ``reference`` runs the scalar per-probe kernel instead of the
-        decision matrix — both produce bit-identical decisions.
         ``cache`` supplies the run's persistent
-        :class:`~repro.core.kernels.DecisionCache` (without one the fast
-        path builds a one-shot cache; the reference path ignores it).
+        :class:`~repro.core.kernels.DecisionCache` (without one a
+        one-shot cache is built).
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -207,7 +119,6 @@ class FailureHeuristic(ABC):
         tasks: Sequence[TaskRuntime],
         free: int,
         faulty: int,
-        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         """Rebalance around faulty task ``faulty`` at time ``t``.
@@ -216,8 +127,7 @@ class FailureHeuristic(ABC):
         faulty one, whose ``alpha``/``t_last``/``t_expected`` have already
         been rolled back by the simulator skeleton (Alg. 2 lines 23-26).
         Returns the indices of tasks whose allocation changed.
-        ``reference`` and ``cache`` are as for
-        :meth:`CompletionHeuristic.apply`.
+        ``cache`` is as for :meth:`CompletionHeuristic.apply`.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -12,14 +12,14 @@ lines 16 and 23).
 terminations, without a faulty task.
 
 The rebuild walks the delta-patched candidate finish matrix
-(:mod:`repro.core.kernels`) by index; ``reference=True`` keeps the
-per-probe model calls as the bit-identical reference.
+(:mod:`repro.core.kernels`) by index.  The per-probe scalar rebuild it
+is pinned against is :func:`repro.oracle.greedy_rebuild`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,15 +27,7 @@ from ...exceptions import CapacityError
 from ...resilience.expected_time import ExpectedTimeModel
 from ..kernels import DecisionCache
 from ..state import TaskRuntime
-from .base import (
-    CompletionHeuristic,
-    FailureHeuristic,
-    apply_move,
-    candidate_finish_time,
-    candidate_finish_times,
-    faulty_stall,
-    remaining_at,
-)
+from .base import CompletionHeuristic, FailureHeuristic, apply_move
 
 __all__ = ["IteratedGreedy", "EndGreedy", "greedy_rebuild"]
 
@@ -46,7 +38,6 @@ def greedy_rebuild(
     tasks: Sequence[TaskRuntime],
     capacity: int,
     faulty: Optional[int] = None,
-    reference: bool = False,
     cache: Optional[DecisionCache] = None,
 ) -> List[int]:
     """Rebuild the allocation of ``tasks`` over ``capacity`` processors.
@@ -56,8 +47,7 @@ def greedy_rebuild(
     runtimes are mutated in place; returns the indices whose allocation
     changed.  The grant loop reads the run's delta-patched
     :class:`~repro.core.kernels.DecisionCache` (a one-shot cache when
-    none is given); ``reference=True`` runs the scalar per-probe kernel
-    instead — bit-identical decisions either way.
+    none is given).
     """
     if not tasks:
         return []
@@ -66,8 +56,6 @@ def greedy_rebuild(
         raise CapacityError(
             f"greedy rebuild needs capacity >= 2n: capacity={capacity}, n={n}"
         )
-    if reference:
-        return _greedy_rebuild_scalar(model, t, tasks, capacity, faulty)
     if cache is None:
         cache = DecisionCache(model)
     return _greedy_rebuild_cached(model, t, tasks, capacity, faulty, cache)
@@ -83,7 +71,7 @@ def _greedy_rebuild_cached(
 ) -> List[int]:
     """Cache-fed kernel: delta-patched matrix + incremental heap.
 
-    Decision-for-decision identical to :func:`_greedy_rebuild_scalar`:
+    Decision-for-decision identical to :func:`repro.oracle.greedy_rebuild`:
     the candidate values are the scalar helpers' doubles and every
     comparison reads the same ones.  Two loop mechanics differ from the
     seed's pop/scan/push loop without changing any decision:
@@ -179,80 +167,6 @@ def _greedy_rebuild_cached(
     return changed
 
 
-def _greedy_rebuild_scalar(
-    model: ExpectedTimeModel,
-    t: float,
-    tasks: Sequence[TaskRuntime],
-    capacity: int,
-    faulty: Optional[int],
-) -> List[int]:
-    """Scalar kernel: the seed-style per-probe reference path."""
-    by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
-    sigma_init: Dict[int, int] = {rt.index: rt.sigma for rt in tasks}
-    stall: Dict[int, float] = {}
-    alpha_t: Dict[int, float] = {}
-    for rt in tasks:
-        i = rt.index
-        if i == faulty:
-            # Already rolled back to the last checkpoint by the skeleton.
-            alpha_t[i] = rt.alpha
-            stall[i] = faulty_stall(rt, t)
-        else:
-            alpha_t[i] = remaining_at(model, rt, t)
-            stall[i] = 0.0
-
-    def finish(i: int, k: int) -> float:
-        """Expected finish if task ``i`` ends the rebuild on ``k`` procs."""
-        rt = by_index[i]
-        if k == sigma_init[i]:
-            # Line 16/23: unchanged allocation, the task just keeps going.
-            return rt.t_last + model.expected_time(i, k, rt.alpha)
-        return candidate_finish_time(
-            model, i, sigma_init[i], alpha_t[i], t, stall[i], k
-        )
-
-    sigma: Dict[int, int] = {rt.index: 2 for rt in tasks}
-    expected: Dict[int, float] = {i: finish(i, 2) for i in sigma}
-    heap = [(-expected[i], i) for i in sigma]
-    heapq.heapify(heap)
-    available = capacity - 2 * len(tasks)
-
-    while available >= 2 and heap:
-        _, i = heapq.heappop(heap)
-        p_max = sigma[i] + available
-        targets = np.arange(sigma[i] + 2, p_max + 1, 2, dtype=int)
-        finishes = candidate_finish_times(
-            model, i, sigma_init[i], alpha_t[i], t, stall[i], targets
-        )
-        if targets.size:
-            # Patch the no-redistribution candidate if it is in range.
-            where_init = np.nonzero(targets == sigma_init[i])[0]
-            if where_init.size:
-                finishes[where_init[0]] = finish(i, sigma_init[i])
-        if finishes.size and bool(np.any(finishes < expected[i])):
-            sigma[i] += 2
-            expected[i] = finish(i, sigma[i])
-            heapq.heappush(heap, (-expected[i], i))
-            available -= 2
-        else:
-            # Algorithm 5 line 30: the longest task cannot improve — stop.
-            available = 0
-
-    changed: List[int] = []
-    for i, rt in by_index.items():
-        if sigma[i] != sigma_init[i]:
-            apply_move(
-                model, rt, t, stall[i], sigma_init[i], sigma[i], alpha_t[i]
-            )
-            changed.append(i)
-        else:
-            # Untouched: restore the expected finish from live bookkeeping.
-            rt.t_expected = rt.t_last + model.expected_time(
-                i, rt.sigma, rt.alpha
-            )
-    return changed
-
-
 class IteratedGreedy(FailureHeuristic):
     """Failure-time full rebuild (Algorithm 5)."""
 
@@ -265,13 +179,11 @@ class IteratedGreedy(FailureHeuristic):
         tasks: Sequence[TaskRuntime],
         free: int,
         faulty: int,
-        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         capacity = free + sum(rt.sigma for rt in tasks)
         return greedy_rebuild(
-            model, t, tasks, capacity, faulty=faulty, reference=reference,
-            cache=cache,
+            model, t, tasks, capacity, faulty=faulty, cache=cache
         )
 
 
@@ -286,13 +198,9 @@ class EndGreedy(CompletionHeuristic):
         t: float,
         tasks: Sequence[TaskRuntime],
         free: int,
-        reference: bool = False,
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
-        if not tasks:
-            return []
         capacity = free + sum(rt.sigma for rt in tasks)
         return greedy_rebuild(
-            model, t, tasks, capacity, faulty=None, reference=reference,
-            cache=cache,
+            model, t, tasks, capacity, faulty=None, cache=cache
         )

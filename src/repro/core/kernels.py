@@ -31,10 +31,10 @@ algorithms score candidates with is *fixed per task*:
 
 Only the candidate target ``k`` varies.  The matrix ``t_E[i, k]`` is
 therefore a pure function of the decision point, and every entry is
-bit-identical to the scalar helpers (:func:`~repro.core.heuristics.
-base.candidate_finish_time` / ``candidate_finish_times``), operation for
-operation, so a default run matches ``Simulator(reference=True)`` — the
-scalar heuristics — byte for byte (pinned by
+bit-identical to the scalar helpers (:func:`repro.oracle.
+candidate_finish_time` / ``candidate_finish_times``), operation for
+operation, so a default run matches :class:`repro.oracle.
+ReferenceSimulator` — the scalar heuristics — byte for byte (pinned by
 ``tests/test_decision_kernels.py``).
 
 Delta-patching across events

@@ -11,19 +11,22 @@ makespan when no redistribution is allowed; the complexity is
 
 The default path scores the whole growth loop against the one
 :meth:`~repro.resilience.expected_time.ExpectedTimeModel.profile_batch`
-block — pure index arithmetic, zero model calls inside the loop — while
-``reference=True`` keeps the per-probe accessor calls as the
-bit-identical reference.
+block — pure index arithmetic, zero model calls inside the loop.  The
+per-probe form it is pinned against is
+:func:`repro.oracle.optimal_schedule`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import CapacityError
 from ..resilience.expected_time import ExpectedTimeModel
-__all__ = ["optimal_schedule", "expected_makespan"]
+
+__all__ = ["optimal_schedule", "envelope_block", "expected_makespan"]
 
 
 def optimal_schedule(
@@ -31,7 +34,6 @@ def optimal_schedule(
     p: int,
     indices: Optional[Sequence[int]] = None,
     alpha: float = 1.0,
-    reference: bool = False,
     alphas: Optional[Sequence[float]] = None,
 ) -> Dict[int, int]:
     """Algorithm 1: optimal no-redistribution allocation.
@@ -46,10 +48,6 @@ def optimal_schedule(
         Task subset to schedule (defaults to the whole pack).
     alpha:
         Remaining work fraction used for every task (1 at pack start).
-    reference:
-        ``False`` (default) runs the growth loop as index arithmetic
-        over the batched envelope block; ``True`` keeps the per-probe
-        model calls.  Both produce identical allocations.
     alphas:
         Per-task remaining fractions, one per entry of ``indices``
         (overrides ``alpha``).  This is the rolling-horizon form: the
@@ -68,6 +66,44 @@ def optimal_schedule(
     CapacityError
         If ``p < 2 n`` — the buddy scheme needs one pair per task.
     """
+    indices, block = envelope_block(model, p, indices, alpha, alphas)
+    sigma: Dict[int, int] = {i: 2 for i in indices}
+    available = p - 2 * len(indices)
+    # Max-heap on expected time; ties broken by task index for determinism.
+    # The growth loop only indexes the block: no model call inside it.
+    heap = [(-float(block[pos, 0]), i) for pos, i in enumerate(indices)]
+    heapq.heapify(heap)
+
+    pos_of = {i: pos for pos, i in enumerate(indices)}
+    width = block.shape[1]
+    while available >= 2 and heap:
+        neg_current, i = heapq.heappop(heap)
+        row = block[pos_of[i]]
+        p_max = sigma[i] + available
+        slot_max = (p_max >> 1) - 1
+        if (p_max & 1) or slot_max >= width:
+            # Out-of-grid probe: raise the slot accessor's CapacityError.
+            model.grid(i).slot(p_max)
+        # Line 9: can the longest task still be improved at all?
+        if -neg_current > float(row[slot_max]):
+            sigma[i] += 2
+            available -= 2
+            heapq.heappush(heap, (-float(row[(sigma[i] >> 1) - 1]), i))
+        else:
+            # No task can improve the makespan further: keep the rest free.
+            available = 0
+    return sigma
+
+
+def envelope_block(
+    model: ExpectedTimeModel,
+    p: int,
+    indices: Optional[Sequence[int]],
+    alpha: float,
+    alphas: Optional[Sequence[float]],
+) -> Tuple[List[int], np.ndarray]:
+    """Algorithm 1's checked inputs: the task list and, in one batched
+    evaluation, each task's envelope row at its remaining fraction."""
     if indices is None:
         indices = range(len(model.pack))
     indices = list(indices)
@@ -81,62 +117,9 @@ def optimal_schedule(
         raise CapacityError(
             f"alphas must match indices: {len(alphas)} != {n}"
         )
-    sigma: Dict[int, int] = {i: 2 for i in indices}
-    available = p - 2 * n
-
-    # Max-heap on expected time; ties broken by task index for determinism.
-    # One batched profile evaluation scores every task at j=2 (slot 0); the
-    # fast path keeps reading the block, the reference re-reads the (now
-    # warm) profile cache through the scalar accessors.
     if alphas is None:
-        block = model.profile_batch(indices, alpha)
-    else:
-        block = model.profile_matrix(indices, alphas)
-    heap = [(-float(block[pos, 0]), i) for pos, i in enumerate(indices)]
-    heapq.heapify(heap)
-
-    if reference:
-        alpha_of = (
-            {i: alpha for i in indices}
-            if alphas is None
-            else {i: float(alphas[pos]) for pos, i in enumerate(indices)}
-        )
-        while available >= 2 and heap:
-            neg_current, i = heapq.heappop(heap)
-            current = -neg_current
-            p_max = sigma[i] + available
-            # Line 9: can the longest task still be improved at all?
-            if current > model.expected_time(i, p_max, alpha_of[i]):
-                sigma[i] += 2
-                available -= 2
-                heapq.heappush(
-                    heap, (-model.expected_time(i, sigma[i], alpha_of[i]), i)
-                )
-            else:
-                # No task can improve the makespan further: keep the rest
-                # free.
-                available = 0
-        return sigma
-
-    pos_of = {i: pos for pos, i in enumerate(indices)}
-    width = block.shape[1]
-    while available >= 2 and heap:
-        neg_current, i = heapq.heappop(heap)
-        row = block[pos_of[i]]
-        p_max = sigma[i] + available
-        slot_max = (p_max >> 1) - 1
-        if (p_max & 1) or slot_max >= width:
-            # Out-of-grid probe: raise the reference path's CapacityError.
-            model.grid(i).slot(p_max)
-        # Line 9: can the longest task still be improved at all?
-        if -neg_current > float(row[slot_max]):
-            sigma[i] += 2
-            available -= 2
-            heapq.heappush(heap, (-float(row[(sigma[i] >> 1) - 1]), i))
-        else:
-            # No task can improve the makespan further: keep the rest free.
-            available = 0
-    return sigma
+        return indices, model.profile_batch(indices, alpha)
+    return indices, model.profile_matrix(indices, alphas)
 
 
 def expected_makespan(

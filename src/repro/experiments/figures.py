@@ -13,16 +13,7 @@ and returns a :class:`TraceFigureResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -270,7 +261,7 @@ def run_figure(
     workers: Optional[int] = None,
     engine: Optional[str] = None,
     executor: Optional["Executor"] = None,
-    simulator_options: Optional[Dict[str, Any]] = None,
+    simulator: type[Simulator] = Simulator,
     progress: Optional[Callable[[str, float, int, int], None]] = None,
 ) -> FigureResult | TraceFigureResult:
     """Reproduce one figure's data at the requested scale.
@@ -281,9 +272,9 @@ def run_figure(
     otherwise ``engine`` picks one, defaulting to ``"persistent"`` when
     ``workers`` > 1 so pool start-up is paid once per figure, not once
     per sweep point.  Every engine produces byte-identical series to a
-    serial run.  ``simulator_options`` forwards extra :class:`Simulator` keywords
-    (``{"reference": True}`` runs the seed-literal reference) to every
-    simulation.
+    serial run.  ``simulator`` is the :class:`Simulator` class every
+    simulation runs (:class:`repro.oracle.ReferenceSimulator` runs the
+    seed-literal reference).
     ``progress`` streams the sweep: it is called as ``progress(figure,
     x, done, total)`` while a point's replicates complete (the CLI
     wires it under ``--verbose``).  Trace figures (Fig. 9) are a single
@@ -298,10 +289,9 @@ def run_figure(
         ) from None
     scale_obj = get_scale(scale) if isinstance(scale, str) else scale
     if spec.kind == "trace":
-        return _run_trace_figure(spec, scale_obj, seed, simulator_options)
+        return _run_trace_figure(spec, scale_obj, seed, simulator)
     return _run_sweep_figure(
-        spec, scale_obj, seed, workers, engine, executor,
-        simulator_options, progress,
+        spec, scale_obj, seed, workers, engine, executor, simulator, progress,
     )
 
 
@@ -312,7 +302,7 @@ def _run_sweep_figure(
     workers: Optional[int] = None,
     engine: Optional[str] = None,
     executor: Optional["Executor"] = None,
-    simulator_options: Optional[Dict[str, Any]] = None,
+    simulator: type[Simulator] = Simulator,
     progress: Optional[Callable[[str, float, int, int], None]] = None,
 ) -> FigureResult:
     from ..engine import ensure_executor
@@ -336,7 +326,7 @@ def _run_sweep_figure(
                 spec.series,
                 seed=seed,
                 executor=active,
-                simulator_options=simulator_options,
+                simulator=simulator,
                 progress=point_progress,
             )
             x_values.append(x)
@@ -368,7 +358,7 @@ def _run_trace_figure(
     spec: FigureSpec,
     scale: Scale,
     seed: int,
-    simulator_options: Optional[Dict[str, Any]] = None,
+    simulator: type[Simulator] = Simulator,
 ) -> TraceFigureResult:
     config = scale.apply(spec.base)
     cluster = config.build_cluster()
@@ -378,17 +368,10 @@ def _run_trace_figure(
     series_data: Dict[str, Dict[str, np.ndarray]] = {}
     finals: Dict[str, float] = {}
     for s in TRACE_SERIES:
-        simulator = Simulator(
-            pack,
-            cluster,
-            s.policy,
-            seed=rep_seed,
-            inject_faults=True,
-            model=model,
-            record_trace=True,
-            **(simulator_options or {}),
-        )
-        result = simulator.run()
+        result = simulator(
+            pack, cluster, s.policy, seed=rep_seed, inject_faults=True,
+            model=model, record_trace=True,
+        ).run()
         assert result.trace is not None
         series_data[s.key] = result.trace.as_arrays()
         finals[s.key] = result.makespan

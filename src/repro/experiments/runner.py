@@ -130,7 +130,7 @@ def _run_replicate(
     config: ScenarioConfig,
     series: Tuple[Series, ...],
     keep_results: bool,
-    simulator_options: Optional[Dict[str, Any]] = None,
+    simulator: type[Simulator] = Simulator,
     *,
     seed: int,
 ) -> Tuple[Dict[str, float], Dict[str, SimulationResult]]:
@@ -142,28 +142,22 @@ def _run_replicate(
     Fault times depend only on the replicate seed, not on the policy,
     so the series share every event up to the first one whose
     heuristic differs between their policies: :func:`_series_tree`
-    simulates that prefix once.  ``simulator_options`` are extra
-    :class:`Simulator` keywords (``{"reference": True}`` — the
-    reference leg, bit-identical by contract); with any option set,
-    every series runs on its own from ``start()``, which is what the
-    tree is pinned against.
+    simulates that prefix once.  Any ``simulator`` class other than
+    :class:`Simulator` (the oracle's ``ReferenceSimulator`` — the
+    reference leg, bit-identical by contract) runs every series on its
+    own from ``start()``, which is what the tree is pinned against.
     """
     pack, model = _replicate_workload(config, seed)
-    if simulator_options:
+    if simulator is Simulator:
+        results = _series_tree(pack, model, series, seed)
+    else:
         results = {
-            spec.key: Simulator(
-                pack,
-                model.cluster,
-                spec.policy,
-                seed=seed,
-                inject_faults=spec.faults,
-                model=model,
-                **simulator_options,
+            spec.key: simulator(
+                pack, model.cluster, spec.policy, seed=seed,
+                inject_faults=spec.faults, model=model,
             ).run()
             for spec in series
         }
-    else:
-        results = _series_tree(pack, model, series, seed)
     makespans = {key: result.makespan for key, result in results.items()}
     return makespans, results if keep_results else {}
 
@@ -241,14 +235,14 @@ def scenario_requests(
     *,
     seed: int = 0,
     keep_results: bool = False,
-    simulator_options: Optional[Dict[str, Any]] = None,
+    simulator: type[Simulator] = Simulator,
 ) -> List[RunRequest]:
     """The engine requests of one scenario: one per paired replicate."""
     series = tuple(series)
     return [
         RunRequest(
             fn=_run_replicate,
-            payload=(config, series, keep_results, simulator_options),
+            payload=(config, series, keep_results, simulator),
             seed=_replicate_seed(seed, replicate),
             tag=replicate,
         )
@@ -268,7 +262,7 @@ def run_scenario(
     engine: Optional[str] = None,
     executor: Optional[Executor] = None,
     journal: Optional[Any] = None,
-    simulator_options: Optional[Dict[str, Any]] = None,
+    simulator: type[Simulator] = Simulator,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> ScenarioResult:
     """Run every series of a scenario over paired replicates.
@@ -286,9 +280,9 @@ def run_scenario(
     replicates one worker dispatch carries (default: ~4 chunks per
     worker).
 
-    ``simulator_options`` forwards extra :class:`Simulator` keywords
-    (``{"reference": True}``) to every replicate's
-    :class:`~repro.simulation.Simulator`.  ``progress`` switches the
+    ``simulator`` is the :class:`~repro.simulation.Simulator` class
+    every replicate runs (it rides in the request payload, so pooled
+    workers honour it).  ``progress`` switches the
     dispatch to :meth:`~repro.engine.Executor.map_stream` and is called
     as ``progress(done, total)`` after each completed chunk — the
     reassembled results stay byte-identical to a plain ``map``.
@@ -305,7 +299,7 @@ def run_scenario(
         series,
         seed=seed,
         keep_results=keep_results,
-        simulator_options=simulator_options,
+        simulator=simulator,
     )
     with ensure_executor(
         executor,

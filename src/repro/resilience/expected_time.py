@@ -325,16 +325,6 @@ class ExpectedTimeModel:
         Multiplier on every redistribution cost ``RC_i^{j->k}`` seen by
         the heuristics (ablation knob: 0 makes redistribution free, large
         values discourage it).  The paper's model is ``rc_factor = 1``.
-    reference:
-        How the Eq. (4) elementwise pass executes on cache misses:
-        ``False`` (default) runs :func:`~repro.resilience.
-        profile_backends.fused_raw_rows` over the model's stacked grid
-        block; ``True`` keeps the original per-call ``np.stack`` paths
-        (:func:`stacked_raw_profiles`) verbatim.  Both are bit-identical,
-        and the public ``reference`` attribute may be flipped at any
-        time — stored rows are keyed only by ``(grid, quantised
-        alpha)``, so warm entries stay valid.  ``Simulator(reference=
-        True)`` sets it on the model it runs.
     grids:
         Optional prebuilt :class:`TaskGrid` per task, in pack order, for
         callers that keep grids across models (the online service).  Each
@@ -363,7 +353,6 @@ class ExpectedTimeModel:
         max_procs: Optional[int] = None,
         cache_size: int = 4096,
         rc_factor: float = 1.0,
-        reference: bool = False,
         grids: Optional[Sequence[TaskGrid]] = None,
     ):
         if rc_factor < 0:
@@ -400,7 +389,6 @@ class ExpectedTimeModel:
         # Every TaskGrid row stacked, built once per model so batched
         # evaluations are pure fancy indexing with no per-call np.stack.
         self._stacked: Optional[np.ndarray] = None
-        self.reference = bool(reference)
 
     # -- grids ----------------------------------------------------------------
     @property
@@ -460,8 +448,8 @@ class ExpectedTimeModel:
             return cached
         self.cache_misses += 1
         _PROCESS_PROFILE_COUNTERS[1] += 1
-        # One row needs no stacking: both modes evaluate the grid's own
-        # arrays (the single-grid branch of stacked_raw_profiles).
+        # One row needs no stacking: it evaluates the grid's own arrays
+        # (the single-grid branch of stacked_raw_profiles).
         envelope = np.minimum.accumulate(
             self.raw_profile(i, key / _ALPHA_SCALE)
         )
@@ -507,12 +495,7 @@ class ExpectedTimeModel:
             sel = [i for i, _ in missing]
             miss_keys = [key for _, key in missing]
             alpha_q = np.array(miss_keys) / _ALPHA_SCALE
-            if self.reference:
-                raw = stacked_raw_profiles(
-                    [self.grid(i) for i in sel], alpha_q
-                )
-            else:
-                raw = fused_raw_rows(self._stacked_array()[:, sel], alpha_q)
+            raw = self._raw_rows(sel, alpha_q)
             block = np.minimum.accumulate(raw, axis=1)  # a fresh array
             block.setflags(write=False)
             rows = list(block)
@@ -526,6 +509,12 @@ class ExpectedTimeModel:
         if found:
             out[: len(found)] = found
         return out
+
+    def _raw_rows(self, indices: list, alphas: np.ndarray) -> np.ndarray:
+        """Eq. (4) rows of ``(indices[r], alphas[r])``: the fused pass
+        over the stacked grid block (bit-identical to
+        :func:`stacked_raw_profiles`, which :mod:`repro.oracle` runs)."""
+        return fused_raw_rows(self._stacked_array()[:, indices], alphas)
 
     def profile_batch(
         self, indices: Sequence[int], alpha: float = 1.0
@@ -635,10 +624,10 @@ class ExpectedTimeModel:
 
         One profile lookup plus one fancy index instead of a scalar
         accessor per candidate, with full input validation — the public
-        batch accessor.  The heuristics' candidate scans
-        (:func:`~repro.core.heuristics.base.candidate_finish_times`) use
-        the same single-lookup pattern with the slot arithmetic inlined,
-        since their targets are even by construction.
+        batch accessor.  The oracle's candidate scans
+        (:func:`repro.oracle.candidate_finish_times`) use the same
+        single-lookup pattern with the slot arithmetic inlined, since
+        their targets are even by construction.
         """
         return self.profile(i, alpha)[self.grid(i).slots(j_array)]
 

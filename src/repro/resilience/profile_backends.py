@@ -12,10 +12,9 @@ elementwise pass over ``(row, grid-slot)`` blocks::
 ``(7, n_tasks, grid)`` block (every
 :class:`~repro.resilience.expected_time.TaskGrid` row, in
 :data:`~repro.resilience.expected_time.GRID_ROWS` order): one fancy
-index instead of a gather or an ``np.stack`` per field.  An
-:class:`~repro.resilience.expected_time.ExpectedTimeModel` built with
-``reference=True`` skips it and keeps the original per-call
-``np.stack`` code of :func:`~repro.resilience.expected_time.
+index instead of a gather or an ``np.stack`` per field.  The oracle's
+:class:`repro.oracle.ReferenceModel` skips it and keeps the original
+per-call ``np.stack`` code of :func:`~repro.resilience.expected_time.
 stacked_raw_profiles` instead.  Because float64
 elementwise operations are bitwise deterministic regardless of how
 their operands were laid out in memory, the fused rows are

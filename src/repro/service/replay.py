@@ -1,8 +1,8 @@
 """Deterministic arrival-replay harness — the service-layer pin.
 
 The repo's reliability story is built on reference modes pinned
-bit-identical to fast paths (fig7/fig10 under ``Simulator(reference=
-True)``, every executor against ``serial``).  The service layer gets
+bit-identical to fast paths (fig7/fig10 under the oracle's
+``ReferenceSimulator``, every executor against ``serial``).  The service layer gets
 the same treatment: a seeded arrival trace is driven twice —
 
 * **reference**: straight into an :class:`~repro.service.horizon.

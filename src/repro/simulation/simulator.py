@@ -35,7 +35,6 @@ from ..core.policy import Policy, get_policy
 from ..core.progress import (
     projected_finish,
     projected_finishes,
-    remaining_after_failure,
     remaining_after_failure_from_values,
 )
 from ..core.state import TaskRuntime
@@ -78,30 +77,18 @@ class Simulator:
         replicates of the same pack to amortise the grids).
     record_trace:
         Capture the Fig. 9 series and a full event log.
-    reference:
-        ``False`` (default) is the fast path: every scheduling decision
-        — Algorithm 1 at pack start and the Algorithm 3-5 loops at every
-        event — reads one persistent :class:`~repro.core.kernels.
-        DecisionCache` that delta-patches only the candidate-matrix rows
-        invalidated since the previous decision, Eq. (4) misses run on
-        the fused pass, and the per-failure path scans ndarray
-        mirrors.  ``True`` is the seed-literal reference the fast path
-        is pinned against: the scalar per-probe heuristics and
-        Algorithm 1, the per-call ``np.stack`` Eq. (4) evaluation
-        (applied to the model, shared or not — value-safe, since both
-        are bit-identical and stored envelopes are history-independent),
-        and the seed's per-``TaskRuntime`` Python scans (early release,
-        is-longest test, Fig. 9 snapshot, rollback through the model
-        accessors).  Both produce bit-identical executions.
 
-    The per-failure path of Algorithm 2 — the early-release scan of
-    line 28, the is-longest test of line 30 and the Fig. 9 snapshot —
-    runs on flat ndarray mirrors of ``finish`` / ``t_expected`` /
-    ``sigma`` / ``completed`` maintained alongside the ``TaskRuntime``
-    bookkeeping.  The mirrors are *written* in both modes (they are the
-    release/completion bookkeeping of record) but only *read* by the
-    fast path.  The mirror invariants: ``finish`` is mirrored at its
-    single write channel (:class:`~repro.simulation.events.
+    The Algorithm 3-5 decisions read one persistent
+    :class:`~repro.core.kernels.DecisionCache` that delta-patches only
+    the candidate-matrix rows invalidated since the previous decision.
+    The per-failure path of Algorithm 2 — the rollback, the
+    early-release scan of line 28, the is-longest test of line 30 and
+    the Fig. 9 snapshot — runs on flat ndarray mirrors of ``finish`` /
+    ``t_expected`` / ``sigma`` / ``completed`` maintained alongside the
+    ``TaskRuntime`` bookkeeping.  :class:`repro.oracle.
+    ReferenceSimulator` overrides those steps with the seed-literal
+    scans this path is pinned against.  The mirror invariants:
+    ``finish`` is mirrored at its single write channel (:class:`~repro.simulation.events.
     CompletionQueue.__setitem__`); ``t_expected``/``sigma`` and the
     grid values at the current allocation are mirrored exactly where
     the decision cache's dirty bits are raised (the failure rollback
@@ -136,21 +123,16 @@ class Simulator:
         model: Optional[ExpectedTimeModel] = None,
         record_trace: bool = False,
         strict: bool = False,
-        reference: bool = False,
     ):
         self.pack = pack
         self.cluster = cluster
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.seed = int(seed)
         self.inject_faults = bool(inject_faults)
-        self._reference = bool(reference)
-        if model is not None:
-            self.model = model
-            model.reference = self._reference
-        else:
-            self.model = ExpectedTimeModel(
-                pack, cluster, resilience=resilience, reference=reference
-            )
+        self.model = (
+            model if model is not None
+            else ExpectedTimeModel(pack, cluster, resilience=resilience)
+        )
         self._distribution = (
             fault_distribution
             if fault_distribution is not None
@@ -174,10 +156,9 @@ class Simulator:
 
         A fresh cache is all-dirty, so building it late (or afresh in a
         fork) serves the same matrices as one that saw every event
-        (``DecisionCache`` invariant 1).  The reference heuristics have
-        no matrix, so they never cache.
+        (``DecisionCache`` invariant 1).
         """
-        if self._cache is None and not self._reference:
+        if self._cache is None:
             self._cache = self._make_decision_cache()
         return self._cache
 
@@ -218,7 +199,7 @@ class Simulator:
 
         runtimes = [TaskRuntime(spec) for spec in pack]
         if sigma0 is None:
-            sigma0 = optimal_schedule(model, p, reference=self._reference)
+            sigma0 = self._initial_sigma()
         elif set(sigma0) != set(range(n)):
             raise SimulationError(
                 "sigma0 must assign every task exactly once"
@@ -303,6 +284,10 @@ class Simulator:
         self._makespan = 0.0
         self._remaining = n
         self._t_now = t0
+
+    def _initial_sigma(self) -> Dict[int, int]:
+        """Algorithm 1 over the whole pack (the default ``sigma0``)."""
+        return optimal_schedule(self.model, self.cluster.processors)
 
     def _require_started(self) -> None:
         if self._runtimes is None:
@@ -527,20 +512,9 @@ class Simulator:
 
         Reads the mirrored grid values at the current allocation — the
         same floats :meth:`_sync_task_mirrors` gathered from the grid,
-        so the result is bit-identical to resolving the grid per call
-        (which is exactly what the reference mode does).
+        so the result is bit-identical to resolving the grid per call.
         """
         i = rt.index
-        if self._reference:
-            grid = self.model.grid(i)
-            slot = grid.slot(rt.sigma)
-            return projected_finish(
-                rt.t_last,
-                rt.alpha,
-                float(grid.t_ff[slot]),
-                float(grid.tau[slot]),
-                float(grid.cost[slot]),
-            )
         return projected_finish(
             rt.t_last,
             rt.alpha,
@@ -560,16 +534,8 @@ class Simulator:
         One vectorised compare over the live/t_last mirrors: for a live
         task ``busy_at(t)`` is exactly ``t <= t_last``, so the selection
         is ``live & (t_last < t)`` with ``include`` forced in (ascending
-        task index = the reference scan's pack order).
+        task index = the pack order of a scan over the runtimes).
         """
-        if self._reference:
-            selected = []
-            for rt in runtimes:
-                if rt.completed or self._m_released[rt.index]:
-                    continue
-                if rt.index == include or not rt.busy_at(t):
-                    selected.append(rt)
-            return selected
         buf = self._m_scratch
         np.less(self._m_tlast, t, out=buf)
         buf &= self._m_live
@@ -639,8 +605,7 @@ class Simulator:
         if cache is not None:
             cache.note_budget(procs.free_count)
         changed = self.policy.completion.apply(
-            self.model, t, tasks, procs.free_count,
-            reference=self._reference, cache=cache,
+            self.model, t, tasks, procs.free_count, cache=cache
         )
         self._sync_and_reproject(t, changed, runtimes, procs, finish)
 
@@ -673,37 +638,11 @@ class Simulator:
 
         counters["effective"] += 1
         f = owner
-        j = rt_f.sigma
         # Alg. 2 lines 23-26: roll back to the last checkpoint, pay D + R.
-        # The grid values at sigma come from the mirrors — the same floats
-        # the model accessors would gather (restart_overhead is D + C and
-        # expected_time indexes the envelope at slot (j >> 1) - 1), so the
-        # rollback is bit-identical to the accessor-resolving form the
-        # reference mode keeps.
         lost_before = rt_f.alpha
-        if self._reference:
-            rt_f.alpha = remaining_after_failure(
-                self.model, f, j, rt_f.alpha, t, rt_f.t_last
-            )
-            rt_f.rework += rt_f.alpha - lost_before  # <= 0 contribution
-            rt_f.failures += 1
-            rt_f.t_last = t + self.model.restart_overhead(f, j)
-            rt_f.t_expected = rt_f.t_last + self.model.expected_time(
-                f, j, rt_f.alpha
-            )
-        else:
-            tff = float(self._m_tff[f])
-            tau = float(self._m_tau[f])
-            cost = float(self._m_cost[f])
-            rt_f.alpha = remaining_after_failure_from_values(
-                rt_f.alpha, t, rt_f.t_last, tff, tau, cost
-            )
-            rt_f.rework += rt_f.alpha - lost_before  # <= 0 contribution
-            rt_f.failures += 1
-            rt_f.t_last = t + (self.model.downtime + cost)
-            rt_f.t_expected = rt_f.t_last + float(
-                self.model.profile(f, rt_f.alpha)[(j >> 1) - 1]
-            )
+        self._roll_back(rt_f, t)
+        rt_f.rework += rt_f.alpha - lost_before  # <= 0 contribution
+        rt_f.failures += 1
         self._m_texp[f] = rt_f.t_expected
         self._m_tlast[f] = rt_f.t_last
         finish[f] = self._projected(rt_f)
@@ -715,34 +654,12 @@ class Simulator:
 
         # Alg. 2 line 28: tasks projected to end before the struck task
         # resumes release their processors for the rebalancing below.
-        # One vectorised compare over the finish mirror instead of a
-        # Python scan of every runtime per failure.
-        t_resume = rt_f.t_last
-        if self._reference:
-            for i, rt in enumerate(runtimes):
-                if (
-                    not rt.completed
-                    and i != f
-                    and not self._m_released[i]
-                    and finish[i] < t_resume
-                ):
-                    self._m_released[i] = True
-                    self._m_live[i] = False
-                    procs.release(i)
-                    if self._rec_enabled:
-                        self._recorder.event(t, EventKind.EARLY_RELEASE, i)
-        else:
-            buf = self._m_scratch
-            np.less(self._m_finish, t_resume, out=buf)
-            buf &= self._m_live
-            buf[f] = False
-            for i in np.nonzero(buf)[0]:
-                i = int(i)
-                self._m_released[i] = True
-                self._m_live[i] = False
-                procs.release(i)
-                if self._rec_enabled:
-                    self._recorder.event(t, EventKind.EARLY_RELEASE, i)
+        for i in self._early_releases(f, rt_f.t_last, runtimes, finish):
+            self._m_released[i] = True
+            self._m_live[i] = False
+            procs.release(i)
+            if self._rec_enabled:
+                self._recorder.event(t, EventKind.EARLY_RELEASE, i)
 
         # Alg. 2 line 30: rebalance only if the struck task is the longest.
         if self.policy.failure is not None and self._is_longest(rt_f, runtimes):
@@ -752,26 +669,51 @@ class Simulator:
                 if cache is not None:
                     cache.note_budget(procs.free_count)
                 changed = self.policy.failure.apply(
-                    self.model, t, tasks, procs.free_count, f,
-                    reference=self._reference, cache=cache,
+                    self.model, t, tasks, procs.free_count, f, cache=cache
                 )
                 self._sync_and_reproject(t, changed, runtimes, procs, finish)
 
         if self._rec_enabled:
             self._failure_snapshot(t, runtimes, finish)
 
+    def _roll_back(self, rt: TaskRuntime, t: float) -> None:
+        """Roll ``rt``, struck at ``t``, back to its last checkpoint.
+
+        The grid values at sigma come from the mirrors — the same floats
+        the model accessors would gather (``restart_overhead`` is
+        ``D + C`` and ``expected_time`` indexes the envelope at slot
+        ``(j >> 1) - 1``).
+        """
+        f = rt.index
+        cost = float(self._m_cost[f])
+        rt.alpha = remaining_after_failure_from_values(
+            rt.alpha, t, rt.t_last, float(self._m_tff[f]),
+            float(self._m_tau[f]), cost,
+        )
+        rt.t_last = t + (self.model.downtime + cost)
+        rt.t_expected = rt.t_last + float(
+            self.model.profile(f, rt.alpha)[(rt.sigma >> 1) - 1]
+        )
+
+    def _early_releases(
+        self,
+        f: int,
+        t_resume: float,
+        runtimes: List[TaskRuntime],
+        finish: Dict[int, float],
+    ) -> List[int]:
+        """Live tasks other than ``f`` projected to end before
+        ``t_resume``, ascending: one compare over the finish mirror."""
+        buf = self._m_scratch
+        np.less(self._m_finish, t_resume, out=buf)
+        buf &= self._m_live
+        buf[f] = False
+        return np.nonzero(buf)[0].tolist()
+
     def _is_longest(
         self, rt_f: TaskRuntime, runtimes: List[TaskRuntime]
     ) -> bool:
         """Alg. 2 line 30 test, vectorised over the t_expected mirror."""
-        if self._reference:
-            threshold = rt_f.t_expected
-            for i, rt in enumerate(runtimes):
-                if rt.completed or self._m_released[i]:
-                    continue
-                if rt.t_expected > threshold:
-                    return False
-            return True
         buf = self._m_scratch
         np.greater(self._m_texp, rt_f.t_expected, out=buf)
         buf &= self._m_live
@@ -792,15 +734,6 @@ class Simulator:
         holds exact small integers, so its float64 std matches the
         seed's int-list std bit for bit.
         """
-        if self._reference:
-            projected = [
-                rt.completion_time if rt.completed else finish[rt.index]
-                for rt in runtimes
-            ]
-            sigmas = [rt.sigma for rt in runtimes if not rt.completed]
-            sigma_std = float(np.std(sigmas)) if sigmas else 0.0
-            self._recorder.failure_snapshot(t, float(max(projected)), sigma_std)
-            return
         makespan = float(self._m_finish.max())
         active = ~self._m_done
         if bool(active.any()):

@@ -3,7 +3,7 @@
 The delta-patched :class:`~repro.core.kernels.DecisionCache` is a pure
 optimisation: every observable output — simulations, heuristic
 mutations, the kernel primitives themselves — must be bit-identical to
-the scalar reference (``reference=True``) on any workload, platform and
+the scalar reference (:mod:`repro.oracle`) on any workload, platform and
 fault draw — including, via a checking cache, that the patched matrix
 equals the scalar helpers *at every decision point* of randomised event
 sequences.  These tests pin that contract with randomised inputs.
@@ -17,15 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
+from repro import oracle
 from repro.core import POLICIES, optimal_schedule
-from repro.core.heuristics import (
-    EndLocal,
-    ShortestTasksFirst,
-    candidate_finish_time,
-    candidate_finish_times,
-    greedy_rebuild,
-    remaining_at,
-)
+from repro.core.heuristics import EndLocal, ShortestTasksFirst, greedy_rebuild
 from repro.core.kernels import DecisionCache
 from repro.core.progress import remaining_from_arrays
 from repro.core.redistribution import (
@@ -34,6 +28,12 @@ from repro.core.redistribution import (
 )
 from repro.core.state import TaskRuntime
 from repro.exceptions import ConfigurationError
+from repro.oracle import (
+    ReferenceSimulator,
+    candidate_finish_time,
+    candidate_finish_times,
+    remaining_at,
+)
 from repro.resilience import ExpectedTimeModel
 from repro.simulation import Simulator
 from repro.tasks import uniform_pack
@@ -82,13 +82,13 @@ class TestSimulationsBitIdentical:
         results = {}
         for reference in (False, True):
             model = ExpectedTimeModel(pack, cluster)
-            results[reference] = Simulator(
+            simulator = ReferenceSimulator if reference else Simulator
+            results[reference] = simulator(
                 pack,
                 cluster,
                 policy,
                 seed=seed,
                 model=model,
-                reference=reference,
             ).run()
         fast, ref = results[False], results[True]
         assert fast.makespan == ref.makespan
@@ -112,7 +112,7 @@ class TestSimulationsBitIdentical:
         assert result.redistributions > 0
 
     def test_unknown_kernel_rejected(self):
-        # One reference switch replaced the kernel-name knobs.
+        # The oracle module replaced the kernel-name knobs.
         pack, cluster, _ = build(0, 3, 8)
         with pytest.raises(TypeError):
             Simulator(pack, cluster, decision_kernel="scalar")
@@ -134,8 +134,8 @@ class TestAlgorithmKernels:
     def test_optimal_schedule(self, seed, n, extra_pairs):
         p = 2 * n + 2 * extra_pairs
         _, _, model = build(seed, n, p)
-        assert optimal_schedule(model, p) == optimal_schedule(
-            model, p, reference=True
+        assert optimal_schedule(model, p) == oracle.optimal_schedule(
+            model, p
         )
 
     @given(
@@ -152,9 +152,8 @@ class TestAlgorithmKernels:
             _, _, model = build(seed, n, p)
             runtimes = make_runtimes(model, p)
             t = age * min(rt.t_expected for rt in runtimes)
-            changed = greedy_rebuild(
-                model, t, runtimes, p, reference=reference
-            )
+            rebuild = oracle.greedy_rebuild if reference else greedy_rebuild
+            changed = rebuild(model, t, runtimes, p)
             states[reference] = (sorted(changed), snapshot(runtimes))
         assert states[False] == states[True]
 
@@ -168,9 +167,9 @@ class TestAlgorithmKernels:
     @settings(max_examples=20, deadline=None)
     def test_end_local(self, seed, n, extra_pairs, free_pairs, age):
         p = 2 * n + 2 * extra_pairs
-        heuristic = EndLocal()
         states = {}
         for reference in (False, True):
+            heuristic = oracle.ReferenceEndLocal() if reference else EndLocal()
             _, _, model = build(seed, n, p)
             runtimes = make_runtimes(model, p)
             # The simulator invariant: the free pool is what the pack
@@ -179,9 +178,7 @@ class TestAlgorithmKernels:
                 2 * free_pairs, p - sum(rt.sigma for rt in runtimes)
             )
             t = age * min(rt.t_expected for rt in runtimes)
-            changed = heuristic.apply(
-                model, t, runtimes, free, reference=reference
-            )
+            changed = heuristic.apply(model, t, runtimes, free)
             states[reference] = (sorted(changed), snapshot(runtimes))
         assert states[False] == states[True]
 
@@ -199,9 +196,12 @@ class TestAlgorithmKernels:
     ):
         p = 2 * n + 2 * extra_pairs
         faulty = faulty_pos % n
-        heuristic = ShortestTasksFirst()
         states = {}
         for reference in (False, True):
+            heuristic = (
+                oracle.ReferenceShortestTasksFirst() if reference
+                else ShortestTasksFirst()
+            )
             _, _, model = build(seed, n, p)
             runtimes = make_runtimes(model, p)
             t = age * min(rt.t_expected for rt in runtimes)
@@ -212,8 +212,7 @@ class TestAlgorithmKernels:
                 faulty, rt_f.sigma, rt_f.alpha
             )
             changed = heuristic.apply(
-                model, t, runtimes, 2 * free_pairs, faulty,
-                reference=reference,
+                model, t, runtimes, 2 * free_pairs, faulty
             )
             states[reference] = (sorted(changed), snapshot(runtimes))
         assert states[False] == states[True]
@@ -294,9 +293,9 @@ class TestDecisionStateBitIdentical:
             pack, cluster, policy, seed=seed,
             model=ExpectedTimeModel(pack, cluster),
         ).run()
-        ref = Simulator(
+        ref = ReferenceSimulator(
             pack, cluster, policy, seed=seed,
-            model=ExpectedTimeModel(pack, cluster), reference=True,
+            model=ExpectedTimeModel(pack, cluster),
         ).run()
         assert inc.makespan == ref.makespan
         assert np.array_equal(
@@ -332,10 +331,9 @@ class TestDecisionStateBitIdentical:
 
     def test_scalar_kernel_never_caches(self):
         pack, cluster, _ = build(0, 3, 10)
-        sim = Simulator(
+        sim = ReferenceSimulator(
             pack, cluster, "ig-el", seed=0,
             model=ExpectedTimeModel(pack, cluster),
-            reference=True,
         )
         sim.run()
         assert sim._cache is None

@@ -134,7 +134,7 @@ class TestMarkdownDocs:
         text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
             encoding="utf-8"
         )
-        for mode in ("Simulator(reference=True)", "serial", "VirtualClock"):
+        for mode in ("ReferenceSimulator", "serial", "VirtualClock"):
             assert mode in text, f"ARCHITECTURE.md misses {mode}"
 
     def test_benchmarks_doc_covers_every_bench_module(self):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core import EndLocal, TaskRuntime, optimal_schedule
-from repro.core.heuristics import remaining_at
+from repro.oracle import remaining_at
 
 
 def make_runtimes(model, p):

@@ -2,9 +2,9 @@
 
 The fast simulator path, the batched profile accessors and the unified
 execution engine are pure optimisations: every observable output must be
-byte-identical to the seed-literal reference (``Simulator(reference=
-True)``) and to the serial engine under common random numbers.  These tests pin that contract — including the
-engine guarantee that all three executors (serial, persistent and
+byte-identical to the seed-literal reference (:class:`repro.oracle.
+ReferenceSimulator`) and to the serial engine under common random
+numbers.  These tests pin that contract — including the engine guarantee that all three executors (serial, persistent and
 queue) produce byte-identical figure series.
 """
 
@@ -29,10 +29,11 @@ from repro.experiments import (
     run_figure,
     run_scenario,
 )
+from repro.oracle import ReferenceSimulator
 from repro.resilience import ExpectedTimeModel
 from repro.simulation import Simulator
 from repro.tasks import uniform_pack
-from test_figure_digests import TINY_DIGESTS, figure_digest
+from test_figure_digests import SMALL_DIGESTS, TINY_DIGESTS, figure_digest
 
 #: Small but failure-rich scenario: every policy sees real faults.
 CONFIG = ScenarioConfig(
@@ -48,7 +49,8 @@ def _workload(seed: int):
 
 def _run(pack, cluster, series, seed, reference):
     model = ExpectedTimeModel(pack, cluster)
-    return Simulator(
+    simulator = ReferenceSimulator if reference else Simulator
+    return simulator(
         pack,
         cluster,
         series.policy,
@@ -56,13 +58,12 @@ def _run(pack, cluster, series, seed, reference):
         inject_faults=series.faults,
         model=model,
         record_trace=True,
-        reference=reference,
     ).run()
 
 
 class TestHeapMatchesScan:
     """The fast path (heap event queue, decision cache, fused Eq. 4,
-    ndarray failure path) against ``reference=True`` on whole runs.
+    ndarray failure path) against ``ReferenceSimulator`` on whole runs.
 
     The reference keeps the seed's per-failure Python scans; the class
     name is kept so the test IDs stay stable.
@@ -260,7 +261,7 @@ class TestDecisionKernelFigures:
     @pytest.mark.parametrize("figure", ["fig7", "fig10"])
     def test_figure_series_bit_identical_tiny(self, figure):
         reference = run_figure(
-            figure, scale="tiny", seed=1, simulator_options={"reference": True}
+            figure, scale="tiny", seed=1, simulator=ReferenceSimulator
         )
         assert figure_digest(reference) == TINY_DIGESTS[figure]
 
@@ -271,16 +272,13 @@ class TestDecisionKernelFigures:
     @pytest.mark.parametrize("figure", ["fig7", "fig10"])
     def test_figure_series_bit_identical_small(self, figure):
         reference = run_figure(
-            figure, scale="small", seed=1, simulator_options={"reference": True}
+            figure, scale="small", seed=1, simulator=ReferenceSimulator
         )
-        default = run_figure(figure, scale="small", seed=1)
-        assert default.x_values == reference.x_values
-        assert default.normalized == reference.normalized
-        assert default.means == reference.means
+        assert figure_digest(reference) == SMALL_DIGESTS[figure]
 
-    def test_simulator_options_flow_through_engines(self):
-        # The options ride inside the RunRequest payload, so pooled
-        # workers honour them too.
+    def test_simulator_class_flows_through_engines(self):
+        # The class rides inside the RunRequest payload, so pooled
+        # workers honour it too.
         default = run_scenario(CONFIG, FAULT_SERIES, seed=11)
         with create_executor("persistent", workers=2) as executor:
             reference = run_scenario(
@@ -288,7 +286,7 @@ class TestDecisionKernelFigures:
                 FAULT_SERIES,
                 seed=11,
                 executor=executor,
-                simulator_options={"reference": True},
+                simulator=ReferenceSimulator,
             )
         for key in default.makespans:
             assert np.array_equal(

@@ -3,7 +3,7 @@
 The acceptance contract of the hot core: the fused Eq. (4) backend,
 through the model's batched accessors and through the
 ``DecisionCache``'s per-decision profile pass, must reproduce the
-reference substrate (``ExpectedTimeModel(reference=True)``) *bit for
+reference substrate (:class:`repro.oracle.ReferenceModel`) *bit for
 bit* — not approximately — across the edge cases that could plausibly
 break exact equality: zero-alpha rows (forced-zero masking),
 single-slot grids (degenerate envelope), and overflowing ``inf``
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core.kernels import DecisionCache
+from repro.oracle import ReferenceModel
 from repro.resilience import ExpectedTimeModel, ensure_alpha_vector
 from repro.tasks import uniform_pack
 
@@ -33,7 +34,7 @@ def build_models(n, pairs, mtbf, seed):
     """One reference model plus one fused model, same pack."""
     pack = uniform_pack(n, m_inf=8_000.0, m_sup=20_000.0, seed=seed)
     cluster = Cluster.with_mtbf_years(2 * pairs, mtbf)
-    reference = ExpectedTimeModel(pack, cluster, reference=True)
+    reference = ReferenceModel(pack, cluster)
     return reference, ExpectedTimeModel(pack, cluster)
 
 
@@ -132,23 +133,25 @@ class TestDecisionCacheProfileDeltas:
         assert np.array_equal(got, want)
 
 
-class TestReferenceSwitch:
-    def test_flipping_a_warm_model_keeps_its_values(self):
-        # ``reference`` is a plain attribute: Simulator(reference=...)
-        # flips it on shared, pre-warmed models, and both paths must
-        # keep serving the same bits around the flip.
+class TestReferenceModel:
+    def test_sharing_keeps_the_values(self):
+        # ReferenceSimulator reads a handed fast model through
+        # ReferenceModel.sharing: both share the grids' envelope stores,
+        # and both must keep serving the reference bits.
         reference, fast = build_models(3, 8, 0.02, 0)
         want = reference.profile_matrix(range(3), [0.9, 0.4, 0.1])
         fast.profile_matrix(range(3), [0.3, 0.2, 0.1])  # warm the backend
-        fast.reference = True
+        shared = ReferenceModel.sharing(fast)
+        assert type(fast) is ExpectedTimeModel
         assert np.array_equal(
-            fast.profile_matrix(range(3), [0.9, 0.4, 0.1]), want
+            shared.profile_matrix(range(3), [0.9, 0.4, 0.1]), want
         )
-        fast.reference = False
         assert np.array_equal(
             fast.profile_batch(range(3), 0.55),
             reference.profile_batch(range(3), 0.55),
         )
+        assert shared.grid(0) is fast.grid(0)
+        assert np.array_equal(shared.j_grid, fast.j_grid)
 
 
 class TestAlphaBoundaryValidation:

@@ -12,7 +12,7 @@ Four properties over random arrival scenarios:
   hidden wall-clock or global state);
 * every envelope row an epoch's model serves — carried across epochs
   on the running jobs' grids or freshly evaluated — equals the row a
-  cold ``reference=True`` model computes for the same pack.
+  cold :class:`repro.oracle.ReferenceModel` computes for the same pack.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster, Simulator
+from repro.oracle import ReferenceModel
 from repro.resilience.expected_time import ExpectedTimeModel
 from repro.service import (
     ReplayConfig,
@@ -167,9 +168,7 @@ def test_served_envelope_rows_equal_a_cold_reference_model(
     cold = {}
     for model, i, alpha, row in _Served.served:
         if model not in cold:
-            cold[model] = ExpectedTimeModel(
-                model.pack, model.cluster, reference=True
-            )
+            cold[model] = ReferenceModel(model.pack, model.cluster)
         assert cold[model].profile(i, alpha).tobytes() == row
     # Rows left in the stores (what later epochs would be served) too.
     for model, reference in cold.items():

@@ -58,7 +58,7 @@ class TestBehaviour:
     def test_candidate_pricing_scales(self, setting):
         import numpy as np
 
-        from repro.core.heuristics.base import candidate_finish_times
+        from repro.oracle import candidate_finish_times
 
         pack, cluster = setting
         targets = np.array([4, 6, 8])
