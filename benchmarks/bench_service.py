@@ -12,8 +12,9 @@ Drives a seeded arrival trace through both replay paths of
 
 asserts the two canonical documents are byte-identical (the service
 acceptance gate), that no job was lost or double-counted, that the
-service replay's Eq. 4 profile misses do not exceed the committed count
-(a deterministic count, so the gate cannot flake), and records
+service replay's Eq. 4 profile misses and patched decision rows do not
+exceed the committed counts (deterministic counts read off the
+:mod:`repro.counters` registry, so the gates cannot flake), and records
 
 * end-to-end **throughput** (jobs/s and requests/s through the service
   stack), and
@@ -42,7 +43,7 @@ from typing import Dict, Optional, Sequence
 
 import pytest
 
-from repro.resilience.expected_time import ExpectedTimeModel
+from repro import counters
 from repro.service import (
     ReplayConfig,
     canonical_bytes,
@@ -98,11 +99,11 @@ def run_bench() -> Dict[str, object]:
     reference = replay_reference(trace, CONFIG)
     reference_seconds = time.perf_counter() - start
 
-    hits0, misses0 = ExpectedTimeModel.process_cache_snapshot()
+    before = counters.snapshot()
     start = time.perf_counter()
     served, responses = replay_service(trace, CONFIG)
     service_seconds = time.perf_counter() - start
-    hits, misses = ExpectedTimeModel.process_cache_snapshot()
+    work = counters.since(before)
 
     assert canonical_bytes(reference) == canonical_bytes(served), (
         "service replay diverged from the offline reference"
@@ -125,8 +126,9 @@ def run_bench() -> Dict[str, object]:
             "requests": len(responses),
             "epochs": len(served.epochs),
             "makespan": served.makespan,
-            "profile_hits": hits - hits0,
-            "profile_misses": misses - misses0,
+            "profile_hits": work["profile_hits"],
+            "profile_misses": work["profile_misses"],
+            "decision_rows_patched": work["decision_rows_patched"],
         },
         "reference": {"seconds": reference_seconds},
         "service": {"seconds": service_seconds},
@@ -197,16 +199,31 @@ def test_decision_latency_within_sanity_ceiling():
     )
 
 
-def test_profile_misses_within_committed_count():
-    """Count gate: a fresh service replay misses the Eq. 4 envelope
-    store no more often than the committed baseline recorded."""
+def _committed_trace() -> Dict[str, object]:
+    """The committed baseline's ``trace`` block (skips on a mismatch)."""
     committed = json.loads(DEFAULT_BASELINE.read_text())
     if (committed["scale"], committed["seed"]) != (BENCH_SCALE, BENCH_SEED):
         pytest.skip("baseline recorded at another scale or seed")
+    return committed["trace"]
+
+
+def test_profile_misses_within_committed_count():
+    """Count gate: a fresh service replay misses the Eq. 4 envelope
+    store no more often than the committed baseline recorded."""
+    committed = _committed_trace()["profile_misses"]
     misses = run_bench()["trace"]["profile_misses"]
-    assert misses <= committed["trace"]["profile_misses"], (
-        f"{misses} profile misses, committed "
-        f"{committed['trace']['profile_misses']}"
+    assert misses <= committed, (
+        f"{misses} profile misses, committed {committed}"
+    )
+
+
+def test_decision_rows_patched_within_committed_count():
+    """Count gate: a fresh service replay recomputes no more decision
+    matrix rows than the committed baseline recorded."""
+    committed = _committed_trace()["decision_rows_patched"]
+    patched = run_bench()["trace"]["decision_rows_patched"]
+    assert patched <= committed, (
+        f"{patched} decision rows patched, committed {committed}"
     )
 
 

@@ -80,10 +80,13 @@ finish matrix at each decision point.  The invariants this rests on
    subsets (bit-identical to ``remaining_at``).
 
 All scratch blocks (finish matrix, combine buffers, rebuild blocks)
-are preallocated once per cache and reused for every decision;
-:func:`process_decision_snapshot` exposes the patched/reused row and
-scratch-allocation counts that :class:`repro.engine.EngineStats`
-aggregates across worker processes.
+are preallocated once per cache and reused for every decision.  The
+patched/reused row, envelope-reuse and scratch-allocation counts are
+bumped in the :mod:`repro.counters` registry under their
+:class:`repro.engine.EngineStats` names (``decision_rows_patched``,
+``decision_rows_reused``, ``decision_profile_env_reused``,
+``decision_scratch_allocs``), which the engine carries across worker
+processes.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..counters import COUNTERS
 from ..exceptions import SimulationError
 from ..resilience.expected_time import _ALPHA_SCALE, ExpectedTimeModel
 from ..resilience.profile_backends import fused_raw_rows
@@ -112,17 +116,10 @@ __all__ = [
 
 _EMPTY = np.empty(0)
 
-#: Process-wide decision-state counters ``[rows_patched, rows_reused,
-#: scratch_allocations, profile_env_reused]``,
-#: summed over every cache this process ever built (same list-cell
-#: pattern as the profile counters — monotone, so the engine can delta
-#: them around a work chunk).
-_PROCESS_DECISION_COUNTERS = [0, 0, 0, 0]
-
 
 def process_decision_snapshot() -> tuple[int, int, int, int]:
     """Process-wide ``(rows_patched, rows_reused, scratch_allocations,
-    profile_env_reused)``.
+    profile_env_reused)``, read off the :mod:`repro.counters` registry.
 
     ``rows_patched`` counts candidate-matrix rows recomputed by the
     incremental engine; ``rows_reused`` component rows served from the
@@ -132,10 +129,14 @@ def process_decision_snapshot() -> tuple[int, int, int, int]:
     ``scratch_allocations`` ndarray blocks preallocated by caches;
     ``profile_env_reused`` profile rows copied from a cache's per-task
     envelope state (quantised alpha unchanged since the last
-    evaluation).  Aggregated across worker processes into
-    :class:`repro.engine.EngineStats`.
+    evaluation).
     """
-    return tuple(_PROCESS_DECISION_COUNTERS)
+    return (
+        COUNTERS["decision_rows_patched"],
+        COUNTERS["decision_rows_reused"],
+        COUNTERS["decision_scratch_allocs"],
+        COUNTERS["decision_profile_env_reused"],
+    )
 
 
 def faulty_stall(rt: TaskRuntime, t: float) -> float:
@@ -266,9 +267,8 @@ class DecisionCache:
     decision.  Stale rows' Eq. (4) profiles come from the model's one
     fused kernel, evaluated straight into the cache's workspace (see
     :meth:`_profile_rows`).  All scratch is preallocated here and
-    reused per decision; `cache_info()` reports the
-    patch/reuse/allocation counters (also aggregated process-wide for
-    :class:`repro.engine.EngineStats`).
+    reused per decision; the patch/reuse/allocation counts go to the
+    :mod:`repro.counters` registry.
     """
 
     def __init__(self, model: ExpectedTimeModel):
@@ -313,17 +313,11 @@ class DecisionCache:
             (model.pack[i].size for i in range(n)), dtype=float, count=n
         )
         self.budget: Optional[int] = None  #: last free-processor count seen
-        self.rows_patched = 0
-        self.rows_reused = 0
-        self.profile_env_reused = 0
-        self.matrices_served = 0
-        #: Preallocated ndarray blocks per cache (counted off the live
-        #: attributes for the EngineStats allocation report, so adding
-        #: or dropping a scratch field cannot desync the diagnostic).
-        self.scratch_allocations = sum(
+        # Preallocated ndarray blocks, counted off the live attributes so
+        # adding or dropping a scratch field cannot desync the count.
+        COUNTERS["decision_scratch_allocs"] += sum(
             1 for value in vars(self).values() if isinstance(value, np.ndarray)
         )
-        _PROCESS_DECISION_COUNTERS[2] += self.scratch_allocations
 
     # -- simulator hooks ---------------------------------------------------
     def invalidate(self, i: int) -> None:
@@ -343,8 +337,7 @@ class DecisionCache:
         so every mirror is stale — but the persistent rows and scratch
         blocks are gated behind the validity bits, so clearing the bits
         (and the mirrors they guard) restores the exact
-        post-construction state with zero reallocation.  The cumulative
-        patch/reuse counters survive: they feed the service telemetry.
+        post-construction state with zero reallocation.
         """
         self._sigma.fill(-1)
         self._rc_sigma.fill(-2)
@@ -387,8 +380,7 @@ class DecisionCache:
             )
             self._rc_sigma[i] = self._sigma[i]
         else:
-            self.rows_reused += 1
-            _PROCESS_DECISION_COUNTERS[1] += 1
+            COUNTERS["decision_rows_reused"] += 1
         return self._rc[i]
 
     def _patch_row(self, i: int, t: float) -> None:
@@ -404,8 +396,7 @@ class DecisionCache:
         )
         self._row_t[i] = t
         self._row_stall[i] = self._stall[i]
-        self.rows_patched += 1
-        _PROCESS_DECISION_COUNTERS[0] += 1
+        COUNTERS["decision_rows_patched"] += 1
 
     def envelope_value(self, i: int, alpha: float, k: int) -> float:
         """``model.profile(i, alpha)[slot(k)]`` off the envelope state.
@@ -426,8 +417,7 @@ class DecisionCache:
         """
         pos = self._prof_pos[i]
         if pos >= 0 and self._env_key[i] == int(round(alpha * _ALPHA_SCALE)):
-            self.profile_env_reused += 1
-            _PROCESS_DECISION_COUNTERS[3] += 1
+            COUNTERS["decision_profile_env_reused"] += 1
             return float(self._prof[pos, (k >> 1) - 1])
         return float(self.model.profile(i, alpha)[(k >> 1) - 1])
 
@@ -478,8 +468,7 @@ class DecisionCache:
         self._stall[rows] = stall
         stale = (self._row_t[rows] != t) | (self._row_stall[rows] != stall)
         sub = rows[stale]
-        self.rows_reused += n_act - sub.size
-        _PROCESS_DECISION_COUNTERS[1] += n_act - sub.size
+        COUNTERS["decision_rows_reused"] += n_act - sub.size
         pending: Optional[np.ndarray] = None
         if lazy:
             self._pending[:] = False
@@ -489,7 +478,6 @@ class DecisionCache:
             self._patch_rows(sub, t)
         if with_keep:
             self._patch_keep(rows)
-        self.matrices_served += 1
         return DecisionMatrix(
             cache=self,
             t=t,
@@ -544,8 +532,8 @@ class DecisionCache:
             )
             self._rc_sigma[need] = self._sigma[need]
         k = sub.size
-        self.rows_reused += k - need.size  # RC rows with an unchanged sigma
-        _PROCESS_DECISION_COUNTERS[1] += k - need.size
+        # RC rows with an unchanged sigma
+        COUNTERS["decision_rows_reused"] += k - need.size
         prof = self._profile_rows(sub, k)
         left = self._left[:k]
         np.take(self._rc, sub, axis=0, out=left)
@@ -558,8 +546,7 @@ class DecisionCache:
         self._fin[sub] = left
         self._row_t[sub] = t
         self._row_stall[sub] = self._stall[sub]
-        self.rows_patched += k
-        _PROCESS_DECISION_COUNTERS[0] += k
+        COUNTERS["decision_rows_patched"] += k
 
     def _patch_keep(self, rows: np.ndarray) -> None:
         """Refresh the keep-running finishes of the rows touched since
@@ -577,8 +564,8 @@ class DecisionCache:
         randomised runs.
         """
         need = rows[~self._keep_valid[rows]]
-        self.rows_reused += rows.size - need.size  # keep rows still valid
-        _PROCESS_DECISION_COUNTERS[1] += rows.size - need.size
+        # keep rows still valid
+        COUNTERS["decision_rows_reused"] += rows.size - need.size
         if not need.size:
             return
         self._keep[need] = self._t_expected[need]
@@ -608,16 +595,3 @@ class DecisionCache:
         sufrev[:] = vals[:, ::-1]
         np.minimum.accumulate(sufrev, axis=1, out=sufrev)
         return vals, sufrev, self._width
-
-    def cache_info(self) -> Dict[str, int | float]:
-        """Patch/reuse counters of this cache (diagnostics)."""
-        rows = self.rows_patched + self.rows_reused
-        return {
-            "matrices_served": self.matrices_served,
-            "rows_patched": self.rows_patched,
-            "rows_reused": self.rows_reused,
-            "reuse_rate": self.rows_reused / rows if rows else 0.0,
-            "profile_env_reused": self.profile_env_reused,
-            "scratch_allocations": self.scratch_allocations,
-            "budget": self.budget if self.budget is not None else -1,
-        }

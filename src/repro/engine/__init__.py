@@ -47,8 +47,10 @@ for the same request list — the property
 ``tests/test_perf_equivalence.py`` pins across serial, persistent and
 queue execution — and the only observable
 differences are wall-clock and the ``cache_info()``-style counters in
-:class:`EngineStats` (which the pool *and* queue transports both carry
-back from their workers).
+:class:`EngineStats`.  Workers count their work in the named
+:mod:`repro.counters` registry; every chunk carries its ``{name:
+delta}`` back over the pool or queue transport, and
+:meth:`EngineStats.add` is the one merge.
 
 The contract also powers the resilience layer (``docs/RESILIENCE.md``):
 because any execution of a request is byte-identical, work can be

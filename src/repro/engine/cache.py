@@ -18,8 +18,9 @@ cache-history-independent, so hits never change any result.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Tuple
+from typing import Any, Callable, Dict, Hashable
 
+from ..counters import COUNTERS
 from ..exceptions import ConfigurationError
 
 __all__ = ["WorkloadCache", "shared_cache"]
@@ -30,8 +31,9 @@ class WorkloadCache:
 
     ``get_or_build(key, builder)`` returns the cached value for ``key``
     or calls ``builder()`` and remembers the result, evicting the
-    least-recently-used entry past ``capacity``.  Counters feed the
-    engine's ``cache_info()``-style statistics.
+    least-recently-used entry past ``capacity``.  Every lookup is also
+    counted in the :mod:`repro.counters` registry (``workloads_reused``
+    / ``workloads_built``), which the engine's statistics read.
 
     The default capacity covers the replicate working set of the
     ``tiny``/``small`` scaling presets, so repeated figures of one
@@ -59,17 +61,15 @@ class WorkloadCache:
         else:
             self._entries.move_to_end(key)
             self.hits += 1
+            COUNTERS["workloads_reused"] += 1
             return value
         value = builder()
         self.misses += 1
+        COUNTERS["workloads_built"] += 1
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return value
-
-    def snapshot(self) -> Tuple[int, int]:
-        """Current ``(hits, misses)`` — used to compute per-chunk deltas."""
-        return self.hits, self.misses
 
     def cache_info(self) -> Dict[str, float]:
         """Counters in the style of ``functools.lru_cache.cache_info``."""

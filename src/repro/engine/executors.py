@@ -48,14 +48,15 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
+from .. import counters
 from ..exceptions import ConfigurationError
-from .cache import shared_cache
 from .chaos import FaultPlan
 from .journal import ResultJournal, decode_journal_hit, ensure_journal
 from .request import RunRequest, execute_request
@@ -112,6 +113,16 @@ class EngineStats:
     def cache_info(self) -> Dict[str, int]:
         """The counters as a plain dict, in field order."""
         return asdict(self)
+
+    def add(self, counts: Mapping[str, int]) -> None:
+        """Add named counts (``{field name: delta}``) into the fields.
+
+        The one merge of every counter source: a chunk's
+        :func:`repro.counters.since` delta (pool, queue or inline), a
+        remote broker's fleet-counter growth and the service view.
+        """
+        for name, count in counts.items():
+            setattr(self, name, getattr(self, name) + count)
 
     def any_resilience_events(self) -> bool:
         """Whether any retry/quarantine/journal counter is non-zero."""
@@ -197,73 +208,44 @@ def _execute_one(
     request: RunRequest,
     policy: Optional[RetryPolicy],
     plan: Optional[FaultPlan],
-) -> Tuple[Any, int]:
-    """Run one request under the retry layer; ``(result, retries)``.
+) -> Any:
+    """Run one request under the retry layer.
 
     Transient failures (and injected chaos runner faults) are retried
-    in place with the policy's deterministic backoff; the retry count
-    rides back to the submitter in the chunk's engine-counter delta.
+    in place with the policy's deterministic backoff; each retry is
+    counted as ``retries`` in the :mod:`repro.counters` registry.
     """
-    retried = 0
 
     def attempt(number: int) -> Any:
-        nonlocal retried
-        retried = number - 1
+        if number > 1:
+            counters.COUNTERS["retries"] += 1
         if plan is not None:
             plan.maybe_runner_fault(request.seed, number)
         return execute_request(request)
 
-    value = execute_with_retry(attempt, seed=request.seed, policy=policy)
-    return value, retried
+    return execute_with_retry(attempt, seed=request.seed, policy=policy)
 
 
 def _execute_chunk(
     requests: Tuple[RunRequest, ...],
     policy: Optional[RetryPolicy] = None,
     plan: Optional[FaultPlan] = None,
-) -> Tuple[
-    List[Any],
-    Tuple[int, int],
-    Tuple[int, int],
-    Tuple[int, int, int, int, int],
-    Tuple[int],
-]:
+) -> Tuple[List[Any], Dict[str, int]]:
     """Run one contiguous chunk in the current process.
 
     Module-level so it pickles under every multiprocessing start method
     (the executors bind ``policy``/``plan`` with ``functools.partial``,
     which pickles by reference plus the frozen dataclasses).  Returns
-    the results plus this chunk's ``(hits, misses)`` deltas of the
-    process-local workload cache, of the process-wide profile counters
-    (:meth:`~repro.resilience.expected_time.ExpectedTimeModel.
-    process_cache_snapshot`), of the decision-state counters
-    (:func:`~repro.core.kernels.process_decision_snapshot`) and of the
-    engine's own resilience counters (in-place retries), which the
-    parent aggregates into its :class:`EngineStats` (workers' counters
-    are otherwise invisible to the submitting process).
+    ``(results, counts)``: ``counts`` is the chunk's
+    :func:`repro.counters.since` delta — workload builds and reuses,
+    Eq. 4 envelope hits and misses, decision rows, in-place retries —
+    keyed by :class:`EngineStats` field name, which the submitter merges
+    with :meth:`EngineStats.add` (a worker's registry is otherwise
+    invisible to the submitting process).
     """
-    from ..core.kernels import process_decision_snapshot
-    from ..resilience.expected_time import ExpectedTimeModel
-
-    hits_before, misses_before = shared_cache.snapshot()
-    p_hits_before, p_misses_before = ExpectedTimeModel.process_cache_snapshot()
-    d_before = process_decision_snapshot()
-    results = []
-    retries = 0
-    for request in requests:
-        value, retried = _execute_one(request, policy, plan)
-        results.append(value)
-        retries += retried
-    hits_after, misses_after = shared_cache.snapshot()
-    p_hits_after, p_misses_after = ExpectedTimeModel.process_cache_snapshot()
-    d_after = process_decision_snapshot()
-    return (
-        results,
-        (hits_after - hits_before, misses_after - misses_before),
-        (p_hits_after - p_hits_before, p_misses_after - p_misses_before),
-        tuple(after - before for after, before in zip(d_after, d_before)),
-        (retries,),
-    )
+    before = counters.snapshot()
+    results = [_execute_one(request, policy, plan) for request in requests]
+    return results, counters.since(before)
 
 
 def _stream_futures(
@@ -291,7 +273,7 @@ def _stream_futures(
     yield from hits
     for future in as_completed(futures):
         output = future.result()
-        executor._fold_output(output)
+        executor._stats.add(output[1])
         chunk_start, chunk = futures[future]
         executor._journal_store(chunk, output)
         yield chunk_start, output[0]
@@ -404,7 +386,7 @@ class Executor:
         )
 
     def _run_inline(self, chunks: List[Tuple[RunRequest, ...]]) -> List[Any]:
-        """Execute chunks in this process, folding in the cache deltas."""
+        """Execute chunks in this process, merging their counter deltas."""
         results: List[Any] = []
         for start, chunk_results in self._stream_inline(chunks):
             results.extend(chunk_results)
@@ -427,33 +409,10 @@ class Executor:
                 yield start, cached
             else:
                 output = call(chunk)
-                self._fold_output(output)
+                self._stats.add(output[1])
                 self._journal_store(chunk, output)
                 yield start, output[0]
             start += len(chunk)
-
-    def _fold(
-        self,
-        workloads: Tuple[int, int],
-        profiles: Tuple[int, int],
-        decisions: Tuple[int, int, int, int],
-        engine: Tuple[int] = (0,),
-    ) -> None:
-        """Fold one chunk's cache/engine deltas into the statistics."""
-        self._stats.workloads_reused += workloads[0]
-        self._stats.workloads_built += workloads[1]
-        self._stats.profile_hits += profiles[0]
-        self._stats.profile_misses += profiles[1]
-        self._stats.decision_rows_patched += decisions[0]
-        self._stats.decision_rows_reused += decisions[1]
-        self._stats.decision_scratch_allocs += decisions[2]
-        self._stats.decision_profile_env_reused += decisions[3]
-        self._stats.retries += engine[0]
-
-    def _fold_output(self, chunk_output: Tuple) -> None:
-        """Fold one ``_execute_chunk`` output tuple into the statistics."""
-        _, workloads, profiles, decisions, engine = chunk_output
-        self._fold(workloads, profiles, decisions, engine)
 
     # -- journal plumbing --------------------------------------------------
     def _journal_fetch(
@@ -461,7 +420,7 @@ class Executor:
     ) -> Optional[List[Any]]:
         """This chunk's journaled results, or ``None`` (counted either way).
 
-        A hit returns results without folding the stored cache deltas —
+        A hit returns results without merging the stored counter delta —
         no work happened, so the counters must not claim any.  An entry
         that fails to decode (stale format, torn write) is discarded
         and treated as a miss.

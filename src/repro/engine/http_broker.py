@@ -391,7 +391,7 @@ class HTTPBroker:
         return status
 
     def engine_counters(self) -> Dict[str, int]:
-        """Fleet/wire counter totals for ``EngineStats`` folding.
+        """Fleet/wire counter totals, named as ``EngineStats`` fields.
 
         Combines the client-side wire-retry count with the server's
         lease/fleet counters; best-effort — with the server unreachable

@@ -4,9 +4,10 @@ Both ends of a :class:`~repro.engine.broker.Broker` speak this format:
 the submitting :class:`~repro.engine.queue_exec.QueueExecutor` encodes
 chunks of :class:`~repro.engine.request.RunRequest` with
 :func:`encode_task`, and workers publish either an ``ok`` payload — the
-chunk results plus the worker-side cache/engine-counter deltas, exactly
-the tuple the in-process ``_execute_chunk`` produces — or an ``error``
-payload carrying the formatted traceback *and a retry classification*:
+chunk results plus the worker's named :mod:`repro.counters` delta,
+exactly the ``(results, counts)`` pair the in-process ``_execute_chunk``
+produces — or an ``error`` payload carrying the formatted traceback
+*and a retry classification*:
 
 * ``"transient"`` — the worker's in-place retries ran out on a
   retryable failure (I/O, injected chaos); the submitter may resubmit
@@ -57,7 +58,9 @@ __all__ = [
 #: v2: error payloads carry a retry classification, ok payloads a
 #: fifth engine-counter delta tuple.  v3: the decision-counter delta
 #: tuple has four entries (the ``tau_last`` patch counter is gone).
-PAYLOAD_VERSION = 3
+#: v4: ok payloads carry ``(results, counts)``, one ``{name: delta}``
+#: mapping in place of the four positional delta tuples.
+PAYLOAD_VERSION = 4
 
 
 def encode_task(requests) -> bytes:
@@ -71,7 +74,7 @@ def decode_task(payload: bytes):
 
 
 def encode_result(chunk_output) -> bytes:
-    """Pickle one chunk's ``(results, counter deltas...)`` tuple."""
+    """Pickle one chunk's ``(results, counts)`` pair."""
     return pickle.dumps(
         (PAYLOAD_VERSION, "ok", chunk_output),
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -90,8 +93,8 @@ def encode_error(exc: BaseException) -> bytes:
 def decode_result(payload: bytes):
     """Decode a result payload; raise the taxonomy on non-``ok`` ones.
 
-    Returns the ``(results, workload, profile, decision, engine)``
-    tuple the in-process ``_execute_chunk`` would have produced.
+    Returns the ``(results, counts)`` pair the in-process
+    ``_execute_chunk`` would have produced.
     Raises :class:`~repro.exceptions.TransientEngineError` for
     undecodable bytes and transient worker failures,
     :class:`~repro.exceptions.PermanentEngineError` for version skew

@@ -7,7 +7,7 @@ workers need not live in this process tree: every chunk of
 a :class:`~repro.engine.broker.Broker`, executed by whatever worker
 processes serve that broker (``python -m repro.engine.worker``), and
 collected back as a result payload carrying the chunk results plus the
-worker-side cache-counter deltas — so
+worker's named :mod:`repro.counters` delta — so
 :class:`~repro.engine.executors.EngineStats` (workload, profile-cache
 and decision-state counters included) survives the queue boundary
 exactly as it survives a process pool.
@@ -329,15 +329,16 @@ class QueueExecutor(_PooledExecutor):
         return execute_with_retry(attempt, seed=seed, policy=self.retry_policy)
 
     def _sync_broker_counters(self, broker: Broker) -> None:
-        """Fold the broker's fabric counters into :class:`EngineStats`.
+        """Merge the broker's fabric counters into :class:`EngineStats`.
 
         Remote brokers (:class:`~repro.engine.http_broker.HTTPBroker`)
-        expose cumulative wire/fleet counters via ``engine_counters()``;
-        brokers without that surface contribute nothing.  Counters are
-        cumulative per broker lifetime, so only the delta since the last
-        sync is added — and a counter that *shrank* means the broker
-        server restarted (fresh counters on the same spool), in which
-        case the whole reported value is new events.
+        expose cumulative wire/fleet counters, keyed by ``EngineStats``
+        field name, via ``engine_counters()``; brokers without that
+        surface contribute nothing.  Counters are cumulative per broker
+        lifetime, so only the growth since the last sync is added — and
+        a counter that *shrank* means the broker server restarted
+        (fresh counters on the same spool), in which case the whole
+        reported value is new events.
         """
         getter = getattr(broker, "engine_counters", None)
         if getter is None:
@@ -345,18 +346,13 @@ class QueueExecutor(_PooledExecutor):
         try:
             totals = getter()
         except (TransientEngineError, PermanentEngineError, OSError):
-            return  # stats folding is best-effort, never fails a dispatch
+            return  # stats merging is best-effort, never fails a dispatch
+        growth = {}
         for name, total in totals.items():
-            if not hasattr(self._stats, name):
-                continue
             base = self._counter_base.get(name, 0)
-            if total < base:
-                base = 0
-            if total > base:
-                setattr(
-                    self._stats, name, getattr(self._stats, name) + total - base
-                )
+            growth[name] = total - base if total >= base else total
             self._counter_base[name] = total
+        self._stats.add(growth)
 
     def _dispatch(
         self, chunks: List[Tuple[RunRequest, ...]]
@@ -477,7 +473,7 @@ class QueueExecutor(_PooledExecutor):
                     except PermanentEngineError as exc:
                         quarantine(task_id, exc)
                         continue
-                    self._fold_output(output)
+                    self._stats.add(output[1])
                     self._journal_store(chunk_of[task_id], output)
                     completed.add(task_id)
                     yield pending.pop(task_id), list(output[0])

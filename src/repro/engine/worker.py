@@ -12,13 +12,14 @@ elastic-fleet shape) an ``http(s)://`` URL of a running
 tuple of :class:`~repro.engine.request.RunRequest`, execute it exactly
 like an in-process chunk (same code path as every other engine, so
 results are byte-identical by construction), and publish a result
-payload that carries the chunk results *plus* the worker-side
-cache-counter deltas — workload cache, profile cache, decision state —
-so the submitting :class:`~repro.engine.queue_exec.QueueExecutor` can
-fold them into its :class:`~repro.engine.executors.EngineStats` just as
-a process pool would.  Failures inside a chunk are published as error
-payloads (the traceback travels back to the submitter and is re-raised
-there); the worker itself keeps serving.
+payload that carries the chunk results *plus* the chunk's named
+:mod:`repro.counters` delta — workload cache, profile cache, decision
+state, in-place retries — so the submitting
+:class:`~repro.engine.queue_exec.QueueExecutor` can merge it into its
+:class:`~repro.engine.executors.EngineStats` just as a process pool
+would.  Failures inside a chunk are published as error payloads (the
+traceback travels back to the submitter and is re-raised there); the
+worker itself keeps serving.
 
 Liveness and elasticity: the worker heartbeats through the broker (a
 daemon thread beats in parallel with chunk execution, and *backs off
@@ -246,7 +247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.engine.worker",
         description=(
             "Serve a repro.engine queue-executor broker: claim RunRequest "
-            "chunks, execute them, publish results (with cache-counter "
+            "chunks, execute them, publish results (with work-counter "
             "deltas) back through the broker.  SIGTERM drains: the "
             "claimed chunk is finished and published before exit."
         ),

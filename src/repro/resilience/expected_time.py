@@ -54,6 +54,7 @@ from typing import Deque, Dict, Optional, Sequence
 import numpy as np
 
 from ..cluster import Cluster
+from ..counters import COUNTERS
 from ..exceptions import CapacityError, ConfigurationError
 from ..tasks import Pack, TaskSpec
 from .checkpoint import ResilienceModel
@@ -72,14 +73,6 @@ __all__ = [
 #: Quantisation step of the profile-cache alpha key (~1e-12).
 _ALPHA_QUANTUM = 1e-12
 _ALPHA_SCALE = 1.0 / _ALPHA_QUANTUM
-
-#: Process-wide profile-cache [hits, misses], summed over every model
-#: this process ever built.  A module-level cell rather than class
-#: attributes: mutating a type attribute costs ~150ns per write in
-#: CPython (type-cache invalidation), a list slot ~15ns — and this sits
-#: on the cache-hit fast path.  Monotone, so the engine can delta it
-#: around a work chunk regardless of workload-cache eviction.
-_PROCESS_PROFILE_COUNTERS = [0, 0]
 
 
 def ensure_alpha_vector(
@@ -336,14 +329,9 @@ class ExpectedTimeModel:
 
     @staticmethod
     def process_cache_snapshot() -> tuple[int, int]:
-        """Process-wide profile ``(hits, misses)`` totals.
-
-        Summed over every model this process ever built.  Monotone —
-        unlike the per-instance counters these survive workload-cache
-        eviction, so the engine can report a profile hit rate across
-        whole campaigns.
-        """
-        return tuple(_PROCESS_PROFILE_COUNTERS)
+        """Process-wide profile ``(hits, misses)``, read off the
+        :mod:`repro.counters` registry."""
+        return COUNTERS["profile_hits"], COUNTERS["profile_misses"]
 
     def __init__(
         self,
@@ -444,10 +432,10 @@ class ExpectedTimeModel:
         cached = envelopes.get(key)
         if cached is not None:
             self.cache_hits += 1
-            _PROCESS_PROFILE_COUNTERS[0] += 1
+            COUNTERS["profile_hits"] += 1
             return cached
         self.cache_misses += 1
-        _PROCESS_PROFILE_COUNTERS[1] += 1
+        COUNTERS["profile_misses"] += 1
         # One row needs no stacking: it evaluates the grid's own arrays
         # (the single-grid branch of stacked_raw_profiles).
         envelope = np.minimum.accumulate(
@@ -489,8 +477,8 @@ class ExpectedTimeModel:
         hits = len(found) - misses
         self.cache_hits += hits
         self.cache_misses += misses
-        _PROCESS_PROFILE_COUNTERS[0] += hits
-        _PROCESS_PROFILE_COUNTERS[1] += misses
+        COUNTERS["profile_hits"] += hits
+        COUNTERS["profile_misses"] += misses
         if missing:
             sel = [i for i, _ in missing]
             miss_keys = [key for _, key in missing]

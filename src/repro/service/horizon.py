@@ -67,6 +67,7 @@ from ..core.optimal import optimal_schedule
 from ..core.policy import Policy, get_policy
 from ..core.progress import residual_workload
 from ..core.redistribution import redistribution_cost
+from ..counters import snapshot as counter_snapshot
 from ..engine.cache import WorkloadCache
 from ..exceptions import ConfigurationError
 from ..resilience.checkpoint import ResilienceModel
@@ -235,6 +236,9 @@ class OnlineEngine:
         self.jobs: Dict[str, JobState] = {}
         self.epochs: List[Dict[str, object]] = []
         self.counters = _EngineCounters()
+        #: The :mod:`repro.counters` registry at construction:
+        #: ``/metrics`` reports this engine's work as growth since then.
+        self.work_start = counter_snapshot()
         #: Wall-clock decision latencies (telemetry only — never part of
         #: the canonical replay output, which must be clock-free).
         self.decision_latencies: Deque[float] = deque(maxlen=int(latency_window))
@@ -481,7 +485,7 @@ class OnlineEngine:
         )
 
     def _model_for(self, key: tuple, pack: Pack) -> ExpectedTimeModel:
-        before = self._models.snapshot()
+        misses = self._models.misses
 
         def build() -> ExpectedTimeModel:
             return ExpectedTimeModel(
@@ -492,9 +496,9 @@ class OnlineEngine:
             )
 
         model = self._models.get_or_build(key, build)
-        hits, misses = self._models.snapshot()
-        self.counters.models_built += misses - before[1]
-        self.counters.models_reused += hits - before[0]
+        built = self._models.misses - misses  # one lookup: 1 on a miss
+        self.counters.models_built += built
+        self.counters.models_reused += 1 - built
         return model
 
     def _decision_cache_for(

@@ -3,12 +3,10 @@
 Three layers of telemetry, all JSON-safe:
 
 * **engine counters** — the rolling-horizon engine's own epoch/segment
-  bookkeeping plus an :class:`repro.engine.EngineStats` assembled from
-  the process-wide profile/decision counters
-  (:func:`repro.resilience.expected_time.ExpectedTimeModel.
-  process_cache_snapshot`, :func:`repro.core.kernels.
-  process_decision_snapshot`) — the same counters the distributed
-  executors report, so service and campaign dashboards read alike;
+  bookkeeping plus an :class:`repro.engine.EngineStats` holding the
+  :mod:`repro.counters` registry's growth since the engine was built —
+  the same named counters the distributed executors report, so service
+  and campaign dashboards read alike;
 * **decision latency** — p50/p99 over the engine's recent re-pack
   latencies (wall-clock, telemetry only — the canonical replay output
   never contains them);
@@ -22,9 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from ..core.kernels import process_decision_snapshot
+from ..counters import since
 from ..engine.executors import EngineStats
-from ..resilience.expected_time import ExpectedTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .session import ServiceSession
@@ -70,25 +67,20 @@ def latency_percentiles(
 def service_engine_stats(engine) -> EngineStats:
     """An :class:`EngineStats` for the service's in-process engine.
 
-    The distributed executors fold worker snapshots into these fields;
-    the service runs in-process, so the process-wide counters *are* its
-    totals: profile hits/misses from the expected-time models, decision
-    patch/reuse counters from the kernels, workload build/reuse from
-    the engine's model memo.
+    The service runs in-process, so its profile and decision work is the
+    :mod:`repro.counters` registry's growth since ``engine`` was built
+    (work done in this process before then is not the engine's);
+    workload build/reuse come from the engine's own model memo.
     """
+    counts = since(engine.work_start)
+    counts.update(
+        workloads_built=engine.counters.models_built,
+        workloads_reused=engine.counters.models_reused,
+        tasks_submitted=engine.counters.submissions,
+        dispatches=engine.counters.epochs,
+    )
     stats = EngineStats()
-    hits, misses = ExpectedTimeModel.process_cache_snapshot()
-    stats.profile_hits = hits
-    stats.profile_misses = misses
-    patched, reused, allocs, env_reused = process_decision_snapshot()
-    stats.decision_rows_patched = patched
-    stats.decision_rows_reused = reused
-    stats.decision_scratch_allocs = allocs
-    stats.decision_profile_env_reused = env_reused
-    stats.workloads_built = engine.counters.models_built
-    stats.workloads_reused = engine.counters.models_reused
-    stats.tasks_submitted = engine.counters.submissions
-    stats.dispatches = engine.counters.epochs
+    stats.add(counts)
     return stats
 
 

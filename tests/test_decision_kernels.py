@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro import oracle
+from repro import counters, oracle
 from repro.core import POLICIES, optimal_schedule
 from repro.core.heuristics import EndLocal, ShortestTasksFirst, greedy_rebuild
 from repro.core.kernels import DecisionCache
@@ -314,10 +314,11 @@ class TestDecisionStateBitIdentical:
             pack, cluster, "ig-el", seed=0,
             model=ExpectedTimeModel(pack, cluster),
         )
+        before = counters.snapshot()
         result = sim.run()
         assert result.failures_effective > 0
         assert sim.checking_cache.checked > 0
-        assert sim.checking_cache.rows_reused > 0
+        assert counters.since(before)["decision_rows_reused"] > 0
 
     def test_unknown_decision_state_rejected(self):
         # The fresh-build middle mode is gone: the knob no longer exists.
@@ -338,20 +339,23 @@ class TestDecisionStateBitIdentical:
         sim.run()
         assert sim._cache is None
 
-    def test_cache_info_and_budget_tracking(self):
+    def test_registry_counts_and_budget_tracking(self):
         pack, cluster, _ = build(0, 5, 20, 0.0005)
         sim = _CheckingSimulator(
             pack, cluster, "ig-el", seed=0,
             model=ExpectedTimeModel(pack, cluster),
         )
+        before = counters.snapshot()
         sim.run()
-        info = sim.checking_cache.cache_info()
-        assert info["matrices_served"] == sim.checking_cache.checked
-        assert info["rows_patched"] > 0
-        assert info["rows_reused"] > 0
-        assert 0.0 < info["reuse_rate"] < 1.0
-        assert info["scratch_allocations"] > 0
-        assert info["budget"] >= 0  # the live free count was tracked
+        counts = counters.since(before)
+        patched = counts["decision_rows_patched"]
+        reused = counts["decision_rows_reused"]
+        assert patched > 0
+        assert reused > 0
+        assert counts["decision_scratch_allocs"] > 0
+        # Only decision work moved: no workload cache, no retries.
+        assert counts["workloads_built"] == counts["retries"] == 0
+        assert sim.checking_cache.budget >= 0  # the live free count
 
     def test_direct_cache_reuse_across_same_t_decisions(self):
         """Consecutive decisions at one t reuse clean rows verbatim."""
@@ -359,11 +363,14 @@ class TestDecisionStateBitIdentical:
         runtimes = make_runtimes(model, 16)
         t = 0.3 * min(rt.t_expected for rt in runtimes)
         cache = DecisionCache(model)
+        before = counters.snapshot()
         first = cache.matrix(t, runtimes)
         baseline = first.finishes[[rt.index for rt in runtimes]].copy()
-        patched_once = cache.rows_patched
+        patched_once = counters.since(before)["decision_rows_patched"]
+        assert patched_once == len(runtimes)  # a fresh cache: all rows
         again = cache.matrix(t, runtimes)
-        assert cache.rows_patched == patched_once  # nothing re-patched
+        # nothing re-patched
+        assert counters.since(before)["decision_rows_patched"] == patched_once
         assert np.array_equal(
             again.finishes[[rt.index for rt in runtimes]], baseline
         )
@@ -372,7 +379,8 @@ class TestDecisionStateBitIdentical:
         rt0.alpha *= 0.5
         cache.invalidate(rt0.index)
         third = cache.matrix(t, runtimes)
-        assert cache.rows_patched == patched_once + 1
+        patched = counters.since(before)["decision_rows_patched"]
+        assert patched == patched_once + 1
         fresh = DecisionCache(model).matrix(t, runtimes)
         for rt in runtimes:
             assert np.array_equal(

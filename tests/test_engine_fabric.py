@@ -17,12 +17,17 @@ import time
 
 import pytest
 
+from repro import counters
 from repro.engine import (
+    ENGINES,
     Broker,
+    EngineStats,
     FileBroker,
     QueueExecutor,
     RunRequest,
+    create_executor,
     execute_request,
+    shared_cache,
     worker_identity,
 )
 from repro.engine.worker import (
@@ -150,15 +155,13 @@ class TestWorkerServe:
         broker.submit("t1", encode_task(requests))
         broker.request_stop()
         assert serve(broker, max_tasks=1) == 1
-        results, workloads, profiles, decisions, engine = decode_result(
-            broker.fetch_result("t1")
-        )
+        results, counts = decode_result(broker.fetch_result("t1"))
         assert list(results) == [execute_request(r) for r in requests]
-        # One delta per process decision counter (kernels.py:
-        # rows_patched, rows_reused, scratch_allocations,
-        # profile_env_reused).
-        assert len(decisions) == 4
-        assert engine == (0,)
+        # One named delta per registry counter, every one an EngineStats
+        # field; these toy runners touch no cache and never retry.
+        assert set(counts) == set(counters.COUNTERS)
+        assert set(counts) <= set(EngineStats().cache_info())
+        assert all(count == 0 for count in counts.values())
 
     def test_error_payload_carries_the_traceback(self, tmp_path):
         broker = FileBroker(tmp_path)
@@ -442,24 +445,63 @@ class TestQueueExecutor:
             assert executor.stats().pool_launches == 0
 
 
+def _scenario_requests():
+    from repro.experiments import ScenarioConfig
+    from repro.experiments.runner import FAULT_SERIES, scenario_requests
+
+    config = ScenarioConfig(
+        n=4, p=12, m_inf=120.0, m_sup=200.0, mtbf_years=0.002,
+        replicates=4,
+    )
+    return scenario_requests(config, FAULT_SERIES, seed=3)
+
+
+def _work_counts(stats):
+    """The registry-backed (work) fields of one executor's stats."""
+    info = stats.cache_info()
+    return {name: info[name] for name in counters.COUNTERS}
+
+
 class TestQueueStatsAcrossBoundary:
     """EngineStats — profile + decision counters included — survive."""
 
     def test_simulation_counters_cross_the_queue(self):
-        from repro.experiments import ScenarioConfig
-        from repro.experiments.runner import FAULT_SERIES, scenario_requests
-
-        config = ScenarioConfig(
-            n=4, p=12, m_inf=120.0, m_sup=200.0, mtbf_years=0.002,
-            replicates=4,
-        )
-        requests = scenario_requests(config, FAULT_SERIES, seed=3)
+        requests = _scenario_requests()
         with QueueExecutor(workers=2, poll_interval=0.01) as executor:
             executor.map(requests)
             stats = executor.stats()
         assert stats.profile_hits + stats.profile_misses > 0
         assert stats.decision_rows_patched + stats.decision_rows_reused > 0
         assert stats.workloads_built >= 1
+
+    def test_work_counts_conserved_across_executors(self):
+        # The same requests from cold workload caches do the same work
+        # whether it runs here, in a pool or behind the queue.
+        requests = _scenario_requests()
+        counts = {}
+        for engine in ENGINES:
+            shared_cache.clear()
+            with create_executor(engine, workers=2) as executor:
+                executor.map(requests)
+                counts[engine] = _work_counts(executor.stats())
+        assert counts["persistent"] == counts["serial"]
+        assert counts["queue"] == counts["serial"]
+        assert counts["serial"]["workloads_built"] == len(requests)
+        assert counts["serial"]["profile_misses"] > 0
+        assert counts["serial"]["decision_rows_patched"] > 0
+
+    def test_journal_replay_adds_no_work(self, tmp_path):
+        requests = _scenario_requests()
+        for engine in ENGINES:
+            journal = tmp_path / engine
+            with create_executor(engine, workers=2, journal=journal) as first:
+                first.map(requests)
+            chunks = first.stats().journal_misses
+            with create_executor(engine, workers=2, journal=journal) as again:
+                assert len(again.map(requests)) == len(requests)
+            stats = again.stats()
+            assert (stats.journal_hits, stats.journal_misses) == (chunks, 0)
+            assert _work_counts(stats) == dict.fromkeys(counters.COUNTERS, 0)
 
     def test_cli_verbose_reports_queue_statistics(self, capsys):
         from repro.cli import main

@@ -39,6 +39,7 @@ from repro.service import (
     VirtualClock,
     generate_trace,
     horizon,
+    replay_service,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -223,6 +224,19 @@ class TestServiceAPI:
         assert metrics["draining"] is False
         # the whole document must survive the HTTP framing
         json.dumps(metrics)
+
+    def test_metrics_count_only_this_sessions_work(self):
+        # Work done earlier in this process (here a whole replay) is not
+        # the new session's: its engine_stats start at zero.
+        trace = generate_trace(1, n_jobs=4, mean_gap=20_000.0)
+        replay_service(trace, ReplayConfig(processors=40, seed=1))
+        api, _session, _clock = make_api()
+        before = api.handle("metrics", {})["engine_stats"]
+        assert before == dict.fromkeys(before, 0)
+        api.handle("submit", {"job_id": "alpha", "size": 8_000.0})
+        after = api.handle("metrics", {})["engine_stats"]
+        assert after["tasks_submitted"] == after["workloads_built"] == 1
+        assert after["profile_misses"] > 0
 
     def test_status_document(self):
         api, _session, _clock = make_api()
