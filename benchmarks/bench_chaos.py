@@ -2,9 +2,8 @@
 
 The resilience layer's acceptance invariant is that faults change
 wall-clock and counters, never results: for *any*
-:class:`~repro.engine.FaultPlan` seed, a queue campaign with
-``inline_fallback`` enabled produces series byte-identical to the
-fault-free serial run.  This benchmark soaks exactly that on a
+:class:`~repro.engine.FaultPlan` seed, a queue campaign produces
+series byte-identical to the fault-free serial run.  This benchmark soaks exactly that on a
 fig10-shaped MTBF sweep — every broker operation, worker claim and
 runner call rolled against a fixed-seed plan that mixes worker crashes
 (both sides of the claim), stalled heartbeats, spool I/O errors,
@@ -135,7 +134,6 @@ def run_soak(plan: FaultPlan = SOAK_PLAN) -> Dict[str, object]:
             workers=WORKERS,
             poll_interval=0.01,
             heartbeat_timeout=0.4,
-            inline_fallback=True,
             chaos_plan=chaos_plan,
         ) as executor:
             digest = _sweep_digest(executor)

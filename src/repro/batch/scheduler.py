@@ -287,7 +287,6 @@ def run_replicated_campaigns(
     seed: int = 0,
     inject_faults: bool = True,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     engine: Optional[str] = None,
     executor: Optional["Executor"] = None,
 ) -> List[BatchResult]:
@@ -341,7 +340,5 @@ def run_replicated_campaigns(
         )
         for replicate in range(replicates)
     ]
-    with ensure_executor(
-        executor, engine=engine, workers=workers, chunk_size=chunk_size
-    ) as active:
+    with ensure_executor(executor, engine=engine, workers=workers) as active:
         return active.map(requests)

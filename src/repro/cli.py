@@ -596,16 +596,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(check_fault_free_projection(pack, cluster, seed=args.seed).describe())
     print(check_envelope_assumptions(pack, cluster).describe())
     model = ExpectedTimeModel(pack, cluster)
-    engine_requested = args.engine is not None or args.workers > 1
-    executor = _make_executor(args) if engine_requested else None
-    if executor is None and args.verbose:
-        print(
-            "note: --verbose engine statistics apply to engine-driven "
-            "sampling; add --engine or --workers",
-            file=sys.stderr,
-        )
     failed = 0
-    try:
+    with _make_executor(args) as executor:
         for i in range(min(args.n, 3)):
             j = min(4, 2 * (cluster.processors // (2 * args.n)) * 2) or 2
             report = validate_expected_time(
@@ -618,11 +610,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             )
             print(f"Eq.(4) task {i}: {report.describe()}")
             failed += not report.passed
-        if executor is not None:
-            _report_engine(args, executor)
-    finally:
-        if executor is not None:
-            executor.close()
+        _report_engine(args, executor)
     return 1 if failed else 0
 
 

@@ -44,16 +44,6 @@ class EndLocal(CompletionHeuristic):
             return []
         if cache is None:
             cache = DecisionCache(model)
-        return self._apply_array(model, t, tasks, free, cache)
-
-    def _apply_array(
-        self,
-        model: ExpectedTimeModel,
-        t: float,
-        tasks: Sequence[TaskRuntime],
-        free: int,
-        cache: DecisionCache,
-    ) -> List[int]:
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
         dm = cache.matrix(t, tasks, lazy=True)
 

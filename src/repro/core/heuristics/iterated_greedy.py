@@ -47,29 +47,7 @@ def greedy_rebuild(
     runtimes are mutated in place; returns the indices whose allocation
     changed.  The grant loop reads the run's delta-patched
     :class:`~repro.core.kernels.DecisionCache` (a one-shot cache when
-    none is given).
-    """
-    if not tasks:
-        return []
-    n = len(tasks)
-    if capacity < 2 * n:
-        raise CapacityError(
-            f"greedy rebuild needs capacity >= 2n: capacity={capacity}, n={n}"
-        )
-    if cache is None:
-        cache = DecisionCache(model)
-    return _greedy_rebuild_cached(model, t, tasks, capacity, faulty, cache)
-
-
-def _greedy_rebuild_cached(
-    model: ExpectedTimeModel,
-    t: float,
-    tasks: Sequence[TaskRuntime],
-    capacity: int,
-    faulty: Optional[int],
-    cache: DecisionCache,
-) -> List[int]:
-    """Cache-fed kernel: delta-patched matrix + incremental heap.
+    none is given) through an incremental heap.
 
     Decision-for-decision identical to :func:`repro.oracle.greedy_rebuild`:
     the candidate values are the scalar helpers' doubles and every
@@ -86,10 +64,18 @@ def _greedy_rebuild_cached(
       the heap only sees traffic when the longest task actually
       changes — the entries invalidated by the granted pair.
     """
+    if not tasks:
+        return []
+    n = len(tasks)
+    if capacity < 2 * n:
+        raise CapacityError(
+            f"greedy rebuild needs capacity >= 2n: capacity={capacity}, n={n}"
+        )
+    if cache is None:
+        cache = DecisionCache(model)
     dm = cache.matrix(t, tasks, faulty=faulty, with_keep=True)
     vals, sufrev, width = cache.rebuild_block(dm)
     indices = dm.indices
-    n = len(indices)
     slots = [0] * n  # every task restarts at sigma = 2 (slot 0)
     # Ties break on the task index; the trailing row position never
     # participates in the ordering (the index is already unique).

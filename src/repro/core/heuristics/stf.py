@@ -51,17 +51,6 @@ class ShortestTasksFirst(FailureHeuristic):
     ) -> List[int]:
         if cache is None:
             cache = DecisionCache(model)
-        return self._apply_array(model, t, tasks, free, faulty, cache)
-
-    def _apply_array(
-        self,
-        model: ExpectedTimeModel,
-        t: float,
-        tasks: Sequence[TaskRuntime],
-        free: int,
-        faulty: int,
-        cache: DecisionCache,
-    ) -> List[int]:
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
         rt_f = by_index[faulty]
         # Algorithm 4 only ever consults the faulty task and a few

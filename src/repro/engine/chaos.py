@@ -27,8 +27,8 @@ pins:
    fires only on attempt 1.  Combined with the supervision machinery
    (retries for I/O and corruption, heartbeat requeue plus inline
    fallback for crashes and stalls) this guarantees recovery: under
-   any plan seed, a dispatch with ``inline_fallback`` enabled
-   completes with results byte-identical to the fault-free run — the
+   any plan seed, a dispatch completes with results byte-identical
+   to the fault-free run — the
    invariant ``tests/test_engine_chaos.py`` pins on fig7/fig10.
 
 The injected exceptions are the real taxonomy
@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import socket
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Set, Tuple, Union
 
 from ..exceptions import ConfigurationError, TransientEngineError
@@ -426,8 +426,3 @@ def sleep_for(duration: float) -> None:
     """``time.sleep`` behind a seam the tests can monkeypatch."""
     if duration > 0:
         time.sleep(duration)
-
-
-def with_seed(plan: Optional[FaultPlan], seed: int) -> Optional[FaultPlan]:
-    """The same plan re-keyed to another master seed (``None`` passes)."""
-    return None if plan is None else replace(plan, seed=seed)

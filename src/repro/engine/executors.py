@@ -564,18 +564,15 @@ def ensure_executor(
     *,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
-    chaos_plan: Union[FaultPlan, Dict[str, object], str, None] = None,
-    journal: Union[ResultJournal, os.PathLike, str, None] = None,
 ) -> Iterator[Executor]:
     """Yield a ready executor; own (and close) it only if we made it.
 
     A caller-supplied ``executor`` is yielded untouched and left open —
     it may have further dispatches coming (the next sweep point, the
-    next figure) and carries its own resilience knobs.  Otherwise one is
-    created from :func:`resolve_engine`'s rule and closed when the block
-    exits.
+    next figure) and carries its own chunking and resilience knobs
+    (build it with :func:`create_executor`).  Otherwise one is created
+    from :func:`resolve_engine`'s rule, with default chunking and
+    resilience, and closed when the block exits.
     """
     if executor is not None:
         yield executor
@@ -583,10 +580,6 @@ def ensure_executor(
     owned = create_executor(
         resolve_engine(engine, workers),
         workers=1 if workers is None else workers,
-        chunk_size=chunk_size,
-        retry_policy=retry_policy,
-        chaos_plan=chaos_plan,
-        journal=journal,
     )
     try:
         yield owned

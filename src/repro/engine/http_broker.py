@@ -390,13 +390,15 @@ class HTTPBroker:
             self._last_status = status
         return status
 
-    def engine_counters(self) -> Dict[str, int]:
+    def engine_counters(self) -> Dict[str, object]:
         """Fleet/wire counter totals, named as ``EngineStats`` fields.
 
         Combines the client-side wire-retry count with the server's
-        lease/fleet counters; best-effort — with the server unreachable
-        the last fetched server counters are reused, so a partitioned
-        status poll can never fail a dispatch.
+        lease/fleet counters and its ``boot_monotonic`` stamp, which
+        moves when the server restarts and its counters start from
+        zero; best-effort — with the server unreachable the last
+        fetched server status is reused, so a partitioned status poll
+        can never fail a dispatch.
         """
         try:
             status = self.server_status()
@@ -405,6 +407,7 @@ class HTTPBroker:
                 status = self._last_status
         with self._lock:
             counters = {"wire_retries": self.wire_retries}
+        counters["boot_monotonic"] = status.get("boot_monotonic")
         for name in ("lease_expiries", "worker_joins", "worker_leaves"):
             counters[name] = int(status.get(name, 0))
         return counters

@@ -30,24 +30,23 @@ Two deployment shapes, one class:
 Supervision (the full story is ``docs/RESILIENCE.md``): workers
 heartbeat through the broker; a claimed chunk whose claimant goes
 silent past ``heartbeat_timeout`` is requeued for another worker
-(counted as ``requeues``), and if the fleet dies entirely the
-submitting process claims the remaining chunks itself
-(``inline_fallback``), so a dispatch always completes.  A chunk that
+(counted as ``requeues``), and if the fleet dies entirely — or none
+ever heartbeats — the submitting process claims the remaining chunks
+itself, so a dispatch always completes.  A chunk that
 comes back as a *transient* failure (worker I/O, a corrupted result
 payload, injected chaos) is resubmitted under the executor's
 :class:`~repro.engine.retry.RetryPolicy` with deterministic backoff; a
 *permanent* failure — or a transient one that exhausts the budget — is
 quarantined in the broker's dead-letter spool with its remote
 traceback, and the dispatch finishes the surviving chunks before
-reporting the loss (:class:`~repro.exceptions.PoisonChunkError`, or
-``None`` slots with ``on_poison="quarantine"``).  Duplicate executions
-caused by requeueing are harmless: requests are pure functions of their
-seed (the determinism contract in :mod:`repro.engine`), so any
-execution of a chunk yields byte-identical results; redundant
-completions are absorbed first-result-wins and counted as
-``duplicate_results``.  The queue engine is pinned byte-identical to
-:class:`SerialExecutor` alongside every other engine in
-``tests/test_perf_equivalence.py`` — and, under any chaos
+reporting the loss as :class:`~repro.exceptions.PoisonChunkError`.
+Duplicate executions caused by requeueing are harmless: requests are
+pure functions of their seed (the determinism contract in
+:mod:`repro.engine`), so any execution of a chunk yields byte-identical
+results; redundant completions are absorbed first-result-wins and
+counted as ``duplicate_results``.  The queue engine is pinned
+byte-identical to :class:`SerialExecutor` alongside every other engine
+in ``tests/test_perf_equivalence.py`` — and, under any chaos
 :class:`~repro.engine.chaos.FaultPlan`, in ``tests/test_engine_chaos.py``.
 """
 
@@ -76,6 +75,16 @@ from .payloads import decode_result, encode_task, execute_payload
 from .retry import execute_with_retry
 
 __all__ = ["QueueExecutor"]
+
+#: ``--max-idle`` of self-hosted workers: if the submitter dies without
+#: :meth:`QueueExecutor.close` (kill -9, OOM), orphaned workers stop
+#: polling after this long instead of spinning forever.  A fleet that
+#: idled out is respawned on the next dispatch.
+WORKER_MAX_IDLE_S = 600.0
+
+#: Seconds :meth:`QueueExecutor.close` waits for each spawned worker to
+#: honour the cooperative stop sentinel before escalating to ``kill()``.
+SHUTDOWN_TIMEOUT_S = 10.0
 
 
 def _worker_env() -> dict:
@@ -115,29 +124,6 @@ class QueueExecutor(_PooledExecutor):
         Seconds of claimant silence after which a claimed task is
         requeued — and, with no live workers at all, after which the
         submitter starts executing queued tasks itself.
-    inline_fallback:
-        Allow the submitting process to claim tasks when the fleet is
-        dead or absent (default ``True``); disable to fail fast with
-        :class:`RuntimeError` instead.
-    worker_max_idle:
-        ``--max-idle`` passed to self-hosted workers (default 600 s):
-        if the submitter dies without :meth:`close` (kill -9, OOM),
-        orphaned workers stop polling after this long rather than
-        spinning forever.  A fleet that idled out is respawned on the
-        next dispatch.  ``None`` disables the bound.  Ignored with a
-        caller-supplied broker (the fleet is yours).
-    on_poison:
-        What to do with chunks that exhausted their retry budget:
-        ``"raise"`` (default) finishes the rest of the dispatch, then
-        raises :class:`~repro.exceptions.PoisonChunkError` carrying
-        every quarantined chunk's id, attempt count and remote
-        traceback; ``"quarantine"`` merely counts them
-        (``dead_lettered``) and leaves their result slots ``None``.
-        Either way the chunk payloads wait in the broker's dead-letter
-        spool for inspection or resubmission.
-    shutdown_timeout:
-        Seconds :meth:`close` waits for each spawned worker to honour
-        the cooperative stop sentinel before escalating to ``kill()``.
     retry_policy, chaos_plan, journal:
         The resilience knobs shared by every executor (see
         :class:`~repro.engine.executors.Executor`).  Here the policy
@@ -158,10 +144,6 @@ class QueueExecutor(_PooledExecutor):
         broker: Optional[Broker] = None,
         poll_interval: float = 0.02,
         heartbeat_timeout: float = 60.0,
-        inline_fallback: bool = True,
-        worker_max_idle: Optional[float] = 600.0,
-        on_poison: str = "raise",
-        shutdown_timeout: float = 10.0,
         **kwargs,
     ):
         super().__init__(workers, chunk_size, **kwargs)
@@ -173,14 +155,6 @@ class QueueExecutor(_PooledExecutor):
             raise ConfigurationError(
                 f"heartbeat_timeout must be > 0, got {heartbeat_timeout}"
             )
-        if on_poison not in ("raise", "quarantine"):
-            raise ConfigurationError(
-                f'on_poison must be "raise" or "quarantine", got {on_poison!r}'
-            )
-        if shutdown_timeout <= 0:
-            raise ConfigurationError(
-                f"shutdown_timeout must be > 0, got {shutdown_timeout}"
-            )
         self._broker = broker
         self._spawn_workers = broker is None
         self._spool: Optional[str] = None
@@ -188,21 +162,16 @@ class QueueExecutor(_PooledExecutor):
         self._chaos: Optional[ChaosBroker] = None
         self.poll_interval = float(poll_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
-        self.inline_fallback = bool(inline_fallback)
-        self.worker_max_idle = (
-            None if worker_max_idle is None else float(worker_max_idle)
-        )
-        self.on_poison = on_poison
-        self.shutdown_timeout = float(shutdown_timeout)
         self._submitter = f"submitter-{worker_identity()}"
         self._nonce = uuid.uuid4().hex[:8]
         self._counter_base: Dict[str, int] = {}
+        self._broker_boot: object = None
 
     # -- fabric lifecycle --------------------------------------------------
     def _ensure_fabric(self) -> Broker:
         """The live broker, creating the spool + fleet on first use.
 
-        A self-hosted fleet that exited (``worker_max_idle`` elapsed
+        A self-hosted fleet that exited (:data:`WORKER_MAX_IDLE_S` elapsed
         between campaigns, or a crash) is respawned here rather than
         silently degrading every later dispatch to inline execution.
         With an active chaos plan the broker comes back wrapped in a
@@ -239,9 +208,9 @@ class QueueExecutor(_PooledExecutor):
             self._spool,
             "--poll-interval",
             str(self.poll_interval),
+            "--max-idle",
+            str(WORKER_MAX_IDLE_S),
         ]
-        if self.worker_max_idle is not None:
-            command += ["--max-idle", str(self.worker_max_idle)]
         chaos_active = (
             self.chaos_plan is not None and self.chaos_plan.any_faults()
         )
@@ -275,7 +244,7 @@ class QueueExecutor(_PooledExecutor):
     def close(self) -> None:
         """Stop the fleet and remove the owned spool (idempotent).
 
-        Workers get ``shutdown_timeout`` seconds to honour the stop
+        Workers get :data:`SHUTDOWN_TIMEOUT_S` seconds to honour the stop
         sentinel; one that is wedged (stuck syscall, pathological
         chunk) is killed outright so ``close`` always returns.
         """
@@ -286,7 +255,7 @@ class QueueExecutor(_PooledExecutor):
                 pass
         for proc in self._procs:
             try:
-                proc.wait(timeout=self.shutdown_timeout)
+                proc.wait(timeout=SHUTDOWN_TIMEOUT_S)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
@@ -333,26 +302,33 @@ class QueueExecutor(_PooledExecutor):
 
         Remote brokers (:class:`~repro.engine.http_broker.HTTPBroker`)
         expose cumulative wire/fleet counters, keyed by ``EngineStats``
-        field name, via ``engine_counters()``; brokers without that
-        surface contribute nothing.  Counters are cumulative per broker
-        lifetime, so only the growth since the last sync is added — and
-        a counter that *shrank* means the broker server restarted
-        (fresh counters on the same spool), in which case the whole
-        reported value is new events.
+        field name, plus the server's ``boot_monotonic`` stamp, via
+        ``engine_counters()``; brokers without that surface contribute
+        nothing.  Only the growth since the last sync is added.  A moved
+        boot stamp means the broker server restarted and counts its
+        fleet events from zero again, so their base resets;
+        ``wire_retries`` is counted by the client and never resets.
         """
         getter = getattr(broker, "engine_counters", None)
         if getter is None:
             return
         try:
-            totals = getter()
+            totals = dict(getter())
         except (TransientEngineError, PermanentEngineError, OSError):
             return  # stats merging is best-effort, never fails a dispatch
-        growth = {}
-        for name, total in totals.items():
-            base = self._counter_base.get(name, 0)
-            growth[name] = total - base if total >= base else total
-            self._counter_base[name] = total
-        self._stats.add(growth)
+        boot = totals.pop("boot_monotonic", None)
+        if boot != self._broker_boot:
+            self._broker_boot = boot
+            self._counter_base = {
+                "wire_retries": self._counter_base.get("wire_retries", 0)
+            }
+        self._stats.add(
+            {
+                name: total - self._counter_base.get(name, 0)
+                for name, total in totals.items()
+            }
+        )
+        self._counter_base.update(totals)
 
     def _dispatch(
         self, chunks: List[Tuple[RunRequest, ...]]
@@ -520,7 +496,7 @@ class QueueExecutor(_PooledExecutor):
                 broker.discard(task_id)
             absorb_duplicates()
             self._sync_broker_counters(broker)
-        if dead and self.on_poison == "raise":
+        if dead:
             lines = [
                 f"queue executor: {len(dead)} chunk(s) quarantined in the "
                 "dead-letter spool after exhausting their retry budget:"
@@ -536,21 +512,12 @@ class QueueExecutor(_PooledExecutor):
 
         Yes when the spawned fleet has died outright, or when no worker
         anywhere has heartbeat within the timeout *and* we have already
-        waited one full heartbeat horizon for a fleet to appear.  With
-        ``inline_fallback`` off the first condition raises instead —
-        a dead fleet cannot finish the dispatch.
+        waited one full heartbeat horizon for a fleet to appear.
         """
         if self._fleet_dead():
-            if not self.inline_fallback:
-                raise RuntimeError(
-                    "queue executor: all spawned workers exited with the "
-                    "dispatch incomplete (see worker-*.log in the spool)"
-                )
             return True
         if self._procs:
             return False  # spawned fleet alive: let it work
-        if not self.inline_fallback:
-            return False
         return (
             not broker.live_workers(self.heartbeat_timeout)
             and time.monotonic() - idle_since > self.heartbeat_timeout

@@ -258,10 +258,8 @@ def run_scenario(
     baseline_key: str = "no-rc",
     keep_results: bool = False,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     engine: Optional[str] = None,
     executor: Optional[Executor] = None,
-    journal: Optional[Any] = None,
     simulator: type[Simulator] = Simulator,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> ScenarioResult:
@@ -276,9 +274,9 @@ def run_scenario(
     pool when ``workers`` > 1.  The per-replicate seed derivation, replicate
     pairing and baseline normalisation are preserved exactly under
     every engine, so the returned makespan arrays are byte-identical
-    to a serial run.  ``chunk_size`` bounds how many contiguous
-    replicates one worker dispatch carries (default: ~4 chunks per
-    worker).
+    to a serial run.  Chunking and the resilience layer (retry policy,
+    fault injection, a crash-resume result journal) are the executor's:
+    build one with :func:`~repro.engine.create_executor` to set them.
 
     ``simulator`` is the :class:`~repro.simulation.Simulator` class
     every replicate runs (it rides in the request payload, so pooled
@@ -286,12 +284,6 @@ def run_scenario(
     dispatch to :meth:`~repro.engine.Executor.map_stream` and is called
     as ``progress(done, total)`` after each completed chunk — the
     reassembled results stay byte-identical to a plain ``map``.
-
-    ``journal`` (a :class:`~repro.engine.ResultJournal` or directory
-    path) makes the run crash-resumable: chunks a previous campaign
-    already finished are served from the journal instead of
-    recomputed.  It only applies when this call creates the executor —
-    a caller-owned ``executor`` carries its own journal.
     """
     keys = _validate_series(series, baseline_key)
     requests = scenario_requests(
@@ -301,13 +293,7 @@ def run_scenario(
         keep_results=keep_results,
         simulator=simulator,
     )
-    with ensure_executor(
-        executor,
-        engine=engine,
-        workers=workers,
-        chunk_size=chunk_size,
-        journal=journal,
-    ) as active:
+    with ensure_executor(executor, engine=engine, workers=workers) as active:
         if progress is None:
             outputs = active.map(requests)
         else:

@@ -51,7 +51,6 @@ class ReferenceModel(ExpectedTimeModel):
         settings."""
         return cls(
             model.pack, model.cluster, resilience=model.resilience,
-            max_procs=int(model.j_grid[-1]), cache_size=model._cache_size,
             rc_factor=model.rc_factor,
             grids=[model.grid(i) for i in range(len(model.pack))],
         )

@@ -35,7 +35,7 @@ relative, far under the model's fidelity).  Rows live and die with
 their grid: figure runs build grids per model, while the online service
 hands each running job's grid to every model it builds, so the job's
 rows carry from epoch to epoch.  Each model bounds the rows it inserts
-by ``cache_size``, FIFO over its own insertions.
+by :data:`CACHE_SIZE`, FIFO over its own insertions.
 
 This is the hot path of the library; the batch accessors
 (:meth:`ExpectedTimeModel.expected_times`,
@@ -73,6 +73,12 @@ __all__ = [
 #: Quantisation step of the profile-cache alpha key (~1e-12).
 _ALPHA_QUANTUM = 1e-12
 _ALPHA_SCALE = 1.0 / _ALPHA_QUANTUM
+
+#: Envelope rows one model keeps inserted in its grids' stores (FIFO
+#: over its own insertions; an evicted row is dropped from whichever
+#: grid holds it and stays valid for any holder).  Rows other models
+#: inserted into shared grids are read, never counted or evicted.
+CACHE_SIZE = 4096
 
 
 def ensure_alpha_vector(
@@ -306,14 +312,6 @@ class ExpectedTimeModel:
         Platform (supplies ``mu`` and ``D``).
     resilience:
         Optional pre-built :class:`ResilienceModel` (defaults to Young).
-    max_procs:
-        Largest ``j`` in the grid (defaults to ``cluster.processors``).
-    cache_size:
-        Number of envelope rows this model keeps inserted in its grids'
-        stores (FIFO over its own insertions; an evicted row is dropped
-        from whichever grid holds it and stays valid for any holder).
-        Rows other models inserted into shared grids are read, never
-        counted or evicted here.
     rc_factor:
         Multiplier on every redistribution cost ``RC_i^{j->k}`` seen by
         the heuristics (ablation knob: 0 makes redistribution free, large
@@ -338,25 +336,18 @@ class ExpectedTimeModel:
         pack: Pack,
         cluster: Cluster,
         resilience: Optional[ResilienceModel] = None,
-        max_procs: Optional[int] = None,
-        cache_size: int = 4096,
         rc_factor: float = 1.0,
         grids: Optional[Sequence[TaskGrid]] = None,
     ):
         if rc_factor < 0:
             raise ConfigurationError("rc_factor must be non-negative")
-        if cache_size < 1:
-            raise ConfigurationError("cache_size must be >= 1")
         self.pack = pack
         self.cluster = cluster
         self.rc_factor = float(rc_factor)
         self.resilience = (
             resilience if resilience is not None else ResilienceModel(cluster)
         )
-        j_max = cluster.processors if max_procs is None else int(max_procs)
-        if j_max < 2:
-            raise ConfigurationError("max_procs must be >= 2")
-        self._j_grid = even_grid(j_max)
+        self._j_grid = even_grid(cluster.processors)
         self._grid_len = len(self._j_grid)
         self._grids: dict[int, TaskGrid] = {}
         if grids is not None:
@@ -368,9 +359,8 @@ class ExpectedTimeModel:
                     f"task of the {len(pack)}-task pack"
                 )
             self._grids = dict(enumerate(grids))
-        self._cache_size = int(cache_size)
         #: (grid store, alpha key) of every row this model inserted,
-        #: oldest first: the FIFO that cache_size bounds.
+        #: oldest first: the FIFO that CACHE_SIZE bounds.
         self._inserted: Deque[tuple[dict, int]] = deque()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -407,13 +397,13 @@ class ExpectedTimeModel:
 
     def _insert(self, stores: list, keys: list, rows: list) -> None:
         """Store read-only envelope rows, ``rows[r]`` under ``keys[r]`` in
-        the grid store ``stores[r]``; FIFO-bounded by ``cache_size`` over
-        this model's insertions."""
+        the grid store ``stores[r]``; FIFO-bounded by :data:`CACHE_SIZE`
+        over this model's insertions."""
         for envelopes, key, row in zip(stores, keys, rows):
             envelopes[key] = row
         inserted = self._inserted
         inserted.extend(zip(stores, keys))
-        while len(inserted) > self._cache_size:
+        while len(inserted) > CACHE_SIZE:
             envelopes, key = inserted.popleft()
             envelopes.pop(key, None)
 
@@ -665,6 +655,6 @@ class ExpectedTimeModel:
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "entries": len(self._inserted),
-            "capacity": self._cache_size,
+            "capacity": CACHE_SIZE,
             "hit_rate": self.cache_hits / lookups if lookups else 0.0,
         }

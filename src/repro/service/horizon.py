@@ -51,14 +51,22 @@ multiset (each with a :class:`~repro.core.kernels.DecisionCache`
 :meth:`~repro.core.kernels.DecisionCache.reset` for the next segment),
 but the multiset changes at almost every epoch: on the 2,000-job
 benchmark trace that memo hits ~2.5% of the time.
+
+Work accounting: the Eq. 4 and decision work counters live in the
+process-wide :mod:`repro.counters` registry, which every engine (and
+any replay) in the process bumps.  Each outermost write call
+(``submit``, ``cancel``, ``advance_to``, ``drain``) adds the registry's
+growth during the call to :attr:`OnlineEngine.work`, so ``/metrics``
+reports this engine's work and no other's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Optional
 
 from ..cluster import Cluster
@@ -67,7 +75,7 @@ from ..core.optimal import optimal_schedule
 from ..core.policy import Policy, get_policy
 from ..core.progress import residual_workload
 from ..core.redistribution import redistribution_cost
-from ..counters import snapshot as counter_snapshot
+from ..counters import COUNTERS, since, snapshot as counter_snapshot
 from ..engine.cache import WorkloadCache
 from ..exceptions import ConfigurationError
 from ..resilience.checkpoint import ResilienceModel
@@ -86,6 +94,9 @@ QUEUED = "queued"
 RUNNING = "running"
 COMPLETED = "completed"
 CANCELLED = "cancelled"
+
+#: Re-pack latencies kept for the ``/metrics`` percentiles.
+LATENCY_WINDOW = 1024
 
 
 @dataclass
@@ -110,19 +121,7 @@ class JobState:
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe view of this job."""
-        return {
-            "job_id": self.job_id,
-            "size": self.size,
-            "checkpoint_cost": self.checkpoint_cost,
-            "arrival": self.arrival,
-            "status": self.status,
-            "admitted_at": self.admitted_at,
-            "completion_time": self.completion_time,
-            "alpha_remaining": self.alpha_remaining,
-            "redistributions": self.redistributions,
-            "failures": self.failures,
-            "segments": self.segments,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -148,24 +147,27 @@ class _EngineCounters:
     submissions: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "events": self.events,
-            "failures_effective": self.failures_effective,
-            "failures_idle": self.failures_idle,
-            "failures_masked": self.failures_masked,
-            "failures_idle_window": self.failures_idle_window,
-            "epochs": self.epochs,
-            "segments_closed": self.segments_closed,
-            "repack_moves": self.repack_moves,
-            "rc_paid": self.rc_paid,
-            "models_built": self.models_built,
-            "models_reused": self.models_reused,
-            "decision_caches_built": self.decision_caches_built,
-            "decision_caches_reused": self.decision_caches_reused,
-            "completions": self.completions,
-            "cancellations": self.cancellations,
-            "submissions": self.submissions,
-        }
+        return asdict(self)
+
+
+def _counts_work(method):
+    """Add the :mod:`repro.counters` growth during an outermost write
+    call to ``engine.work``: the engine's own profile and decision work,
+    which another engine in the same process never sees."""
+
+    @functools.wraps(method)
+    def counted(self, *args, **kwargs):
+        if self._work_before is not None:  # nested: the outer call counts
+            return method(self, *args, **kwargs)
+        self._work_before = counter_snapshot()
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            for name, delta in since(self._work_before).items():
+                self.work[name] += delta
+            self._work_before = None
+
+    return counted
 
 
 class OnlineEngine:
@@ -192,8 +194,6 @@ class OnlineEngine:
         resilience: Optional[ResilienceModel] = None,
         profile: Optional[SpeedupProfile] = None,
         checkpoint_unit_cost: float = 1.0,
-        workload_cache: Optional[WorkloadCache] = None,
-        latency_window: int = 1024,
     ):
         self.cluster = cluster
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
@@ -211,9 +211,7 @@ class OnlineEngine:
         if checkpoint_unit_cost < 0:
             raise ConfigurationError("checkpoint unit cost must be >= 0")
         self.checkpoint_unit_cost = float(checkpoint_unit_cost)
-        self._models = (
-            workload_cache if workload_cache is not None else WorkloadCache()
-        )
+        self._models = WorkloadCache()
         # One decision cache per memoised model, reset()-reused across
         # segments (bounded alongside the model memo).
         self._dcaches: "OrderedDict[tuple, DecisionCache]" = OrderedDict()
@@ -236,12 +234,13 @@ class OnlineEngine:
         self.jobs: Dict[str, JobState] = {}
         self.epochs: List[Dict[str, object]] = []
         self.counters = _EngineCounters()
-        #: The :mod:`repro.counters` registry at construction:
-        #: ``/metrics`` reports this engine's work as growth since then.
-        self.work_start = counter_snapshot()
+        #: This engine's share of the :mod:`repro.counters` registry,
+        #: summed over its write calls (``/metrics`` reports it).
+        self.work: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
+        self._work_before: Optional[Dict[str, int]] = None
         #: Wall-clock decision latencies (telemetry only — never part of
         #: the canonical replay output, which must be clock-free).
-        self.decision_latencies: Deque[float] = deque(maxlen=int(latency_window))
+        self.decision_latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     # -- read-side -----------------------------------------------------------
     @property
@@ -307,6 +306,7 @@ class OnlineEngine:
         return max(times) if times else 0.0
 
     # -- write-side ----------------------------------------------------------
+    @_counts_work
     def submit(
         self,
         job_id: str,
@@ -369,6 +369,7 @@ class OnlineEngine:
             self._record_epoch(t, "arrival", admitted=[], rc_paid=0.0, moves=0)
         return job
 
+    @_counts_work
     def cancel(self, job_id: str, *, now: Optional[float] = None) -> bool:
         """Withdraw a job; returns False when it is not queued/running.
 
@@ -393,6 +394,7 @@ class OnlineEngine:
         self._repack(t, "cancel")
         return True
 
+    @_counts_work
     def advance_to(self, t: float) -> None:
         """Process every event up to time ``t`` (the service's pump).
 
@@ -435,6 +437,7 @@ class OnlineEngine:
             self._drain_idle_failures(t)
         self._now = t
 
+    @_counts_work
     def drain(self) -> float:
         """Run every accepted job to completion; returns the final time.
 

@@ -38,6 +38,10 @@ __all__ = [
     "canonical_bytes",
 ]
 
+#: Seconds after its arrival at which a :func:`generate_trace` job
+#: picked by ``cancel_every`` is cancelled.
+CANCEL_DELAY = 5_000.0
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -127,13 +131,12 @@ def generate_trace(
     m_sup: float = 10_000.0,
     checkpoint_unit_cost: float = 1.0,
     cancel_every: int = 0,
-    cancel_delay: float = 5_000.0,
 ) -> List[TraceEvent]:
     """A seeded arrival trace: exponential gaps, uniform sizes.
 
     Derived from ``(seed, "arrivals")`` so it never collides with the
     engine's fault stream.  ``cancel_every=k`` (k > 0) also cancels
-    every k-th job ``cancel_delay`` after its arrival — cancels of jobs
+    every k-th job :data:`CANCEL_DELAY` after its arrival — cancels of jobs
     that already finished are no-ops, exercised on purpose.  Events are
     returned sorted by (time, job id): the exact order both replay
     paths must consume them in.
@@ -160,7 +163,7 @@ def generate_trace(
         if cancel_every > 0 and (k + 1) % cancel_every == 0:
             events.append(
                 TraceEvent(
-                    time=t + cancel_delay, kind="cancel", job_id=job_id
+                    time=t + CANCEL_DELAY, kind="cancel", job_id=job_id
                 )
             )
     events.sort(key=lambda ev: (ev.time, ev.job_id, ev.kind))

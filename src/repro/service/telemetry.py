@@ -4,9 +4,9 @@ Three layers of telemetry, all JSON-safe:
 
 * **engine counters** — the rolling-horizon engine's own epoch/segment
   bookkeeping plus an :class:`repro.engine.EngineStats` holding the
-  :mod:`repro.counters` registry's growth since the engine was built —
-  the same named counters the distributed executors report, so service
-  and campaign dashboards read alike;
+  :mod:`repro.counters` registry's growth during the engine's own write
+  calls — the same named counters the distributed executors report, so
+  service and campaign dashboards read alike;
 * **decision latency** — p50/p99 over the engine's recent re-pack
   latencies (wall-clock, telemetry only — the canonical replay output
   never contains them);
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from ..counters import since
 from ..engine.executors import EngineStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -68,11 +67,12 @@ def service_engine_stats(engine) -> EngineStats:
     """An :class:`EngineStats` for the service's in-process engine.
 
     The service runs in-process, so its profile and decision work is the
-    :mod:`repro.counters` registry's growth since ``engine`` was built
-    (work done in this process before then is not the engine's);
-    workload build/reuse come from the engine's own model memo.
+    :mod:`repro.counters` registry's growth during ``engine``'s write
+    calls (``engine.work``; work another engine or a replay did in this
+    process is not counted); workload build/reuse come from the engine's
+    own model memo.
     """
-    counts = since(engine.work_start)
+    counts = dict(engine.work)
     counts.update(
         workloads_built=engine.counters.models_built,
         workloads_reused=engine.counters.models_reused,

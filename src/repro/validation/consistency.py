@@ -108,7 +108,6 @@ def check_envelope_assumptions(
     cluster: Cluster,
     *,
     alphas: Optional[List[float]] = None,
-    max_procs: Optional[int] = None,
 ) -> ConsistencyReport:
     """Envelope monotonicity (Eq. 6) and pre-threshold work monotonicity.
 
@@ -118,7 +117,7 @@ def check_envelope_assumptions(
     alphas = alphas if alphas is not None else [0.25, 0.5, 1.0]
     if not alphas:
         raise ConfigurationError("at least one alpha is required")
-    model = ExpectedTimeModel(pack, cluster, max_procs=max_procs)
+    model = ExpectedTimeModel(pack, cluster)
     failures: List[str] = []
     checks = 0
     j_grid = model.j_grid

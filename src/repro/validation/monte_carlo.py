@@ -14,8 +14,12 @@ Its closed form is ``e^{lambda j R}(1/(lambda j) + D)(e^{lambda j T}-1)``
 — the exact factor of Eq. (4).  :func:`sample_period_time` simulates one
 period of that process, :func:`sample_completion_time` chains the
 ``N^ff`` full periods plus the ``tau_last`` partial period of Eqs. (2)-(3),
-and :func:`validate_expected_time` compares the empirical mean against
-the model prediction with a z-test.
+and their vectorised twins :func:`sample_period_times` and
+:func:`sample_completion_times` draw the same laws in batches.
+:func:`validate_expected_time` dispatches vectorised batches through the
+engine and compares their empirical mean against the model prediction
+with a z-test.  The scalar samplers are the law's reference: the tests
+check the batches against them.
 """
 
 from __future__ import annotations
@@ -183,8 +187,8 @@ def sample_completion_times(
     All ``count x N^ff`` full periods are drawn in one
     :func:`sample_period_times` batch (periods are independent renewals,
     so the grouping is immaterial), plus one batch for the partial
-    ``tau_last`` periods.  Used by the engine-parallel path of
-    :func:`validate_expected_time`.
+    ``tau_last`` periods.  :func:`validate_expected_time` samples with
+    it.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -216,6 +220,15 @@ def sample_completion_times(
     return totals
 
 
+#: The z-test's pass band: decisive yet essentially free of false alarms
+#: at a few hundred samples.
+SIGMA_TOLERANCE = 5.0
+
+#: Relative error that passes regardless of the z-score (see
+#: :attr:`ValidationReport.passed`).
+RELATIVE_FLOOR = 1e-2
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of one Monte-Carlo validation run."""
@@ -226,23 +239,22 @@ class ValidationReport:
     samples: int
     z_score: float
     relative_error: float
-    sigma_tolerance: float
-    relative_floor: float = 1e-2
 
     @property
     def passed(self) -> bool:
         """True when the empirical mean is within the tolerance band.
 
-        Either criterion suffices: a z-score within ``sigma_tolerance``,
-        or a relative error below ``relative_floor``.  The floor covers
-        near-deterministic regimes (reliable platforms draw no failures
-        at modest sample counts, collapsing the variance and blowing up
-        the z-score on a physically negligible gap — the closed form's
-        expected failure cost that the sample never realised).
+        Either criterion suffices: a z-score within
+        :data:`SIGMA_TOLERANCE`, or a relative error below
+        :data:`RELATIVE_FLOOR`.  The floor covers near-deterministic
+        regimes (reliable platforms draw no failures at modest sample
+        counts, collapsing the variance and blowing up the z-score on a
+        physically negligible gap — the closed form's expected failure
+        cost that the sample never realised).
         """
         return (
-            abs(self.z_score) <= self.sigma_tolerance
-            or self.relative_error <= self.relative_floor
+            abs(self.z_score) <= SIGMA_TOLERANCE
+            or self.relative_error <= RELATIVE_FLOOR
         )
 
     def describe(self) -> str:
@@ -283,10 +295,7 @@ def validate_expected_time(
     alpha: float = 1.0,
     samples: int = 400,
     seed: int = 0,
-    sigma_tolerance: float = 5.0,
-    relative_floor: float = 1e-2,
     workers: Optional[int] = None,
-    chunk_samples: Optional[int] = None,
     engine: Optional[str] = None,
     executor: Optional["Executor"] = None,
 ) -> ValidationReport:
@@ -297,46 +306,35 @@ def validate_expected_time(
     better ``j' < j`` when over-parallelised, which the physical process
     at exactly ``j`` processors does not do.
 
-    A 5-sigma default keeps the check decisive yet essentially free of
-    false alarms at a few hundred samples.
-
-    With any engine knob set (``workers`` > 1, ``engine``, ``executor``
-    or ``chunk_samples``) sampling goes through the unified execution
-    engine: the sample budget splits into fixed-size vectorised chunks
-    of ``chunk_samples`` (default 128), each an independent
+    Sampling goes through the unified execution engine (serial unless
+    ``workers``, ``engine`` or ``executor`` says otherwise): the sample
+    budget splits into vectorised chunks of
+    :data:`DEFAULT_CHUNK_SAMPLES`, each an independent
     :class:`~repro.engine.RunRequest` seeded by ``(seed, i, j, chunk)``.
-    The chunk layout depends only on the arguments — never on the worker
-    count — so serial, pool and persistent execution return
-    byte-identical reports.  (The engine path draws its randomness
-    differently from the legacy sequential path, so the two produce
-    different — equally valid — sample sets for the same seed.)
+    The chunk layout depends only on the arguments — never on the
+    executor or worker count — so every execution returns a
+    byte-identical report.
     """
+    from ..engine import RunRequest, ensure_executor
+
     if samples < 2:
         raise ConfigurationError("at least 2 samples are required")
     grid = model.grid(i)
     predicted = float(model.raw_profile(i, alpha, grid)[grid.slot(j)])
-    engine_requested = (
-        executor is not None
-        or engine is not None
-        or chunk_samples is not None
-        or (workers is not None and workers > 1)
-    )
-    if engine_requested:
-        draws = _sample_through_engine(
-            model, i, j, alpha, samples, seed,
-            workers=workers,
-            chunk_samples=chunk_samples,
-            engine=engine,
-            executor=executor,
+    requests = [
+        RunRequest(
+            fn=_sample_validation_chunk,
+            payload=(
+                model, i, j, alpha,
+                min(DEFAULT_CHUNK_SAMPLES, samples - start),
+            ),
+            seed=_chunk_seed(seed, i, j, chunk),
+            tag=chunk,
         )
-    else:
-        rng = derive_rng(seed, "validation", i, j)
-        draws = np.array(
-            [
-                sample_completion_time(model, i, j, alpha, rng)
-                for _ in range(samples)
-            ]
-        )
+        for chunk, start in enumerate(range(0, samples, DEFAULT_CHUNK_SAMPLES))
+    ]
+    with ensure_executor(executor, engine=engine, workers=workers) as active:
+        draws = np.concatenate(active.map(requests))
     mean = float(draws.mean())
     std = float(draws.std(ddof=1))
     stderr = std / math.sqrt(samples)
@@ -349,41 +347,4 @@ def validate_expected_time(
         samples=samples,
         z_score=z_score,
         relative_error=relative,
-        sigma_tolerance=sigma_tolerance,
-        relative_floor=relative_floor,
     )
-
-
-def _sample_through_engine(
-    model: ExpectedTimeModel,
-    i: int,
-    j: int,
-    alpha: float,
-    samples: int,
-    seed: int,
-    *,
-    workers: Optional[int] = None,
-    chunk_samples: Optional[int] = None,
-    engine: Optional[str] = None,
-    executor: Optional["Executor"] = None,
-) -> np.ndarray:
-    """Draw ``samples`` completion times via engine-dispatched chunks."""
-    from ..engine import RunRequest, ensure_executor
-
-    size = DEFAULT_CHUNK_SAMPLES if chunk_samples is None else int(chunk_samples)
-    if size < 1:
-        raise ConfigurationError(f"chunk_samples must be >= 1, got {size}")
-    counts = [
-        min(size, samples - start) for start in range(0, samples, size)
-    ]
-    requests = [
-        RunRequest(
-            fn=_sample_validation_chunk,
-            payload=(model, i, j, alpha, count),
-            seed=_chunk_seed(seed, i, j, chunk),
-            tag=chunk,
-        )
-        for chunk, count in enumerate(counts)
-    ]
-    with ensure_executor(executor, engine=engine, workers=workers) as active:
-        return np.concatenate(active.map(requests))

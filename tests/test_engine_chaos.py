@@ -1,11 +1,11 @@
 """Byte-identity of figure campaigns under deterministic fault injection.
 
 The acceptance invariant of the chaos layer: for *any*
-:class:`~repro.engine.FaultPlan` seed, a queue-executor campaign with
-``inline_fallback`` enabled completes and produces results
-byte-identical to the fault-free serial run — injected crashes,
-corrupted payloads, stalled heartbeats and spool I/O errors change
-wall-clock and the resilience counters, never a result.  Pinned here on
+:class:`~repro.engine.FaultPlan` seed, a queue-executor campaign
+completes and produces results byte-identical to the fault-free serial
+run — injected crashes, corrupted payloads, stalled heartbeats and spool
+I/O errors change wall-clock and the resilience counters, never a
+result.  Pinned here on
 the paper's fig7/fig10 series at tiny scale, mirroring the fault-free
 pins in ``tests/test_perf_equivalence.py``.
 """
@@ -34,7 +34,6 @@ def _chaotic_queue(plan, **kwargs):
         workers=2,
         poll_interval=0.01,
         heartbeat_timeout=0.4,
-        inline_fallback=True,
         chaos_plan=plan,
     )
     options.update(kwargs)

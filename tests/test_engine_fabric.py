@@ -30,6 +30,7 @@ from repro.engine import (
     shared_cache,
     worker_identity,
 )
+from repro.engine import queue_exec
 from repro.engine.worker import (
     decode_result,
     decode_task,
@@ -342,20 +343,6 @@ class TestQueueExecutor:
         finally:
             executor.close()
 
-    def test_dead_fleet_raises_without_fallback(self):
-        executor = QueueExecutor(
-            workers=2, poll_interval=0.01, inline_fallback=False
-        )
-        try:
-            executor._ensure_fabric()
-            executor._broker.request_stop()
-            for proc in executor._procs:
-                proc.wait(timeout=60)
-            with pytest.raises(RuntimeError, match="workers exited"):
-                executor.map(_requests(5))
-        finally:
-            executor.close()
-
     def test_stale_claim_is_requeued(self, tmp_path):
         """A chunk claimed by a silent worker reaches another claimant."""
         from conftest import wait_for
@@ -406,11 +393,10 @@ class TestQueueExecutor:
         assert stats.pool_launches == 1
         assert stats.pool_reuses == 2
 
-    def test_idled_out_fleet_is_respawned(self):
+    def test_idled_out_fleet_is_respawned(self, monkeypatch):
         """Workers that hit --max-idle are relaunched, not worked around."""
-        with QueueExecutor(
-            workers=2, poll_interval=0.01, worker_max_idle=0.05
-        ) as executor:
+        monkeypatch.setattr(queue_exec, "WORKER_MAX_IDLE_S", 0.05)
+        with QueueExecutor(workers=2, poll_interval=0.01) as executor:
             expected = [execute_request(r) for r in _requests(5)]
             assert executor.map(_requests(5)) == expected
             for proc in executor._procs:

@@ -32,6 +32,7 @@ from repro.engine import (
     create_executor,
     ensure_journal,
 )
+from repro.engine import queue_exec
 from repro.engine.executors import _execute_chunk
 from repro.engine.journal import decode_journal_hit
 from repro.engine.payloads import (
@@ -506,6 +507,10 @@ class _ScriptedBroker:
     def stale_claims(self, horizon):
         return self.stale_script.pop(0) if self.stale_script else []
 
+    def live_workers(self, horizon):
+        # a live (if silent) fleet keeps the submitter from claiming
+        return ["scripted-worker"]
+
     def discard(self, task_id):
         self.discarded.append(task_id)
         return True
@@ -532,7 +537,6 @@ class TestDuplicateResults:
             broker=broker,
             poll_interval=0.001,
             heartbeat_timeout=0.05,
-            inline_fallback=False,
         )
 
         # script: fetch None -> requeue via stale claim -> result lands
@@ -557,7 +561,7 @@ class TestDeadLetterQuarantine:
             RunRequest(fn=_square, payload=(100,), seed=1),
         ]
 
-    def _executor(self, tmp_path, **kwargs):
+    def _executor(self, tmp_path):
         # external broker + inline fallback: the submitter serves its
         # own queue after one (tiny) heartbeat horizon, so the whole
         # flow is in-process and fast
@@ -567,8 +571,6 @@ class TestDeadLetterQuarantine:
             broker=FileBroker(tmp_path),
             poll_interval=0.005,
             heartbeat_timeout=0.02,
-            inline_fallback=True,
-            **kwargs,
         )
 
     def test_poison_chunks_raise_after_the_dispatch(self, tmp_path):
@@ -583,7 +585,10 @@ class TestDeadLetterQuarantine:
         with pytest.raises(PoisonChunkError, match="kaboom \\(seed=9\\)") as info:
             executor.map(self._poison_requests())
         # the healthy chunk was not abandoned mid-campaign...
-        assert executor.stats().dead_lettered == 1
+        stats = executor.stats()
+        assert stats.dead_lettered == 1
+        assert stats.any_resilience_events()
+        assert "dead-lettered: 1" in stats.describe_resilience()
         assert len(info.value.chunks) == 1
         task_id, attempts, text = info.value.chunks[0]
         assert attempts == 1  # permanent: no resubmissions wasted
@@ -603,15 +608,6 @@ class TestDeadLetterQuarantine:
         executor = self._executor(tmp_path)
         with pytest.raises(RuntimeError, match="kaboom \\(seed=9\\)"):
             executor.map(self._poison_requests())
-
-    def test_quarantine_mode_reports_instead_of_raising(self, tmp_path):
-        executor = self._executor(tmp_path, on_poison="quarantine")
-        results = executor.map(self._poison_requests())
-        assert results == [None, _square(100, seed=1)]
-        stats = executor.stats()
-        assert stats.dead_lettered == 1
-        assert stats.any_resilience_events()
-        assert "dead-lettered: 1" in stats.describe_resilience()
 
     def test_transient_chunk_failures_resubmit_then_quarantine(self, tmp_path):
         # corrupt every fetched result: each fetch raises transient, so
@@ -635,27 +631,20 @@ class TestDeadLetterQuarantine:
             poll_interval=0.005,
             heartbeat_timeout=0.02,
             retry_policy=policy,
-            on_poison="quarantine",
         )
-        results = executor.map(_requests(2))
-        assert results == [None, None]
+        with pytest.raises(PoisonChunkError) as info:
+            executor.map(_requests(2))
+        assert len(info.value.chunks) == 1
         stats = executor.stats()
         assert stats.dead_lettered == 1
         assert stats.retries >= 1  # the resubmission was attempted
         assert len(broker.dead_letters()) == 1
 
-    def test_on_poison_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            QueueExecutor(broker=FileBroker(tmp_path), on_poison="explode")
-
 
 class TestShutdownEscalation:
-    def test_close_kills_a_wedged_worker(self, tmp_path):
-        executor = QueueExecutor(
-            workers=1,
-            broker=FileBroker(tmp_path),
-            shutdown_timeout=0.2,
-        )
+    def test_close_kills_a_wedged_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(queue_exec, "SHUTDOWN_TIMEOUT_S", 0.2)
+        executor = QueueExecutor(workers=1, broker=FileBroker(tmp_path))
         hung = subprocess.Popen(
             [sys.executable, "-c", "import time; time.sleep(600)"]
         )
@@ -665,12 +654,6 @@ class TestShutdownEscalation:
         elapsed = time.monotonic() - started
         assert hung.returncode is not None  # reaped, not leaked
         assert elapsed < 5.0  # escalated instead of waiting 600 s
-
-    def test_shutdown_timeout_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            QueueExecutor(
-                broker=FileBroker(tmp_path), shutdown_timeout=0.0
-            )
 
 
 class TestStatsSurface:

@@ -14,6 +14,7 @@ from repro.resilience import (
     checkpoint_count,
     last_period,
 )
+from repro.resilience import expected_time
 from repro.resilience.expected_time import even_grid
 from repro.tasks import Pack, TaskSpec, homogeneous_pack
 
@@ -177,8 +178,11 @@ class TestCache:
         model.profile(0, 0.51)
         assert model.cache_misses == misses + 1
 
-    def test_cache_eviction_bounded(self, small_pack, small_cluster):
-        model = ExpectedTimeModel(small_pack, small_cluster, cache_size=4)
+    def test_cache_eviction_bounded(
+        self, small_pack, small_cluster, monkeypatch
+    ):
+        monkeypatch.setattr(expected_time, "CACHE_SIZE", 4)
+        model = ExpectedTimeModel(small_pack, small_cluster)
         for k in range(20):
             model.profile(0, k / 20.0)
         assert model.cache_info()["entries"] <= 4
@@ -197,9 +201,10 @@ class TestCache:
         assert second.cache_info()["entries"] == 0  # not its insertion
 
     def test_eviction_drops_the_row_from_its_grid(
-        self, small_pack, small_cluster
+        self, small_pack, small_cluster, monkeypatch
     ):
-        model = ExpectedTimeModel(small_pack, small_cluster, cache_size=2)
+        monkeypatch.setattr(expected_time, "CACHE_SIZE", 2)
+        model = ExpectedTimeModel(small_pack, small_cluster)
         for alpha in (0.1, 0.2, 0.3):
             model.profile(0, alpha)
         assert sorted(model.grid(0).envelopes) == [
@@ -218,7 +223,7 @@ class TestNaNAlpha:
             lambda m: m.profile_batch([0, 1], math.nan),
             lambda m: m.profile_matrix([0, 1], [0.5, math.nan]),
             lambda m: m.profile_rows_into(
-                [0, 1], np.array([math.nan, 0.5]), np.empty((2, 8))
+                [0, 1], np.array([math.nan, 0.5]), np.empty((2, 20))
             ),
         ],
         ids=[
@@ -226,7 +231,7 @@ class TestNaNAlpha:
         ],
     )
     def test_raises_configuration_error(self, small_pack, small_cluster, call):
-        model = ExpectedTimeModel(small_pack, small_cluster, max_procs=16)
+        model = ExpectedTimeModel(small_pack, small_cluster)
         with pytest.raises(ConfigurationError, match="got nan"):
             call(model)
         assert model.cache_info()["entries"] == 0
@@ -254,17 +259,11 @@ class TestGridValidation:
 
 
 class TestMaxProcs:
-    def test_grid_truncated(self, small_pack, small_cluster):
-        model = ExpectedTimeModel(small_pack, small_cluster, max_procs=10)
-        assert model.j_grid[-1] == 10.0
+    def test_grid_truncated(self):
+        assert even_grid(10).tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
 
-    def test_odd_max_procs_rounded_down(self, small_pack, small_cluster):
-        model = ExpectedTimeModel(small_pack, small_cluster, max_procs=11)
-        assert model.j_grid[-1] == 10.0
-
-    def test_invalid_max_procs(self, small_pack, small_cluster):
-        with pytest.raises(ConfigurationError):
-            ExpectedTimeModel(small_pack, small_cluster, max_procs=1)
+    def test_odd_max_procs_rounded_down(self):
+        assert even_grid(11)[-1] == 10.0
 
 
 class TestHomogeneousPack:

@@ -342,6 +342,27 @@ class TestStatusDocument:
         finally:
             server.shutdown()
 
+    def test_counts_after_a_server_restart_add_to_engine_stats(self):
+        # 3 lease expiries under one boot, then 5 under the next: the
+        # fresh count has passed the old base, yet all 5 are new events.
+        reports = iter(
+            [
+                {"wire_retries": 1, "boot_monotonic": 5.0, "lease_expiries": 3},
+                {"wire_retries": 2, "boot_monotonic": 9.0, "lease_expiries": 5},
+            ]
+        )
+
+        class RestartingBroker:
+            def engine_counters(self):
+                return next(reports)
+
+        broker = RestartingBroker()
+        executor = QueueExecutor(broker=broker)
+        executor._sync_broker_counters(broker)
+        executor._sync_broker_counters(broker)
+        stats = executor.stats()
+        assert (stats.lease_expiries, stats.wire_retries) == (8, 2)
+
 
 class TestServerSideLeases:
     def test_claim_nonce_replay_is_idempotent(self, tmp_path):

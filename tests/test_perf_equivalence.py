@@ -30,7 +30,7 @@ from repro.experiments import (
     run_scenario,
 )
 from repro.oracle import ReferenceSimulator
-from repro.resilience import ExpectedTimeModel
+from repro.resilience import ExpectedTimeModel, expected_time
 from repro.simulation import Simulator
 from repro.tasks import uniform_pack
 from test_figure_digests import SMALL_DIGESTS, TINY_DIGESTS, figure_digest
@@ -140,14 +140,12 @@ class TestParallelMatchesSerial:
     def test_chunk_size_does_not_matter(self):
         serial = run_scenario(CONFIG, FAULT_SERIES, seed=5)
         for chunk_size in (1, 2, CONFIG.replicates):
-            fanned = run_scenario(
-                CONFIG,
-                FAULT_SERIES,
-                seed=5,
-                workers=2,
-                chunk_size=chunk_size,
-                engine="persistent",
-            )
+            with create_executor(
+                "persistent", workers=2, chunk_size=chunk_size
+            ) as executor:
+                fanned = run_scenario(
+                    CONFIG, FAULT_SERIES, seed=5, executor=executor
+                )
             for key in serial.makespans:
                 assert np.array_equal(
                     serial.makespans[key], fanned.makespans[key]
@@ -390,9 +388,10 @@ class TestBatchedAccessors:
         assert 0.0 < info["hit_rate"] < 1.0
         assert info["capacity"] >= info["entries"]
 
-    def test_profile_batch_duplicate_indices(self):
+    def test_profile_batch_duplicate_indices(self, monkeypatch):
+        monkeypatch.setattr(expected_time, "CACHE_SIZE", 2)
         pack, cluster = _workload(0)
-        model = ExpectedTimeModel(pack, cluster, cache_size=2)
+        model = ExpectedTimeModel(pack, cluster)
         block = model.profile_batch([0, 0, 1, 0], 0.5)
         assert np.array_equal(block[0], block[1])
         assert np.array_equal(block[0], block[3])
@@ -403,9 +402,10 @@ class TestBatchedAccessors:
             model.profile_batch([2, 2], alpha)
         assert model.cache_info()["entries"] <= 2
 
-    def test_evicted_profile_stays_valid_for_holders(self):
+    def test_evicted_profile_stays_valid_for_holders(self, monkeypatch):
+        monkeypatch.setattr(expected_time, "CACHE_SIZE", 2)
         pack, cluster = _workload(0)
-        model = ExpectedTimeModel(pack, cluster, cache_size=2)
+        model = ExpectedTimeModel(pack, cluster)
         held = model.profile(0, 0.8)
         snapshot = held.copy()
         # Recycle the ring several times over while `held` is referenced.
@@ -415,9 +415,10 @@ class TestBatchedAccessors:
         # Fresh lookups after the churn are also still correct.
         assert np.array_equal(model.profile(0, 0.8), snapshot)
 
-    def test_flat_cache_eviction_keeps_values_correct(self):
+    def test_flat_cache_eviction_keeps_values_correct(self, monkeypatch):
+        monkeypatch.setattr(expected_time, "CACHE_SIZE", 3)
         pack, cluster = _workload(0)
-        model = ExpectedTimeModel(pack, cluster, cache_size=3)
+        model = ExpectedTimeModel(pack, cluster)
         expected = {a: model.profile(0, a).copy() for a in (0.2, 0.4, 0.6)}
         model.profile(0, 0.8)  # evicts alpha=0.2's row (FIFO)
         assert model.cache_info()["entries"] == 3

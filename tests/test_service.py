@@ -238,6 +238,16 @@ class TestServiceAPI:
         assert after["tasks_submitted"] == after["workloads_built"] == 1
         assert after["profile_misses"] > 0
 
+    def test_metrics_ignore_another_live_sessions_work(self):
+        # Two sessions alive in one process: A's submit is not B's work,
+        # although it happened after B was built.
+        api_a, _session, _clock = make_api()
+        api_b, _session, _clock = make_api()
+        api_a.handle("submit", {"job_id": "alpha", "size": 8_000.0})
+        assert api_a.handle("metrics", {})["engine_stats"]["profile_misses"]
+        stats = api_b.handle("metrics", {})["engine_stats"]
+        assert stats == dict.fromkeys(stats, 0)
+
     def test_status_document(self):
         api, _session, _clock = make_api()
         status = api.handle("status", {})

@@ -159,20 +159,15 @@ class TestValidateParallel:
         )
         assert report.passed, report.describe()
 
-    def test_custom_chunk_size_changes_draws_not_validity(self, model):
-        a = validate_expected_time(
-            model, 0, 4, samples=200, seed=3, chunk_samples=64
+    def test_default_call_matches_workers_2(self, model):
+        # No engine argument samples serially through the engine, so
+        # it draws exactly what a two-worker pool draws.
+        default = validate_expected_time(model, 0, 4, samples=200, seed=3)
+        assert default.passed, default.describe()
+        pooled = validate_expected_time(
+            model, 0, 4, samples=200, seed=3, workers=2
         )
-        assert a.passed, a.describe()
-        b = validate_expected_time(
-            model, 0, 4, samples=200, seed=3, chunk_samples=64,
-            engine="persistent", workers=2,
-        )
-        assert a.empirical_mean == b.empirical_mean
-
-    def test_rejects_bad_chunk_samples(self, model):
-        with pytest.raises(ConfigurationError):
-            validate_expected_time(model, 0, 4, samples=50, chunk_samples=0)
+        assert default == pooled
 
 
 class TestSampleCompletionTime:
