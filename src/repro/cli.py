@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .cluster import Cluster
 from .core.policy import PAPER_POLICY_LABELS, POLICIES
-from .engine import ENGINES, create_executor, resolve_engine
+from .engine import ENGINES, create_executor
 from .exceptions import ConfigurationError
 from .experiments import (
     FIGURES,
@@ -192,7 +192,7 @@ def _make_executor(args: argparse.Namespace):
             journal=getattr(args, "journal", None),
         )
     return create_executor(
-        resolve_engine(args.engine, args.workers),
+        args.engine,
         workers=args.workers,
         chaos_plan=getattr(args, "chaos", None),
         journal=getattr(args, "journal", None),

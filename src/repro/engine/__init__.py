@@ -20,6 +20,10 @@ pieces:
   over token-authenticated HTTP and :class:`HTTPBroker` /
   :func:`connect_broker` are the client side).
 
+The three share one dispatch loop in :class:`Executor`: chunking,
+journal lookup, counter merge, journaling and reassembly are written
+once, and an executor supplies only how its fresh chunks run.
+
 The RunRequest determinism contract
 -----------------------------------
 
@@ -73,7 +77,6 @@ from .executors import (
     create_executor,
     default_chunk_size,
     ensure_executor,
-    resolve_engine,
 )
 from .http_broker import HTTPBroker, connect_broker
 from .journal import ResultJournal, ensure_journal
@@ -106,7 +109,6 @@ __all__ = [
     "ensure_executor",
     "ensure_journal",
     "execute_request",
-    "resolve_engine",
     "shared_cache",
     "worker_identity",
 ]

@@ -16,22 +16,26 @@ and returns results *in request order*:
   (defined in :mod:`repro.engine.queue_exec`).
 
 This module holds the shared machinery (:class:`Executor`,
-:class:`EngineStats`, chunking, the engine registry) plus the first
-two executors; the queue engine builds on it from its own module.
+:class:`EngineStats`, the engine registry) plus the first two
+executors; the queue engine builds on it from its own module.
+
+There is one dispatch loop, ``Executor._stream``, behind both the
+ordered :meth:`Executor.map` and the streaming
+:meth:`Executor.map_stream` (which yields ``(start_index,
+chunk_results)`` pairs the moment each chunk completes, so long sweeps
+can render progress).  It cuts the requests into chunks, yields the
+chunks the result journal already holds, hands the fresh ones to the
+executor's ``_run`` generator — inline for ``serial``, pool futures
+for ``persistent``, the broker loop for ``queue`` — and merges each
+landed chunk's counts with :meth:`EngineStats.add` and journals it.
+``serial`` runs a dispatch as one chunk; the pooled executors default
+to ``ceil(R / (4 N))`` requests per chunk for ``R`` requests on ``N``
+workers, ~4 chunks per worker to smooth load imbalance.
 
 Because requests are self-seeded and mutually independent (see the
 determinism contract in :mod:`repro.engine.request`), chunk boundaries,
 worker counts and pool lifetimes cannot influence any result — every
-executor is byte-identical to the serial path.  Chunked dispatch bounds
-pickling overhead: with ``R`` requests and ``N`` workers the default
-chunk size is ``ceil(R / (4 N))``, ~4 chunks per worker to smooth load
-imbalance.
-
-Besides the ordered :meth:`Executor.map`, every executor streams:
-:meth:`Executor.map_stream` yields ``(start_index, chunk_results)``
-pairs the moment each chunk completes, so long sweeps can render
-progress while the pool is still working.  Streamed results are the
-same objects ``map`` would return — only arrival order differs.
+executor is byte-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from contextlib import closing, contextmanager
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -70,7 +74,6 @@ __all__ = [
     "PersistentPoolExecutor",
     "create_executor",
     "ensure_executor",
-    "resolve_engine",
     "default_chunk_size",
 ]
 
@@ -112,7 +115,7 @@ class EngineStats:
 
     def cache_info(self) -> Dict[str, int]:
         """The counters as a plain dict, in field order."""
-        return asdict(self)
+        return dict(vars(self))
 
     def add(self, counts: Mapping[str, int]) -> None:
         """Add named counts (``{field name: delta}``) into the fields.
@@ -248,37 +251,6 @@ def _execute_chunk(
     return results, counters.since(before)
 
 
-def _stream_futures(
-    executor: "Executor", pool, chunks: List[Tuple[RunRequest, ...]]
-) -> Iterator[Tuple[int, List[Any]]]:
-    """Submit chunks to a live pool and yield each as it completes.
-
-    Journal-aware: chunks the attached result journal already holds are
-    yielded up front without touching the pool; every executed chunk is
-    journaled as it lands.
-    """
-    from concurrent.futures import as_completed
-
-    call = executor._chunk_call()
-    futures = {}
-    hits: List[Tuple[int, List[Any]]] = []
-    start = 0
-    for chunk in chunks:
-        cached = executor._journal_fetch(chunk)
-        if cached is not None:
-            hits.append((start, cached))
-        else:
-            futures[pool.submit(call, chunk)] = (start, chunk)
-        start += len(chunk)
-    yield from hits
-    for future in as_completed(futures):
-        output = future.result()
-        executor._stats.add(output[1])
-        chunk_start, chunk = futures[future]
-        executor._journal_store(chunk, output)
-        yield chunk_start, output[0]
-
-
 class Executor:
     """Common machinery: ordered dispatch, statistics, lifecycle.
 
@@ -317,9 +289,10 @@ class Executor:
     def map(self, requests: Sequence[RunRequest]) -> List[Any]:
         """Execute every request; results come back in request order."""
         requests = self._accept(requests)
-        if not requests:
-            return []
-        return self._map(requests)
+        results: List[Any] = [None] * len(requests)
+        for start, chunk_results in self._stream(requests):
+            results[start:start + len(chunk_results)] = chunk_results
+        return results
 
     def map_stream(
         self, requests: Sequence[RunRequest]
@@ -335,10 +308,7 @@ class Executor:
         determinism contract the reassembled list is byte-identical to a
         plain ``map`` call.
         """
-        requests = self._accept(requests)
-        if not requests:
-            return iter(())
-        return self._map_stream(requests)
+        return self._stream(self._accept(requests))
 
     def _accept(self, requests: Sequence[RunRequest]) -> List[RunRequest]:
         """Validate a dispatch and count it into the statistics."""
@@ -365,15 +335,51 @@ class Executor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- helpers for subclasses -------------------------------------------
-    def _map(self, requests: List[RunRequest]) -> List[Any]:
-        raise NotImplementedError
-
-    def _map_stream(
+    # -- the one dispatch loop ---------------------------------------------
+    def _stream(
         self, requests: List[RunRequest]
     ) -> Iterator[Tuple[int, List[Any]]]:
-        """Default streaming: one request at a time, in request order."""
-        return self._stream_inline([(request,) for request in requests])
+        """Chunk, serve journal hits, run the rest, merge and journal.
+
+        Journaled chunks are yielded first; only the fresh ones reach
+        :meth:`_run`, so a fully journaled dispatch starts no pool or
+        fleet.  Each fresh chunk's counter delta is merged with
+        :meth:`EngineStats.add` and its output journaled as it lands.
+        """
+        size = self._chunk_size(len(requests))
+        fresh: List[Tuple[int, Tuple[RunRequest, ...]]] = []
+        for start in range(0, len(requests), size):
+            chunk = tuple(requests[start:start + size])
+            cached = self._journal_fetch(chunk)
+            if cached is None:
+                fresh.append((start, chunk))
+            else:
+                yield start, cached
+        if not fresh:
+            return
+        with closing(self._run([chunk for _, chunk in fresh])) as outputs:
+            for index, output in outputs:
+                start, chunk = fresh[index]
+                self._stats.add(output[1])
+                self._journal_store(chunk, output)
+                yield start, output[0]
+
+    def _chunk_size(self, total: int) -> int:
+        """Requests per chunk: the whole dispatch, in one chunk."""
+        return max(1, total)
+
+    def _run(
+        self, chunks: List[Tuple[RunRequest, ...]]
+    ) -> Iterator[Tuple[int, Tuple]]:
+        """Run chunks here, in order, yielding ``(index, output)`` pairs.
+
+        ``output`` is :func:`_execute_chunk`'s ``(results, counts)``;
+        pooled executors override this to run the chunks elsewhere and
+        yield them in completion order.
+        """
+        call = self._chunk_call()
+        for index, chunk in enumerate(chunks):
+            yield index, call(chunk)
 
     def _chunk_call(self) -> Callable[[Tuple[RunRequest, ...]], Tuple]:
         """``_execute_chunk`` with this executor's retry/chaos knobs bound.
@@ -384,35 +390,6 @@ class Executor:
         return functools.partial(
             _execute_chunk, policy=self.retry_policy, plan=self.chaos_plan
         )
-
-    def _run_inline(self, chunks: List[Tuple[RunRequest, ...]]) -> List[Any]:
-        """Execute chunks in this process, merging their counter deltas."""
-        results: List[Any] = []
-        for start, chunk_results in self._stream_inline(chunks):
-            results.extend(chunk_results)
-        return results
-
-    def _stream_inline(
-        self, chunks: List[Tuple[RunRequest, ...]]
-    ) -> Iterator[Tuple[int, List[Any]]]:
-        """Execute chunks in this process, yielding each as it finishes.
-
-        Journal-aware like every dispatch path: known chunks are served
-        from the attached journal, fresh ones are journaled as they
-        complete.
-        """
-        call = self._chunk_call()
-        start = 0
-        for chunk in chunks:
-            cached = self._journal_fetch(chunk)
-            if cached is not None:
-                yield start, cached
-            else:
-                output = call(chunk)
-                self._stats.add(output[1])
-                self._journal_store(chunk, output)
-                yield start, output[0]
-            start += len(chunk)
 
     # -- journal plumbing --------------------------------------------------
     def _journal_fetch(
@@ -449,23 +426,11 @@ class Executor:
                 self.journal.chunk_key(chunk), encode_result(chunk_output)
             )
 
-    def _gather(
-        self, stream: Iterator[Tuple[int, List[Any]]], total: int
-    ) -> List[Any]:
-        """Reassemble a completion-ordered stream into request order."""
-        results: List[Any] = [None] * total
-        for start, chunk_results in stream:
-            results[start:start + len(chunk_results)] = chunk_results
-        return results
-
 
 class SerialExecutor(Executor):
-    """Reference path: every request runs here, in submission order."""
+    """Reference path: every request runs here, one chunk per dispatch."""
 
     name = "serial"
-
-    def _map(self, requests: List[RunRequest]) -> List[Any]:
-        return self._run_inline([tuple(requests)])
 
 
 class _PooledExecutor(Executor):
@@ -483,16 +448,9 @@ class _PooledExecutor(Executor):
         self.workers = int(workers)
         self.chunk_size = None if chunk_size is None else max(1, int(chunk_size))
 
-    def _chunked(self, requests: List[RunRequest]) -> List[Tuple[RunRequest, ...]]:
-        size = (
-            default_chunk_size(len(requests), self.workers)
-            if self.chunk_size is None
-            else self.chunk_size
-        )
-        return [
-            tuple(requests[start:start + size])
-            for start in range(0, len(requests), size)
-        ]
+    def _chunk_size(self, total: int) -> int:
+        """``chunk_size``, or ~4 chunks per worker by default."""
+        return self.chunk_size or default_chunk_size(total, self.workers)
 
 
 class PersistentPoolExecutor(_PooledExecutor):
@@ -527,35 +485,27 @@ class PersistentPoolExecutor(_PooledExecutor):
             self._stats.pool_reuses += 1
         return self._pool
 
-    def _map(self, requests: List[RunRequest]) -> List[Any]:
-        return self._gather(self._map_stream(requests), len(requests))
-
-    def _map_stream(
-        self, requests: List[RunRequest]
-    ) -> Iterator[Tuple[int, List[Any]]]:
-        chunks = self._chunked(requests)
+    def _run(
+        self, chunks: List[Tuple[RunRequest, ...]]
+    ) -> Iterator[Tuple[int, Tuple]]:
+        """Submit chunks to the pool; yield each as it completes."""
         if self.workers == 1 or len(chunks) == 1:
-            return self._stream_inline(chunks)
-        return _stream_futures(self, self._ensure_pool(), chunks)
+            yield from super()._run(chunks)
+            return
+        from concurrent.futures import as_completed
+
+        pool, call = self._ensure_pool(), self._chunk_call()
+        futures = {
+            pool.submit(call, chunk): index for index, chunk in enumerate(chunks)
+        }
+        for future in as_completed(futures):
+            yield futures[future], future.result()
 
     def close(self) -> None:
         """Shut the persistent pool down (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-
-def resolve_engine(engine: Optional[str], workers: Optional[int]) -> str:
-    """The one place that answers "which engine for these knobs?".
-
-    An explicit ``engine`` always wins; otherwise ``workers`` > 1 picks
-    ``persistent`` and anything else is serial.
-    """
-    if engine is not None:
-        return engine
-    if workers is not None and workers > 1:
-        return "persistent"
-    return "serial"
 
 
 @contextmanager
@@ -570,17 +520,15 @@ def ensure_executor(
     A caller-supplied ``executor`` is yielded untouched and left open —
     it may have further dispatches coming (the next sweep point, the
     next figure) and carries its own chunking and resilience knobs
-    (build it with :func:`create_executor`).  Otherwise one is created
-    from :func:`resolve_engine`'s rule, with default chunking and
-    resilience, and closed when the block exits.
+    (build it with :func:`create_executor`).  Otherwise
+    :func:`create_executor` builds one from ``engine`` and ``workers``,
+    with default chunking and resilience, and it is closed when the
+    block exits.
     """
     if executor is not None:
         yield executor
         return
-    owned = create_executor(
-        resolve_engine(engine, workers),
-        workers=1 if workers is None else workers,
-    )
+    owned = create_executor(engine, workers=1 if workers is None else workers)
     try:
         yield owned
     finally:
@@ -588,7 +536,7 @@ def ensure_executor(
 
 
 def create_executor(
-    engine: str = "serial",
+    engine: Optional[str] = None,
     *,
     workers: int = 1,
     chunk_size: Optional[int] = None,
@@ -598,6 +546,8 @@ def create_executor(
 ) -> Executor:
     """Instantiate an executor by engine name (CLI ``--engine`` values).
 
+    ``engine=None`` picks by ``workers``: ``persistent`` above one
+    worker, ``serial`` otherwise.
     ``queue`` imports lazily (its module imports this one), with its
     self-contained defaults — the queue engine hosts
     its own :class:`~repro.engine.broker.FileBroker` spool and worker
@@ -606,6 +556,8 @@ def create_executor(
     resilience knobs (``retry_policy``, ``chaos_plan``, ``journal``;
     see :class:`Executor`) thread through to every engine.
     """
+    if engine is None:
+        engine = "persistent" if workers > 1 else "serial"
     resilience = dict(
         retry_policy=retry_policy, chaos_plan=chaos_plan, journal=journal
     )

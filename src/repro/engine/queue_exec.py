@@ -59,7 +59,7 @@ import sys
 import tempfile
 import time
 import uuid
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import (
     ConfigurationError,
@@ -267,20 +267,6 @@ class QueueExecutor(_PooledExecutor):
             self._broker = None
 
     # -- dispatch ----------------------------------------------------------
-    def _map(self, requests: List[RunRequest]) -> List[Any]:
-        chunks = self._chunked(requests)
-        if self.workers == 1 and self._spawn_workers:
-            return self._run_inline(chunks)
-        return self._gather(self._dispatch(chunks), len(requests))
-
-    def _map_stream(
-        self, requests: List[RunRequest]
-    ) -> Iterator[Tuple[int, List[Any]]]:
-        chunks = self._chunked(requests)
-        if self.workers == 1 and self._spawn_workers:
-            return self._stream_inline(chunks)
-        return self._dispatch(chunks)
-
     def _broker_call(self, fn, *args, seed: int = 0):
         """One broker operation under the retry policy.
 
@@ -330,39 +316,27 @@ class QueueExecutor(_PooledExecutor):
         )
         self._counter_base.update(totals)
 
-    def _dispatch(
+    def _run(
         self, chunks: List[Tuple[RunRequest, ...]]
-    ) -> Iterator[Tuple[int, List[Any]]]:
+    ) -> Iterator[Tuple[int, Tuple]]:
         """Submit chunks to the broker; yield results as they land.
 
-        One iteration of the wait loop = resubmit chunks whose backoff
-        deadline passed, collect every landed result, then (only if
-        nothing landed) supervise: requeue stale claims and, with the
-        fleet dead or absent past the heartbeat horizon, claim a task
-        and run it inline.  Reassembly is by submitted chunk index, so
-        arrival order is irrelevant to the result.  Chunks the attached
-        journal already holds never reach the broker at all.
+        A self-hosted single worker runs inline instead.  One iteration
+        of the wait loop = resubmit chunks whose backoff deadline
+        passed, collect every landed result, then (only if nothing
+        landed) supervise: requeue stale claims and, with the fleet dead
+        or absent past the heartbeat horizon, claim a task and run it
+        inline.  Each result is yielded with its chunk's index, so
+        arrival order is irrelevant to the result.
         """
+        if self.workers == 1 and self._spawn_workers:
+            yield from super()._run(chunks)
+            return
         dispatch = self._stats.dispatches  # unique per map() call
-
-        hits: List[Tuple[int, List[Any]]] = []
-        fresh: List[Tuple[int, int, Tuple[RunRequest, ...]]] = []
-        start = 0
-        for index, chunk in enumerate(chunks):
-            cached = self._journal_fetch(chunk)
-            if cached is not None:
-                hits.append((start, cached))
-            else:
-                fresh.append((index, start, chunk))
-            start += len(chunk)
-        yield from hits
-        if not fresh:
-            return  # fully journaled: never touch (or spawn) the fabric
         broker = self._ensure_fabric()
 
-        starts: Dict[str, int] = {}
+        pending: Dict[str, int] = {}  # task id -> chunk index
         payloads: Dict[str, bytes] = {}
-        chunk_of: Dict[str, Tuple[RunRequest, ...]] = {}
         seeds: Dict[str, int] = {}
         attempts: Dict[str, int] = {}
         retry_at: Dict[str, float] = {}  # backoff deadlines (monotonic)
@@ -393,17 +367,15 @@ class QueueExecutor(_PooledExecutor):
                 except OSError:  # pragma: no cover - sweep is best-effort
                     pass
 
-        for index, chunk_start, chunk in fresh:
+        for index, chunk in enumerate(chunks):
             task_id = f"{self._nonce}-d{dispatch:05d}-c{index:06d}"
             payload = encode_task(chunk)
             seed = chunk[0].seed
             self._broker_call(broker.submit, task_id, payload, seed=seed)
-            starts[task_id] = chunk_start
+            pending[task_id] = index
             payloads[task_id] = payload
-            chunk_of[task_id] = chunk
             seeds[task_id] = seed
             attempts[task_id] = 1
-        pending = dict(starts)
         idle_since = time.monotonic()
         try:
             while pending:
@@ -449,10 +421,8 @@ class QueueExecutor(_PooledExecutor):
                     except PermanentEngineError as exc:
                         quarantine(task_id, exc)
                         continue
-                    self._stats.add(output[1])
-                    self._journal_store(chunk_of[task_id], output)
                     completed.add(task_id)
-                    yield pending.pop(task_id), list(output[0])
+                    yield pending.pop(task_id), output
                 absorb_duplicates()
                 if landed or not pending:
                     idle_since = time.monotonic()

@@ -66,7 +66,7 @@ import functools
 import math
 import time
 from collections import OrderedDict, deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from ..cluster import Cluster
@@ -121,7 +121,7 @@ class JobState:
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe view of this job."""
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -147,7 +147,7 @@ class _EngineCounters:
     submissions: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _counts_work(method):

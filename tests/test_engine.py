@@ -14,7 +14,6 @@ from repro.engine import (
     create_executor,
     default_chunk_size,
     execute_request,
-    resolve_engine,
 )
 from repro.exceptions import ConfigurationError
 
@@ -172,11 +171,13 @@ class TestExecutors:
 
 
 class TestFactory:
-    def test_resolve_engine_defaults(self):
-        assert resolve_engine(None, None) == "serial"
-        assert resolve_engine(None, 1) == "serial"
-        assert resolve_engine(None, 4) == "persistent"
-        assert resolve_engine("persistent", 1) == "persistent"
+    def test_create_executor_engine_defaults(self):
+        assert create_executor().name == "serial"
+        assert create_executor(None, workers=1).name == "serial"
+        with create_executor(None, workers=4) as pooled:
+            assert pooled.name == "persistent"
+        with create_executor("persistent", workers=1) as explicit:
+            assert explicit.name == "persistent"
 
     def test_ensure_executor_owns_and_closes(self):
         from repro.engine import ensure_executor

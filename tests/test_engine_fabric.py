@@ -481,13 +481,25 @@ class TestQueueStatsAcrossBoundary:
         for engine in ENGINES:
             journal = tmp_path / engine
             with create_executor(engine, workers=2, journal=journal) as first:
-                first.map(requests)
+                expected = first.map(requests)
             chunks = first.stats().journal_misses
-            with create_executor(engine, workers=2, journal=journal) as again:
-                assert len(again.map(requests)) == len(requests)
-            stats = again.stats()
-            assert (stats.journal_hits, stats.journal_misses) == (chunks, 0)
-            assert _work_counts(stats) == dict.fromkeys(counters.COUNTERS, 0)
+            for replay in ("map", "map_stream"):
+                with create_executor(
+                    engine, workers=2, journal=journal
+                ) as again:
+                    if replay == "map":
+                        assert again.map(requests) == expected
+                    else:
+                        results = [None] * len(requests)
+                        for start, got in again.map_stream(requests):
+                            results[start:start + len(got)] = got
+                        assert results == expected
+                stats = again.stats()
+                assert (stats.journal_hits, stats.journal_misses) == (chunks, 0)
+                assert stats.pool_launches == 0
+                assert _work_counts(stats) == dict.fromkeys(
+                    counters.COUNTERS, 0
+                )
 
     def test_cli_verbose_reports_queue_statistics(self, capsys):
         from repro.cli import main
