@@ -19,69 +19,23 @@ Quickstart::
 
 See ``examples/`` for richer scenarios and ``repro.experiments`` for the
 paper's figures.
+
+``import repro`` loads only :mod:`repro.exceptions` (no numpy): every
+other name above resolves on first access from the submodule that
+defines it, so a process pays only for the layers it runs (see "Import
+layering" in ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
 
 __version__ = "1.0.0"
 
-from .cluster import Cluster, ProcessorMap
-from .core import (
-    POLICIES,
-    EndGreedy,
-    EndLocal,
-    IteratedGreedy,
-    Policy,
-    ShortestTasksFirst,
-    TaskRuntime,
-    get_policy,
-    optimal_schedule,
-    redistribution_cost,
-    redistribution_rounds,
-)
+from ._lazy import lazy_exports
 from .exceptions import (
     CapacityError,
     ConfigurationError,
     ReproError,
     SimulationError,
-)
-from .engine import (
-    PersistentPoolExecutor,
-    RunRequest,
-    SerialExecutor,
-    create_executor,
-)
-from .experiments import (
-    FIGURES,
-    ScenarioConfig,
-    list_figures,
-    run_figure,
-    run_scenario,
-)
-from .batch import OnlineBatchScheduler, poisson_stream, run_replicated_campaigns
-from .packing import (
-    MultiPackScheduler,
-    PackCostOracle,
-    Partition,
-)
-from .resilience import (
-    ExpectedTimeModel,
-    ExponentialFaults,
-    FaultInjector,
-    ResilienceModel,
-    YoungStrategy,
-)
-from .simulation import SimulationResult, Simulator, simulate
-from .theory.online import competitive_report, fault_free_lower_bound
-from .validation import validate_expected_time
-from .tasks import (
-    Pack,
-    PaperSyntheticProfile,
-    SpeedupProfile,
-    TaskSpec,
-    WorkloadGenerator,
-    homogeneous_pack,
-    uniform_pack,
 )
 
 __all__ = [
@@ -137,3 +91,56 @@ __all__ = [
     "homogeneous_pack",
     "uniform_pack",
 ]
+
+#: Every other public name, by the submodule that defines it.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Cluster": "cluster",
+        "ProcessorMap": "cluster",
+        "POLICIES": "core",
+        "EndGreedy": "core",
+        "EndLocal": "core",
+        "IteratedGreedy": "core",
+        "Policy": "core",
+        "ShortestTasksFirst": "core",
+        "TaskRuntime": "core",
+        "get_policy": "core",
+        "optimal_schedule": "core",
+        "redistribution_cost": "core",
+        "redistribution_rounds": "core",
+        "FIGURES": "experiments",
+        "ScenarioConfig": "experiments",
+        "list_figures": "experiments",
+        "run_figure": "experiments",
+        "run_scenario": "experiments",
+        "RunRequest": "engine",
+        "SerialExecutor": "engine",
+        "PersistentPoolExecutor": "engine",
+        "create_executor": "engine",
+        "run_replicated_campaigns": "batch",
+        "OnlineBatchScheduler": "batch",
+        "poisson_stream": "batch",
+        "ExpectedTimeModel": "resilience",
+        "ExponentialFaults": "resilience",
+        "FaultInjector": "resilience",
+        "ResilienceModel": "resilience",
+        "YoungStrategy": "resilience",
+        "MultiPackScheduler": "packing",
+        "PackCostOracle": "packing",
+        "Partition": "packing",
+        "competitive_report": "theory.online",
+        "fault_free_lower_bound": "theory.online",
+        "validate_expected_time": "validation",
+        "SimulationResult": "simulation",
+        "Simulator": "simulation",
+        "simulate": "simulation",
+        "Pack": "tasks",
+        "PaperSyntheticProfile": "tasks",
+        "SpeedupProfile": "tasks",
+        "TaskSpec": "tasks",
+        "WorkloadGenerator": "tasks",
+        "homogeneous_pack": "tasks",
+        "uniform_pack": "tasks",
+    },
+)

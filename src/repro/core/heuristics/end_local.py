@@ -17,8 +17,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ...resilience.expected_time import ExpectedTimeModel
 from ..kernels import DecisionCache
 from ..state import TaskRuntime
@@ -56,7 +54,7 @@ class EndLocal(CompletionHeuristic):
             _, i = heapq.heappop(heap)
             rt = by_index[i]
             finishes = dm.finish_range(i, rt.sigma + 2, rt.sigma + k)
-            if finishes.size and bool(np.any(finishes < rt.t_expected)):
+            if finishes.size and bool((finishes < rt.t_expected).any()):
                 # Improvable: grant exactly one pair (line 17) and re-rank.
                 rt.sigma += 2
                 rt.t_expected = dm.finish(i, rt.sigma)

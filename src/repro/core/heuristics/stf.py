@@ -67,7 +67,7 @@ class ShortestTasksFirst(FailureHeuristic):
             if finishes.size == 0:
                 break
             mask = finishes < rt_f.t_expected
-            if not bool(np.any(mask)):
+            if not bool(mask.any()):
                 break  # not improvable: stop consuming (DESIGN interp. 5)
             first = int(np.argmax(mask))
             q_max = lo + 2 * first - rt_f.sigma
@@ -101,7 +101,7 @@ class ShortestTasksFirst(FailureHeuristic):
             mask = (f_finishes < rt_f.t_expected) & (
                 s_finishes < rt_f.t_expected
             )
-            if bool(np.any(mask)):
+            if bool(mask.any()):
                 improvable = True
                 # Move a single pair regardless of the probe (line 36).
                 rt_f.sigma += 2

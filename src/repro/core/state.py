@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..exceptions import CapacityError, SimulationError
 from ..tasks import TaskSpec
@@ -57,6 +58,10 @@ class TaskRuntime:
         """Pack index of the task."""
         return self.spec.index
 
+    def copy(self) -> "TaskRuntime":
+        """An independent copy sharing the immutable spec (~5x ``copy.copy``)."""
+        return TaskRuntime(*_FIELDS(self))
+
     def assign(self, sigma: int) -> None:
         """Set the allocation, enforcing the even/minimum invariants."""
         if sigma != 0 and (sigma < 2 or sigma % 2 != 0):
@@ -85,3 +90,7 @@ class TaskRuntime:
             f"TaskRuntime(T{self.index + 1}, {status}, alpha={self.alpha:.3f},"
             f" tU={self.t_expected:.3g})"
         )
+
+
+#: Every field of a :class:`TaskRuntime`, in constructor order.
+_FIELDS = attrgetter(*TaskRuntime.__slots__)

@@ -56,6 +56,13 @@ differences are wall-clock and the ``cache_info()``-style counters in
 delta}`` back over the pool or queue transport, and
 :meth:`EngineStats.add` is the one merge.
 
+The executor path (:mod:`~repro.engine.executors`, ``request``,
+``retry``, ``journal``, ``cache``) loads with the package; the queue
+fabric — :class:`Broker`, :class:`FileBroker`, :func:`worker_identity`,
+:class:`HTTPBroker`, :func:`connect_broker`, :class:`QueueExecutor` —
+and the chaos broker and transport load on first access, so a figure
+sweep or the service never imports the HTTP client stack.
+
 The contract also powers the resilience layer (``docs/RESILIENCE.md``):
 because any execution of a request is byte-identical, work can be
 retried (:class:`RetryPolicy`), requeued, deduplicated, journaled for
@@ -65,9 +72,9 @@ fault injection (:class:`FaultPlan`) without ever changing a result.
 
 from __future__ import annotations
 
-from .broker import Broker, FileBroker, worker_identity
+from .._lazy import lazy_exports
 from .cache import WorkloadCache, shared_cache
-from .chaos import ChaosBroker, ChaosCrash, ChaosHTTPTransport, FaultPlan
+from .chaos import FaultPlan
 from .executors import (
     ENGINES,
     EngineStats,
@@ -78,9 +85,7 @@ from .executors import (
     default_chunk_size,
     ensure_executor,
 )
-from .http_broker import HTTPBroker, connect_broker
 from .journal import ResultJournal, ensure_journal
-from .queue_exec import QueueExecutor
 from .request import RunRequest, execute_request
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
@@ -112,3 +117,20 @@ __all__ = [
     "shared_cache",
     "worker_identity",
 ]
+
+#: The queue fabric (brokers, HTTP transport, queue executor) and the
+#: chaos wrappers load on first use.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Broker": "broker",
+        "FileBroker": "broker",
+        "worker_identity": "broker",
+        "HTTPBroker": "http_broker",
+        "connect_broker": "http_broker",
+        "QueueExecutor": "queue_exec",
+        "ChaosBroker": "chaos",
+        "ChaosCrash": "chaos",
+        "ChaosHTTPTransport": "chaos",
+    },
+)

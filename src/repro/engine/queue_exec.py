@@ -182,16 +182,14 @@ class QueueExecutor(_PooledExecutor):
             self._spool = tempfile.mkdtemp(prefix="repro-queue-")
             self._broker = FileBroker(self._spool)
             self._spawn_fleet()
-        else:
-            if self._stats.dispatches > 1:
-                self._stats.pool_reuses += 1
-            if (
-                self._spawn_workers
-                and self._fleet_dead()
-                and not self._broker.stop_requested()
-            ):
+        elif self._spawn_workers:
+            # A reuse is of a fleet this executor launched; a
+            # caller-supplied broker's workers are not ours to count.
+            if self._fleet_dead() and not self._broker.stop_requested():
                 self._procs = []
                 self._spawn_fleet()
+            else:
+                self._stats.pool_reuses += 1
         if self.chaos_plan is not None and self.chaos_plan.any_faults():
             if self._chaos is None or self._chaos.broker is not self._broker:
                 self._chaos = ChaosBroker(self._broker, self.chaos_plan)

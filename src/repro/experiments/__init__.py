@@ -1,6 +1,12 @@
-"""Experiment harness: scenarios, figure registry, runner, tables."""
+"""Experiment harness: scenarios, figure registry, runner, tables.
 
-from .comparison import PolicyComparison, compare_policies
+The sweep path (``config``, ``figures``, ``runner``) loads with the
+package; the paired-comparison pipeline (``comparison``, which pulls in
+:mod:`repro.analysis`) and the table renderers (``tables``) load on
+first access.
+"""
+
+from .._lazy import lazy_exports
 from .config import SCALES, Scale, ScenarioConfig, get_scale
 from .figures import (
     FIGURES,
@@ -18,7 +24,6 @@ from .runner import (
     run_scenario,
     scenario_requests,
 )
-from .tables import render_figure, render_table, render_trace_figure
 
 __all__ = [
     "SCALES",
@@ -43,3 +48,14 @@ __all__ = [
     "PolicyComparison",
     "compare_policies",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "render_figure": "tables",
+        "render_table": "tables",
+        "render_trace_figure": "tables",
+        "PolicyComparison": "comparison",
+        "compare_policies": "comparison",
+    },
+)

@@ -104,7 +104,7 @@ class FaultInjector:
         """
         twin = copy.copy(self)
         twin._heap = list(self._heap)
-        twin._rng = copy.deepcopy(self._rng)
+        twin._rng = _copy_generator(self._rng)
         twin._distribution = copy.deepcopy(self._distribution)
         return twin
 
@@ -123,6 +123,17 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultInjector(p={self._p}, dist={self._distribution!r})"
+
+
+def _copy_generator(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator in ``rng``'s exact state.
+
+    Same draws as ``copy.deepcopy(rng)`` at under half its cost: a
+    fixed-seed bit generator of the same type takes over ``rng``'s state.
+    """
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
 
 
 class NullFaultInjector:

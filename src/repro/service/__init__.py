@@ -18,6 +18,9 @@ decisions are made *online*.  This package is that service layer:
   paper's policy heuristics, exactly as in batch runs.
 * :mod:`~repro.service.session` — job registry + thread-safe session
   facade pumping the engine to the clock on every call.
+* :mod:`~repro.service.api` — :class:`ServiceAPI`, the transport-free
+  operation set (``handle(op, data)`` over decoded JSON documents) that
+  the HTTP handler, the replay harness and in-process clients all drive.
 * :mod:`~repro.service.server` — the token-authenticated stdlib
   HTTP/JSON transport (``POST /api/submit``, ``/api/cancel``,
   ``GET /api/jobs``, ``/api/schedule``, ``/metrics``) and the
@@ -32,8 +35,15 @@ decisions are made *online*.  This package is that service layer:
   clock, in-process transport) must be byte-identical to the offline
   reference re-simulation — the service-layer analogue of the
   fig7/fig10 pins.
+
+Everything but the HTTP transport loads with the package:
+:class:`ServiceServer` (and with it ``http.server`` and
+:mod:`repro._jsonhttp`) loads on first access, so an in-process client
+of :class:`ServiceAPI` never imports a socket server.
 """
 
+from .._lazy import lazy_exports
+from .api import SCHEMA_VERSION, ServiceAPI
 from .clock import VirtualClock, WallClock
 from .horizon import JobState, OnlineEngine
 from .replay import (
@@ -45,7 +55,6 @@ from .replay import (
     replay_reference,
     replay_service,
 )
-from .server import SCHEMA_VERSION, ServiceAPI, ServiceServer
 from .session import ServiceSession
 from .telemetry import HostSampler, latency_percentiles, service_engine_stats
 
@@ -69,3 +78,5 @@ __all__ = [
     "latency_percentiles",
     "service_engine_stats",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {"ServiceServer": "server"})

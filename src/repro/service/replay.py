@@ -215,12 +215,12 @@ def replay_service(
     """The same trace through the live service stack (virtual clock).
 
     Every request and response crosses the in-process transport seam
-    (:class:`~repro.service.server.ServiceAPI`) with a full JSON
+    (:class:`~repro.service.api.ServiceAPI`) with a full JSON
     round-trip, mimicking the HTTP framing byte for byte.  Returns the
     replay result plus the raw wire responses (for harness inspection).
     """
     from .clock import VirtualClock
-    from .server import ServiceAPI
+    from .api import ServiceAPI
     from .session import ServiceSession
 
     clock = VirtualClock()

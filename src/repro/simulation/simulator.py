@@ -482,7 +482,7 @@ class Simulator:
             child._injector = NullFaultInjector()
         else:
             child._injector = self._injector.fork()
-        runtimes = [copy.copy(rt) for rt in self._runtimes]
+        runtimes = [rt.copy() for rt in self._runtimes]
         child._runtimes = runtimes
         for name in self._MIRRORS:
             setattr(child, name, getattr(self, name).copy())

@@ -393,6 +393,19 @@ class TestQueueExecutor:
         assert stats.pool_launches == 1
         assert stats.pool_reuses == 2
 
+    def test_caller_broker_counts_no_fleet_reuse(self, tmp_path):
+        """A reuse is of a fleet this executor launched, not a broker."""
+        expected = [execute_request(r) for r in _requests(4)]
+        with QueueExecutor(
+            workers=2, broker=FileBroker(tmp_path), heartbeat_timeout=0.05
+        ) as executor:
+            for _ in range(2):
+                assert executor.map(_requests(4)) == expected
+            stats = executor.stats()
+        assert stats.dispatches == 2
+        assert stats.pool_launches == 0
+        assert stats.pool_reuses == 0
+
     def test_idled_out_fleet_is_respawned(self, monkeypatch):
         """Workers that hit --max-idle are relaunched, not worked around."""
         monkeypatch.setattr(queue_exec, "WORKER_MAX_IDLE_S", 0.05)
