@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ...resilience.expected_time import ExpectedTimeModel
 from ..kernels import DecisionCache
-from ..state import TaskRuntime
+from ..state import TaskArrays, TaskRuntime
 from .base import CompletionHeuristic, apply_move
 
 __all__ = ["EndLocal"]
@@ -41,7 +41,7 @@ class EndLocal(CompletionHeuristic):
         if free < 2 or not tasks:
             return []
         if cache is None:
-            cache = DecisionCache(model)
+            cache = DecisionCache(model, TaskArrays.gather(model, tasks))
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
         dm = cache.matrix(t, tasks, lazy=True)
 

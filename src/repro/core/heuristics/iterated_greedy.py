@@ -26,7 +26,7 @@ import numpy as np
 from ...exceptions import CapacityError
 from ...resilience.expected_time import ExpectedTimeModel
 from ..kernels import DecisionCache
-from ..state import TaskRuntime
+from ..state import TaskArrays, TaskRuntime
 from .base import CompletionHeuristic, FailureHeuristic, apply_move
 
 __all__ = ["IteratedGreedy", "EndGreedy", "greedy_rebuild"]
@@ -72,7 +72,7 @@ def greedy_rebuild(
             f"greedy rebuild needs capacity >= 2n: capacity={capacity}, n={n}"
         )
     if cache is None:
-        cache = DecisionCache(model)
+        cache = DecisionCache(model, TaskArrays.gather(model, tasks))
     dm = cache.matrix(t, tasks, faulty=faulty, with_keep=True)
     vals, sufrev, width = cache.rebuild_block(dm)
     indices = dm.indices

@@ -29,7 +29,7 @@ import numpy as np
 
 from ...resilience.expected_time import ExpectedTimeModel
 from ..kernels import DecisionCache
-from ..state import TaskRuntime
+from ..state import TaskArrays, TaskRuntime
 from .base import FailureHeuristic, apply_move
 
 __all__ = ["ShortestTasksFirst"]
@@ -50,7 +50,7 @@ class ShortestTasksFirst(FailureHeuristic):
         cache: Optional[DecisionCache] = None,
     ) -> List[int]:
         if cache is None:
-            cache = DecisionCache(model)
+            cache = DecisionCache(model, TaskArrays.gather(model, tasks))
         by_index: Dict[int, TaskRuntime] = {rt.index: rt for rt in tasks}
         rt_f = by_index[faulty]
         # Algorithm 4 only ever consults the faulty task and a few

@@ -49,23 +49,25 @@ the heuristic grants).  :class:`DecisionCache` lives for the whole
   ``sigma(i)`` changes),
 * the Algorithm-5 keep-running finish (valid until ``alpha``/
   ``tlastR``/``sigma`` change),
-* and the mirrors of ``alpha``/``tlastR``/``sigma`` plus the grid
-  values at the current allocation that the remaining-work pass needs,
 
 and delta-patches only the stale rows of the persistent candidate
-finish matrix at each decision point.  The invariants this rests on
+finish matrix at each decision point.  It keeps no copy of the task
+bookkeeping: ``alpha``/``tlastR``/``tU``/``sigma`` and the grid values
+at the current allocation are read straight off the simulator's
+:class:`~repro.core.state.TaskArrays`.  The invariants this rests on
 (recorded here because every patch rule derives from them):
 
-1. **Dirty bits are the only mutation channel.**  The simulator marks a
-   task dirty exactly when its ``alpha``/``t_last``/``sigma`` change —
-   the failure rollback (remaining work re-measured, stall applied) and
-   the post-heuristic commit (``sigma_init`` changed, checkpoint
-   taken).  A clean task's mirrors therefore equal its live runtime
-   fields, so rows rebuilt from mirrors are bit-identical to rows
-   rebuilt from the runtimes.
+1. **The store changes only where rows are invalidated.**  The
+   simulator writes a task's row of the store exactly when its
+   ``alpha``/``t_last``/``sigma`` change — the failure rollback
+   (remaining work re-measured, stall applied) and the post-heuristic
+   commit (``sigma_init`` changed, checkpoint taken) — and calls
+   :meth:`DecisionCache.invalidate` on the same task at the same
+   place.  A row still marked valid was therefore derived from the
+   store's current values.
 2. **Row value = pure function of (task state, t, stall).**  A finish
-   row is stale iff its task is dirty, the decision time moved, or its
-   stall changed; otherwise the row from the previous decision is
+   row is stale iff its task was invalidated, the decision time moved,
+   or its stall changed; otherwise the row from the previous decision is
    reused verbatim — this is what lets the consecutive sub-decisions
    of one event (the early-release pass followed by the failure
    rebuild at the same ``t``) share one patched matrix.
@@ -76,7 +78,7 @@ finish matrix at each decision point.  The invariants this rests on
    profile_backends.fused_raw_rows`), so they are bit-identical to
    :meth:`~repro.resilience.expected_time.ExpectedTimeModel.
    profile_matrix`, and the remaining-work pass is
-   :func:`~repro.core.progress.remaining_from_arrays` over mirror
+   :func:`~repro.core.progress.remaining_from_arrays` over store
    subsets (bit-identical to ``remaining_at``).
 
 All scratch blocks (finish matrix, combine buffers, rebuild blocks)
@@ -105,7 +107,7 @@ from .redistribution import (
     redistribution_cost_matrix,
     redistribution_cost_vector,
 )
-from .state import TaskRuntime
+from .state import TaskArrays, TaskRuntime
 
 __all__ = [
     "faulty_stall",
@@ -257,25 +259,25 @@ class DecisionCache:
     :meth:`matrix` returns the candidate finish matrix — bit-identical
     to the scalar helpers by the invariants in the module docstring —
     recomputing only the rows invalidated since the previous decision.
-    A caller with a single decision to make (the public
+    ``arrays`` is the run's :class:`~repro.core.state.TaskArrays`,
+    read in place.  A caller with a single decision to make (the public
     :func:`~repro.core.heuristics.greedy_rebuild`, a heuristic called
-    without a cache) builds a one-shot cache: every task starts dirty,
-    so its first matrix is a full build.  The simulator owns the dirty bits: it calls
-    :meth:`invalidate` whenever a task's ``alpha``/``t_last``/``sigma``
-    change (failure rollback, redistribution commit) and
-    :meth:`note_budget` with the live free-processor count before each
-    decision.  Stale rows' Eq. (4) profiles come from the model's one
+    without a cache) builds a one-shot cache over
+    :meth:`TaskArrays.gather <repro.core.state.TaskArrays.gather>` of
+    its tasks: no row starts valid, so its first matrix is a full
+    build.  The simulator calls :meth:`invalidate` wherever it writes a
+    task's row of the store (failure rollback, redistribution commit).
+    Stale rows' Eq. (4) profiles come from the model's one
     fused kernel, evaluated straight into the cache's workspace (see
     :meth:`_profile_rows`).  All scratch is preallocated here and
     reused per decision; the patch/reuse/allocation counts go to the
     :mod:`repro.counters` registry.
     """
 
-    def __init__(self, model: ExpectedTimeModel):
+    def __init__(self, model: ExpectedTimeModel, arrays: TaskArrays):
         self.model = model
         n = len(model.pack)
         width = model.j_grid.size
-        self._n = n
         self._width = width
         # -- per-task persistent rows -----------------------------------
         self._fin = np.empty((n, width))        #: candidate finish matrix
@@ -284,25 +286,17 @@ class DecisionCache:
         #: GRID_ROWS[1] is "cost")
         self._cost_rows = model._stacked_array()[1]
         self._keep = np.empty(n)                #: Alg. 5 keep-running finishes
-        # -- per-task mirrors and validity ------------------------------
-        self._sigma = np.full(n, -1, dtype=np.int64)
-        self._rc_sigma = np.full(n, -2, dtype=np.int64)
-        self._alpha = np.empty(n)
-        self._t_last = np.empty(n)
-        self._t_expected = np.empty(n)
-        self._tff_s = np.empty(n)   #: grid t_ff at the current sigma
-        self._tau_s = np.empty(n)   #: grid tau at the current sigma
-        self._cost_s = np.empty(n)  #: grid C at the current sigma
+        # -- per-task decision inputs and row validity (set by reset) ----
+        self._rc_sigma = np.empty(n, dtype=np.int64)  #: sigma of _rc row
         self._alpha_t = np.empty(n)
-        self._stall = np.zeros(n)
-        self._row_t = np.full(n, np.nan)    #: t each finish row was patched at
-        self._row_stall = np.zeros(n)       #: stall each row was patched with
-        self._dirty = np.ones(n, dtype=bool)
-        self._keep_valid = np.zeros(n, dtype=bool)
-        self._pending = np.zeros(n, dtype=bool)
+        self._stall = np.empty(n)
+        self._row_t = np.empty(n)       #: t each finish row was patched at
+        self._row_stall = np.empty(n)   #: stall each row was patched with
+        self._keep_valid = np.empty(n, dtype=bool)
+        self._pending = np.empty(n, dtype=bool)
         # -- which _prof row holds each task's envelope (see _profile_rows)
-        self._env_key = np.full(n, -1, dtype=np.int64)  #: alpha key of row
-        self._prof_pos = np.full(n, -1, dtype=np.int64)  #: row pos in _prof
+        self._env_key = np.empty(n, dtype=np.int64)   #: alpha key of row
+        self._prof_pos = np.empty(n, dtype=np.int64)  #: row pos in _prof
         # -- per-decision scratch (reused, never reallocated) -----------
         self._prof = np.empty((n, width))
         self._left = np.empty((n, width))
@@ -312,73 +306,50 @@ class DecisionCache:
         self._sizes = np.fromiter(
             (model.pack[i].size for i in range(n)), dtype=float, count=n
         )
-        self.budget: Optional[int] = None  #: last free-processor count seen
         # Preallocated ndarray blocks, counted off the live attributes so
         # adding or dropping a scratch field cannot desync the count.
         COUNTERS["decision_scratch_allocs"] += sum(
             1 for value in vars(self).values() if isinstance(value, np.ndarray)
         )
+        self.reset(arrays)
 
     # -- simulator hooks ---------------------------------------------------
     def invalidate(self, i: int) -> None:
-        """Mark task ``i`` dirty: its ``alpha``/``t_last``/``sigma`` changed."""
-        self._dirty[i] = True
+        """Drop task ``i``'s derived rows: its row of the store changed."""
+        self._row_t[i] = np.nan
+        self._keep_valid[i] = False
 
-    def note_budget(self, free: int) -> None:
-        """Record the live free-processor count ahead of a decision."""
-        self.budget = int(free)
+    def reset(self, arrays: TaskArrays) -> None:
+        """Bind to ``arrays`` with no derived row valid.
 
-    def reset(self) -> None:
-        """Return the cache to its just-constructed validity state.
-
-        The rolling-horizon service (:mod:`repro.service`) keeps one
-        cache per model and re-injects it into every segment whose pack
-        shares that model.  Between segments all runtimes are rebuilt,
-        so every mirror is stale — but the persistent rows and scratch
-        blocks are gated behind the validity bits, so clearing the bits
-        (and the mirrors they guard) restores the exact
+        Construction ends here.  The rolling-horizon service
+        (:mod:`repro.service`) keeps one cache per model and re-injects
+        it into every segment whose pack shares that model.  Each
+        segment has its own store, and every derived row is stale — but
+        the persistent rows and scratch blocks are gated behind the
+        validity bits, so clearing the bits restores the
         post-construction state with zero reallocation.
         """
-        self._sigma.fill(-1)
+        self.arrays = arrays
         self._rc_sigma.fill(-2)
         self._stall.fill(0.0)
         self._row_t.fill(np.nan)
         self._row_stall.fill(0.0)
-        self._dirty.fill(True)
         self._keep_valid.fill(False)
         self._pending.fill(False)
         self._env_key.fill(-1)
         self._prof_pos.fill(-1)
-        self.budget = None
 
     # -- internal patching -------------------------------------------------
-    def _refresh(self, rt: TaskRuntime) -> None:
-        """Resync one dirty task's mirrors from its live runtime."""
-        i = rt.index
-        sigma = rt.sigma
-        if sigma != self._sigma[i]:
-            grid = self.model.grid(i)
-            slot = grid.slot(sigma)
-            self._tff_s[i] = grid.t_ff[slot]
-            self._tau_s[i] = grid.tau[slot]
-            self._cost_s[i] = grid.cost[slot]
-            self._sigma[i] = sigma
-            # the rc row is now for the wrong source: _rc_sigma mismatch
-        self._alpha[i] = rt.alpha
-        self._t_last[i] = rt.t_last
-        self._t_expected[i] = rt.t_expected
-        self._keep_valid[i] = False
-        self._row_t[i] = np.nan
-        self._dirty[i] = False
-
     def _rc_row(self, i: int) -> np.ndarray:
         """The cached ``rc_factor * RC^{sigma(i) -> k}`` row, repatched
         only when ``sigma(i)`` moved since it was last computed."""
-        if self._rc_sigma[i] != self._sigma[i]:
+        sigma = self.arrays.sigma[i]
+        if self._rc_sigma[i] != sigma:
             self._rc[i] = self.model.rc_factor * redistribution_cost_vector(
-                float(self._sizes[i]), int(self._sigma[i]), self.model.j_grid
+                float(self._sizes[i]), int(sigma), self.model.j_grid
             )
-            self._rc_sigma[i] = self._sigma[i]
+            self._rc_sigma[i] = sigma
         else:
             COUNTERS["decision_rows_reused"] += 1
         return self._rc[i]
@@ -438,7 +409,7 @@ class DecisionCache:
         and its stall is recovered from ``t_last``).  ``with_keep`` also
         serves the unchanged-allocation finishes Algorithm 5 patches in.
         Bit-identical to a fresh evaluation over the same ``tasks`` —
-        only rows whose task is dirty, whose stall changed, or whose
+        only rows whose task was invalidated, whose stall changed, or whose
         last patch was at a different ``t`` are recomputed (``lazy``
         defers those recomputations to first touch).  The returned matrix
         aliases the cache's persistent arrays and is valid until the
@@ -449,21 +420,19 @@ class DecisionCache:
             (rt.index for rt in tasks), dtype=np.int64, count=n_act
         )
         indices = rows.tolist()
-        dirty_pos = np.nonzero(self._dirty[rows])[0]
-        for pos in dirty_pos:
-            self._refresh(tasks[pos])
+        arrays = self.arrays
         stall = np.zeros(n_act)
         if faulty is not None:
             pos_f = indices.index(faulty)
             stall[pos_f] = faulty_stall(tasks[pos_f], t)
-        # alpha^t over every active row from the mirrors: bit-identical
+        # alpha^t over every active row from the store: bit-identical
         # to remaining_at (elementwise over the same values).
         alpha_t = remaining_from_arrays(
-            self._alpha[rows], self._t_last[rows], self._tff_s[rows],
-            self._tau_s[rows], self._cost_s[rows], t,
+            arrays.alpha[rows], arrays.t_last[rows], arrays.t_ff[rows],
+            arrays.tau[rows], arrays.cost[rows], t,
         )
         if faulty is not None:
-            alpha_t[pos_f] = tasks[pos_f].alpha  # already rolled back
+            alpha_t[pos_f] = arrays.alpha[faulty]  # already rolled back
         self._alpha_t[rows] = alpha_t
         self._stall[rows] = stall
         stale = (self._row_t[rows] != t) | (self._row_stall[rows] != stall)
@@ -482,7 +451,7 @@ class DecisionCache:
             cache=self,
             t=t,
             indices=indices,
-            j_init=self._sigma,
+            j_init=arrays.sigma,
             alpha_t=self._alpha_t,
             stall=self._stall,
             finishes=self._fin,
@@ -525,12 +494,13 @@ class DecisionCache:
         Operation order is exactly the scalar helpers'
         ``((t + stall) + rc) + (cost + profile)``, row-broadcast.
         """
-        need = sub[self._rc_sigma[sub] != self._sigma[sub]]
+        sigma = self.arrays.sigma
+        need = sub[self._rc_sigma[sub] != sigma[sub]]
         if need.size:
             self._rc[need] = self.model.rc_factor * redistribution_cost_matrix(
-                self._sizes[need], self._sigma[need], self.model.j_grid
+                self._sizes[need], sigma[need], self.model.j_grid
             )
-            self._rc_sigma[need] = self._sigma[need]
+            self._rc_sigma[need] = sigma[need]
         k = sub.size
         # RC rows with an unchanged sigma
         COUNTERS["decision_rows_reused"] += k - need.size
@@ -556,9 +526,9 @@ class DecisionCache:
         is exactly the expected finish ``tU_i`` that every writer of the
         live bookkeeping maintains — the pack-start assignment, the
         failure rollback, ``apply_move`` and the rebuild's own
-        keep-restore all write that very expression — so the mirror of
-        ``t_expected`` (taken while the task was clean) *is* the keep
-        value, bit for bit, with no profile evaluation at all.  The
+        keep-restore all write that very expression — so the store's
+        ``t_expected`` *is* the keep value, bit for bit, with no profile
+        evaluation at all.  The
         checking cache in ``tests/test_decision_kernels.py`` pins this
         against ``t_last + expected_time(i, sigma, alpha)`` on
         randomised runs.
@@ -568,7 +538,7 @@ class DecisionCache:
         COUNTERS["decision_rows_reused"] += rows.size - need.size
         if not need.size:
             return
-        self._keep[need] = self._t_expected[need]
+        self._keep[need] = self.arrays.t_expected[need]
         self._keep_valid[need] = True
 
     # -- the incremental-heap rebuild block ---------------------------------
@@ -589,7 +559,7 @@ class DecisionCache:
         k = idx.size
         vals = self._vals[:k]
         np.take(self._fin, idx, axis=0, out=vals)
-        slots = (self._sigma[idx] >> 1) - 1
+        slots = (self.arrays.sigma[idx] >> 1) - 1
         vals[np.arange(k), slots] = self._keep[idx]
         sufrev = self._sufrev[:k]
         sufrev[:] = vals[:, ::-1]

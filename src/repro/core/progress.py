@@ -19,14 +19,14 @@ simulator as the completion event time.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..resilience.expected_time import ExpectedTimeModel, checkpoint_count
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .state import TaskRuntime
+    from .state import TaskArrays
 
 __all__ = [
     "Residual",
@@ -140,8 +140,9 @@ def remaining_from_arrays(
     """``alpha^t_i`` of several tasks at once (vectorised Alg. 3 line 8).
 
     For callers that already hold the per-task ``t_ff``/``tau``/``C``
-    values at the current allocation (the decision cache mirrors them
-    across events and fancy-indexes the active subset).  Every
+    values at the current allocation (the decision cache reads them off
+    the simulator's :class:`~repro.core.state.TaskArrays` and
+    fancy-indexes the active subset).  Every
     operation is elementwise, and entry ``r`` equals
     ``remaining_after_elapsed`` of the same task bit for bit, so a call
     over any row subset matches the scalar path.
@@ -172,44 +173,36 @@ class Residual(NamedTuple):
     t_last: float
 
 
-def residual_workload(
-    runtimes: Sequence["TaskRuntime"],
-    t: float,
-    t_ff: np.ndarray,
-    tau: np.ndarray,
-    cost: np.ndarray,
-) -> "dict[int, Residual]":
-    """Residual workload of every uncompleted runtime at time ``t``.
+def residual_workload(arrays: "TaskArrays", t: float) -> "dict[int, Residual]":
+    """Residual workload of every uncompleted task at time ``t``.
 
     The rolling-horizon extraction: at an epoch boundary the online
-    service reads the remaining fraction of each live task off the
-    simulator state and re-co-schedules the residuals as a fresh pack.
-    ``t_ff``/``tau``/``cost`` hold each task's grid values at its
-    current allocation, indexed by task (the simulator's mirrors).  A
-    task still inside a blackout window (``t < t_last``) has already
-    banked its post-rollback ``alpha`` — it carries that fraction plus
-    the unserved stall; a running task subtracts the useful work done
-    since its pattern restart, in one :func:`remaining_from_arrays`
-    pass (bit-identical to :func:`remaining_after_elapsed`, the same
+    service reads the remaining fraction of each uncompleted task off
+    the simulator's :class:`~repro.core.state.TaskArrays` (an
+    early-released task still runs, so ``done`` selects, not ``live``)
+    and re-co-schedules the residuals as a fresh pack.  A task still
+    inside a blackout window (``t < t_last``) has already banked its
+    post-rollback ``alpha`` — it carries that fraction plus the unserved
+    stall; a running task subtracts the useful work done since its
+    pattern restart, in one :func:`remaining_from_arrays` pass
+    (bit-identical to :func:`remaining_after_elapsed`, the same
     arithmetic as the in-run heuristics' ``alpha^t_i``).
     """
-    live = [rt for rt in runtimes if not rt.completed]
-    idx = np.array([rt.index for rt in live], dtype=np.int64)
+    idx = np.nonzero(~arrays.done)[0]
+    alpha = arrays.alpha[idx]
+    t_last = arrays.t_last[idx]
     alpha_t = remaining_from_arrays(
-        np.array([rt.alpha for rt in live]),
-        np.array([rt.t_last for rt in live]),
-        t_ff[idx],
-        tau[idx],
-        cost[idx],
-        t,
+        alpha, t_last, arrays.t_ff[idx], arrays.tau[idx], arrays.cost[idx], t
     )
     return {
-        rt.index: (
-            Residual(rt.alpha, rt.t_last - t, rt.sigma, rt.t_last)
-            if t < rt.t_last
-            else Residual(alpha, 0.0, rt.sigma, rt.t_last)
+        i: (
+            Residual(a, tl - t, s, tl) if t < tl
+            else Residual(a_t, 0.0, s, tl)
         )
-        for rt, alpha in zip(live, alpha_t.tolist())
+        for i, a, a_t, tl, s in zip(
+            idx.tolist(), alpha.tolist(), alpha_t.tolist(), t_last.tolist(),
+            arrays.sigma[idx].tolist(),
+        )
     }
 
 
@@ -234,10 +227,11 @@ def remaining_after_failure_from_values(
 ) -> float:
     """:func:`remaining_after_failure` with the grid values pre-gathered.
 
-    Scalar entry point for callers that mirror ``t_ff``/``tau``/``C`` at
+    Scalar entry point for callers that keep ``t_ff``/``tau``/``C`` at
     the current allocation across events (the simulator's per-failure
-    rollback) — bit-identical to the model-resolving form over the same
-    values, since both run the exact same operations.
+    rollback reads its array store) — bit-identical to the
+    model-resolving form over the same values, since both run the exact
+    same operations.
     """
     done = checkpointed_work_fraction(t, t_last, t_ff, tau, cost)
     return min(alpha, max(0.0, alpha - done))

@@ -43,8 +43,6 @@ import base64
 import json
 import re
 import threading
-import urllib.error
-import urllib.request
 import uuid
 import zlib
 from typing import Dict, List, Optional, Tuple
@@ -112,6 +110,11 @@ class HTTPTransport:
 
     def send(self, op: str, body: bytes, *, key: str) -> Tuple[int, bytes]:
         """POST one operation body; ``(status, response bytes)``."""
+        # Imported here: a worker on a file spool never loads the HTTP
+        # client stack (urllib.request pulls in http.client, email, ssl).
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"

@@ -403,7 +403,8 @@ class ReferenceSimulator(Simulator):
     The heuristics run their scalar bodies without a decision cache,
     and the failure path scans the runtimes (rollback through the model
     accessors, early release, is-longest test, Fig. 9 snapshot) instead
-    of the ndarray mirrors, whose early-release flags it still reads.
+    of the array store, whose early-release flags and projected finish
+    times it still reads.
     A handed fast model keeps its type and settings: it is read through
     :meth:`ReferenceModel.sharing`.
     """
@@ -443,7 +444,7 @@ class ReferenceSimulator(Simulator):
     def _active_for_redistribution(self, t, runtimes, include=None):
         return [
             rt for rt in runtimes
-            if not (rt.completed or self._m_released[rt.index])
+            if not (rt.completed or self._arrays.released[rt.index])
             and (rt.index == include or not rt.busy_at(t))
         ]
 
@@ -455,23 +456,24 @@ class ReferenceSimulator(Simulator):
         rt.t_last = t + self.model.restart_overhead(f, j)
         rt.t_expected = rt.t_last + self.model.expected_time(f, j, rt.alpha)
 
-    def _early_releases(self, f, t_resume, runtimes, finish) -> List[int]:
+    def _early_releases(self, f, t_resume, runtimes) -> List[int]:
+        arrays = self._arrays
         return [
             i for i, rt in enumerate(runtimes)
-            if not rt.completed and i != f and not self._m_released[i]
-            and finish[i] < t_resume
+            if not rt.completed and i != f and not arrays.released[i]
+            and arrays.finish[i] < t_resume
         ]
 
     def _is_longest(self, rt_f, runtimes) -> bool:
         return not any(
             rt.t_expected > rt_f.t_expected for i, rt in enumerate(runtimes)
-            if not (rt.completed or self._m_released[i])
+            if not (rt.completed or self._arrays.released[i])
         )
 
-    def _failure_snapshot(self, t, runtimes, finish) -> None:
+    def _failure_snapshot(self, t, runtimes) -> None:
         projected = [
-            rt.completion_time if rt.completed else finish[rt.index]
-            for rt in runtimes
+            rt.completion_time if rt.completed else self._arrays.finish[i]
+            for i, rt in enumerate(runtimes)
         ]
         sigmas = [rt.sigma for rt in runtimes if not rt.completed]
         sigma_std = float(np.std(sigmas)) if sigmas else 0.0

@@ -48,7 +48,8 @@ job.  This is the reuse that pays.
 :class:`ExpectedTimeModel` instances are also memoised in a
 :class:`~repro.engine.cache.WorkloadCache` keyed by the active job
 multiset (each with a :class:`~repro.core.kernels.DecisionCache`
-:meth:`~repro.core.kernels.DecisionCache.reset` for the next segment),
+:meth:`~repro.core.kernels.DecisionCache.reset` onto the next
+segment's array store),
 but the multiset changes at almost every epoch: on the 2,000-job
 benchmark trace that memo hits ~2.5% of the time.
 
@@ -75,6 +76,7 @@ from ..core.optimal import optimal_schedule
 from ..core.policy import Policy, get_policy
 from ..core.progress import residual_workload
 from ..core.redistribution import redistribution_cost
+from ..core.state import TaskArrays
 from ..counters import COUNTERS, since, snapshot as counter_snapshot
 from ..engine.cache import WorkloadCache
 from ..exceptions import ConfigurationError
@@ -505,15 +507,15 @@ class OnlineEngine:
         return model
 
     def _decision_cache_for(
-        self, key: tuple, model: ExpectedTimeModel
+        self, key: tuple, model: ExpectedTimeModel, arrays: TaskArrays
     ) -> DecisionCache:
         cache = self._dcaches.get(key)
         if cache is not None and cache.model is model:
             self._dcaches.move_to_end(key)
-            cache.reset()
+            cache.reset(arrays)
             self.counters.decision_caches_reused += 1
             return cache
-        cache = DecisionCache(model)
+        cache = DecisionCache(model, arrays)
         self._dcaches[key] = cache
         self.counters.decision_caches_built += 1
         while len(self._dcaches) > self._models.capacity:
@@ -529,9 +531,7 @@ class OnlineEngine:
         if self._sim is not None:
             sim = self._sim
             runtimes = sim.runtimes
-            for idx, res in residual_workload(
-                runtimes, t, sim._m_tff, sim._m_tau, sim._m_cost
-            ).items():
+            for idx, res in residual_workload(sim.arrays, t).items():
                 jid = self._order[idx]
                 residuals[jid] = res
                 carried[jid] = (runtimes[idx].alpha, runtimes[idx].t_last)
@@ -616,8 +616,6 @@ class OnlineEngine:
             fault_distribution=self._distribution,
             model=model,
         )
-        cache = self._decision_cache_for(key, model)
-        sim._make_decision_cache = lambda: cache  # type: ignore[method-assign]
         sim.start(
             t0=t,
             sigma0=sigma,
@@ -625,6 +623,8 @@ class OnlineEngine:
             t_last=t_last0,
             injector=self._injector,
         )
+        cache = self._decision_cache_for(key, model, sim.arrays)
+        sim._make_decision_cache = lambda: cache  # type: ignore[method-assign]
         self._sim = sim
         self._order = order
         self.counters.repack_moves += moves

@@ -2,13 +2,13 @@
 
 The simulator's main loop repeatedly needs the earliest projected task
 completion.  The seed implementation rescanned every live task per event
-— O(n) per event, O(n^2) per run.  :class:`CompletionQueue` keeps the
-projections in a min-heap with *lazy deletion*: it subclasses ``dict``
-(task index -> projected finish), so the redistribution handlers keep
-writing ``finish[i] = t`` exactly as before, and every write also pushes
-``(t, i)`` onto the heap.  A heap entry is stale once the task completed
-or its projection was re-written; :meth:`peek` prunes stale entries from
-the top before answering, making event selection O(log n) amortised.
+— O(n) per event, O(n^2) per run.  :class:`CompletionQueue` writes each
+projection into the run's ``finish`` array
+(:class:`~repro.core.state.TaskArrays`) and pushes ``(t, i)`` onto a
+min-heap with *lazy deletion*: a heap entry is stale once the task
+completed or its projection was re-written; :meth:`peek` prunes stale
+entries from the top before answering, making event selection
+O(log n) amortised.
 
 Entries are ordered ``(time, task index)``, which reproduces the seed's
 linear scan tie-break (earliest time, then smallest index) bit for bit.
@@ -18,74 +18,39 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-import numpy as np
+from ..core.state import TaskArrays
 
 __all__ = ["CompletionQueue"]
 
 
-class CompletionQueue(dict):
-    """``finish``-time mapping backed by a lazy-deletion min-heap.
+class CompletionQueue:
+    """Projected finish times (``arrays.finish``) behind a min-heap.
 
-    Only item assignment keeps the heap in sync; the other inherited
-    dict mutators (which would bypass the overridden ``__setitem__`` at
-    the C level) are blocked so a desynchronised heap cannot be created
-    silently.
+    The heap starts with one entry per projection already in
+    ``arrays.finish``.  Item assignment (``queue[i] = t``) is the only
+    write: it stores the projection and pushes its heap entry, so every
+    valid entry ``(finish[i], i)`` of an uncompleted task is on the
+    heap.  :meth:`peek` returns the least of them whatever else the heap
+    holds, so a queue built over a copy of a running store (a simulator
+    fork's) yields the same events as the original.
     """
 
-    def __init__(self, runtimes: Sequence, mirror=None):
-        super().__init__()
-        self._runtimes = runtimes
-        self._heap: List[Tuple[float, int]] = []
-        #: Optional flat ndarray mirror of the projections (the
-        #: simulator's vectorised failure path scans it instead of the
-        #: dict).  __setitem__ is the only write channel, so the mirror
-        #: can never desync from the mapping.
-        self._mirror = mirror
+    __slots__ = ("_finish", "_done", "_heap")
 
-    def __setitem__(self, i: int, t: float) -> None:
-        dict.__setitem__(self, i, t)
-        if self._mirror is not None:
-            self._mirror[i] = t
-        heapq.heappush(self._heap, (t, i))
-
-    def assign_all(self, times: np.ndarray) -> None:
-        """``self[i] = times[i]`` for every task, in one pass.
-
-        The heap is built by one ``heapify``; entries are distinct
-        ``(time, index)`` pairs, so :meth:`peek` yields the same
-        sequence as after one assignment per task.
-        """
-        values = times.tolist()
-        dict.update(self, enumerate(values))
-        if self._mirror is not None:
-            self._mirror[: len(values)] = times
-        self._heap.extend(zip(values, range(len(values))))
+    def __init__(self, arrays: TaskArrays):
+        self._finish = arrays.finish
+        self._done = arrays.done
+        times = arrays.finish.tolist()
+        self._heap: List[Tuple[float, int]] = list(
+            zip(times, range(len(times)))
+        )
         heapq.heapify(self._heap)
 
-    def fork(self, runtimes: Sequence, mirror=None) -> "CompletionQueue":
-        """The same projections and heap over ``runtimes`` / ``mirror``
-        (a simulator fork's copies); later writes to either queue never
-        reach the other."""
-        twin = CompletionQueue(runtimes, mirror=mirror)
-        dict.update(twin, self)
-        twin._heap = list(self._heap)
-        return twin
-
-    def _unsupported(self, *_args, **_kwargs):
-        raise TypeError(
-            "CompletionQueue only supports item assignment "
-            "(finish[i] = t); other dict mutators would desync the heap"
-        )
-
-    update = _unsupported
-    setdefault = _unsupported
-    pop = _unsupported
-    popitem = _unsupported
-    clear = _unsupported
-    __delitem__ = _unsupported
-    __ior__ = _unsupported
+    def __setitem__(self, i: int, t: float) -> None:
+        self._finish[i] = t
+        heapq.heappush(self._heap, (t, i))
 
     def peek(self) -> Tuple[float, int]:
         """(time, task) of the next valid completion, ``(inf, -1)`` if none.
@@ -94,9 +59,11 @@ class CompletionQueue(dict):
         has since been re-written) on the way.
         """
         heap = self._heap
+        finish = self._finish
+        done = self._done
         while heap:
             t, i = heap[0]
-            if self._runtimes[i].completed or dict.__getitem__(self, i) != t:
+            if done[i] or finish[i] != t:
                 heapq.heappop(heap)
                 continue
             return t, i

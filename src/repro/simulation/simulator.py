@@ -37,7 +37,7 @@ from ..core.progress import (
     projected_finishes,
     remaining_after_failure_from_values,
 )
-from ..core.state import TaskRuntime
+from ..core.state import TaskArrays, TaskRuntime
 from ..exceptions import SimulationError
 from ..resilience.checkpoint import ResilienceModel
 from ..resilience.distributions import ExponentialFaults, FaultDistribution
@@ -78,37 +78,29 @@ class Simulator:
     record_trace:
         Capture the Fig. 9 series and a full event log.
 
-    The Algorithm 3-5 decisions read one persistent
+    Besides one :class:`~repro.core.state.TaskRuntime` per task, a
+    started simulator keeps one vector store, :attr:`arrays`.  A task's
+    row is written at the failure rollback and the post-heuristic
+    commit, where the task's decision-cache rows are invalidated too;
+    ``live`` flips false at completion and early release, never back.
+    Everything vectorised reads the store: the per-failure path of
+    Algorithm 2 (rollback, line 28 early-release scan, line 30
+    is-longest test, Fig. 9 snapshot), the completion queue, and the
+    Algorithm 3-5 decisions through one persistent
     :class:`~repro.core.kernels.DecisionCache` that delta-patches only
-    the candidate-matrix rows invalidated since the previous decision.
-    The per-failure path of Algorithm 2 — the rollback, the
-    early-release scan of line 28, the is-longest test of line 30 and
-    the Fig. 9 snapshot — runs on flat ndarray mirrors of ``finish`` /
-    ``t_expected`` / ``sigma`` / ``completed`` maintained alongside the
-    ``TaskRuntime`` bookkeeping.  :class:`repro.oracle.
-    ReferenceSimulator` overrides those steps with the seed-literal
-    scans this path is pinned against.  The mirror invariants:
-    ``finish`` is mirrored at its single write channel (:class:`~repro.simulation.events.
-    CompletionQueue.__setitem__`); ``t_expected``/``sigma`` and the
-    grid values at the current allocation are mirrored exactly where
-    the decision cache's dirty bits are raised (the failure rollback
-    and the post-heuristic commit — the only writers, by the
-    ``DecisionCache`` invariant 1); ``live = ~completed & ~released``
-    flips false at completion and early release, and never flips back.
+    the invalidated candidate-matrix rows.  :class:`repro.oracle.
+    ReferenceSimulator` overrides the per-failure steps with the
+    seed-literal scans over the runtimes.  ``strict=True`` validates the
+    processor map and checks the store against the runtimes
+    (:meth:`~repro.core.state.TaskArrays.check`) after every event.
 
     :meth:`fork` copies a started simulator's mutable state — runtimes,
-    mirrors, processor map, completion heap, fault injector and counters
-    — under another policy.  Paired series that invoke the same
+    store, processor map, fault injector and counters — under another
+    policy.  Paired series that invoke the same
     heuristics up to some event share that prefix: the experiments
     layer steps one simulator through it and forks where the series
     diverge (:func:`repro.experiments.runner._run_replicate`).
     """
-
-    #: The ndarray mirrors a fork copies (its scratch buffer is fresh).
-    _MIRRORS = (
-        "_m_finish", "_m_texp", "_m_tlast", "_m_sigma", "_m_tff", "_m_tau",
-        "_m_cost", "_m_done", "_m_released", "_m_live",
-    )
 
     def __init__(
         self,
@@ -149,13 +141,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def _make_decision_cache(self) -> DecisionCache:
         """The run's persistent decision state (overridable for tests)."""
-        return DecisionCache(self.model)
+        return DecisionCache(self.model, self._arrays)
 
     def _decision_cache(self) -> Optional[DecisionCache]:
         """The run's decision cache, built at its first decision.
 
-        A fresh cache is all-dirty, so building it late (or afresh in a
-        fork) serves the same matrices as one that saw every event
+        A fresh cache holds no valid row, so building it late (or afresh
+        in a fork) serves the same matrices as one that saw every event
         (``DecisionCache`` invariant 1).
         """
         if self._cache is None:
@@ -206,20 +198,6 @@ class Simulator:
             )
         procs = ProcessorMap(p)
 
-        # Flat ndarray mirrors of the per-task bookkeeping the
-        # per-failure path scans (class docstring: mirror invariants).
-        self._m_finish = np.full(n, math.inf)
-        self._m_texp = np.empty(n)
-        self._m_tlast = np.zeros(n)
-        self._m_sigma = np.zeros(n)
-        self._m_tff = np.empty(n)    # grid t_ff at the current sigma
-        self._m_tau = np.empty(n)    # grid tau at the current sigma
-        self._m_cost = np.empty(n)   # grid C at the current sigma
-        self._m_done = np.zeros(n, dtype=bool)
-        self._m_released = np.zeros(n, dtype=bool)
-        self._m_live = np.ones(n, dtype=bool)   # ~done & ~released
-        self._m_scratch = np.empty(n, dtype=bool)
-
         order = list(sigma0)
         counts = list(sigma0.values())
         for i, count in zip(order, counts):
@@ -237,25 +215,16 @@ class Simulator:
         grid = model.grid(order[0])
         grid.slot(min(counts))
         grid.slot(max(counts))
-        idx = np.array(order)
-        slots = (np.array(counts) >> 1) - 1
-        t_last0 = np.array([runtimes[i].t_last for i in order])
+        arrays = TaskArrays.gather(model, runtimes)
         # Every initial envelope in one batched evaluation; row ``pos``
         # is bit-identical to ``profile(order[pos], alpha)``.
-        rows = model.profile_matrix(
-            order, np.array([runtimes[i].alpha for i in order])
-        )
-        t_exp = t_last0 + rows[np.arange(n), slots]
-        for i, value in zip(order, t_exp.tolist()):
-            runtimes[i].t_expected = value
+        idx = np.array(order)
+        rows = model.profile_matrix(order, arrays.alpha[idx])
+        slots = (arrays.sigma[idx] >> 1) - 1
+        arrays.t_expected[idx] = arrays.t_last[idx] + rows[np.arange(n), slots]
+        for rt, value in zip(runtimes, arrays.t_expected.tolist()):
+            rt.t_expected = value
         procs.acquire_all(sigma0)
-        self._m_texp[idx] = t_exp
-        self._m_tlast[idx] = t_last0
-        self._m_sigma[idx] = counts
-        t_ff, cost, tau = model._stacked_array()[:3]  # GRID_ROWS order
-        self._m_tff[idx] = t_ff[idx, slots]
-        self._m_tau[idx] = tau[idx, slots]
-        self._m_cost[idx] = cost[idx, slots]
 
         if injector is not None:
             self._injector: FaultInjector | NullFaultInjector = injector
@@ -266,16 +235,15 @@ class Simulator:
         else:
             self._injector = NullFaultInjector()
 
-        finish = CompletionQueue(runtimes, mirror=self._m_finish)
-        alpha = np.array([rt.alpha for rt in runtimes])
-        finish.assign_all(
-            projected_finishes(
-                self._m_tlast, alpha, self._m_tff, self._m_tau, self._m_cost
-            )
+        arrays.finish[:] = projected_finishes(
+            arrays.t_last, arrays.alpha, arrays.t_ff, arrays.tau, arrays.cost
         )
+        finish = CompletionQueue(arrays)
         # Completion bookkeeping is accumulated event by event instead of
         # being re-derived from the runtimes after the loop.
         self._runtimes = runtimes
+        self._arrays = arrays
+        self._scratch = np.empty(n, dtype=bool)
         self._procs = procs
         self._sigma0 = sigma0
         self._finish = finish
@@ -298,6 +266,12 @@ class Simulator:
         """The live per-task states (valid after :meth:`start`)."""
         self._require_started()
         return self._runtimes
+
+    @property
+    def arrays(self) -> TaskArrays:
+        """The run's per-task vector store (valid after :meth:`start`)."""
+        self._require_started()
+        return self._arrays
 
     @property
     def now(self) -> float:
@@ -338,14 +312,14 @@ class Simulator:
         t_comp, i_comp = self._finish.peek()
         t_fail, proc = self._injector.peek()
         if t_comp <= t_fail:
-            if t_comp == math.inf or self._m_released[i_comp]:
+            if t_comp == math.inf or self._arrays.released[i_comp]:
                 return None
             return "completion"
         owner = self._procs.owner_of(proc)
         if owner is None:
             return None
         rt = self._runtimes[owner]
-        if rt.completed or rt.busy_at(t_fail) or self._m_released[owner]:
+        if rt.completed or rt.busy_at(t_fail) or self._arrays.released[owner]:
             return None
         return "failure"
 
@@ -410,6 +384,7 @@ class Simulator:
                 self._t_now = t_fail
             if strict:
                 procs.validate()
+                self._arrays.check(runtimes)
             processed += 1
             if processed == limit:
                 break
@@ -457,10 +432,11 @@ class Simulator:
 
         The copy shares the immutable pack, cluster and model (whose
         envelope store is history-independent) and copies every piece
-        of mutable state: the runtimes and their ndarray mirrors, the
-        processor map, the completion heap, the fault injector's heap
-        and RNG, the counters and any recorded trace.  It starts without
-        a decision cache and builds a fresh one at its first decision.
+        of mutable state: the runtimes and the array store, the
+        processor map, the fault injector's heap and RNG, the counters
+        and any recorded trace; its completion queue is built over the
+        copied store.  It starts without a decision cache and builds a
+        fresh one at its first decision.
         Stepping either simulator never moves the other, and the fork
         processes exactly the events an uninterrupted run of ``policy``
         would, provided every event so far invoked the same heuristics
@@ -482,13 +458,11 @@ class Simulator:
             child._injector = NullFaultInjector()
         else:
             child._injector = self._injector.fork()
-        runtimes = [rt.copy() for rt in self._runtimes]
-        child._runtimes = runtimes
-        for name in self._MIRRORS:
-            setattr(child, name, getattr(self, name).copy())
-        child._m_scratch = np.empty_like(self._m_scratch)
+        child._runtimes = [rt.copy() for rt in self._runtimes]
+        child._arrays = self._arrays.copy()
+        child._scratch = np.empty_like(self._scratch)
         child._procs = self._procs.copy()
-        child._finish = self._finish.fork(runtimes, mirror=child._m_finish)
+        child._finish = CompletionQueue(child._arrays)
         child._counters = dict(self._counters)
         child._completion_times = self._completion_times.copy()
         child._sigma0 = dict(self._sigma0)
@@ -498,29 +472,21 @@ class Simulator:
         return child
 
     # ------------------------------------------------------------------
-    def _sync_task_mirrors(self, i: int, sigma: int) -> None:
-        """Refresh task ``i``'s sigma + grid-value mirrors (sigma moved)."""
-        grid = self.model.grid(i)
-        slot = grid.slot(sigma)
-        self._m_tff[i] = grid.t_ff[slot]
-        self._m_tau[i] = grid.tau[slot]
-        self._m_cost[i] = grid.cost[slot]
-        self._m_sigma[i] = sigma
-
     def _projected(self, rt: TaskRuntime) -> float:
         """Deterministic fault-free completion of ``rt``'s remaining work.
 
-        Reads the mirrored grid values at the current allocation — the
-        same floats :meth:`_sync_task_mirrors` gathered from the grid,
-        so the result is bit-identical to resolving the grid per call.
+        Reads the store's grid values at the current allocation — the
+        same floats the grid holds, so the result is bit-identical to
+        resolving the grid per call.
         """
         i = rt.index
+        arrays = self._arrays
         return projected_finish(
             rt.t_last,
             rt.alpha,
-            float(self._m_tff[i]),
-            float(self._m_tau[i]),
-            float(self._m_cost[i]),
+            float(arrays.t_ff[i]),
+            float(arrays.tau[i]),
+            float(arrays.cost[i]),
         )
 
     def _active_for_redistribution(
@@ -531,16 +497,17 @@ class Simulator:
     ) -> List[TaskRuntime]:
         """Alg. 2 line 15: active tasks not busy at ``t`` (plus ``include``).
 
-        One vectorised compare over the live/t_last mirrors: for a live
+        One vectorised compare over the store's live/t_last: for a live
         task ``busy_at(t)`` is exactly ``t <= t_last``, so the selection
         is ``live & (t_last < t)`` with ``include`` forced in (ascending
         task index = the pack order of a scan over the runtimes).
         """
-        buf = self._m_scratch
-        np.less(self._m_tlast, t, out=buf)
-        buf &= self._m_live
+        live = self._arrays.live
+        buf = self._scratch
+        np.less(self._arrays.t_last, t, out=buf)
+        buf &= live
         if include is not None:
-            buf[include] = self._m_live[include]
+            buf[include] = live[include]
         return [runtimes[i] for i in np.nonzero(buf)[0]]
 
     def _sync_and_reproject(
@@ -549,25 +516,22 @@ class Simulator:
         changed: List[int],
         runtimes: List[TaskRuntime],
         procs: ProcessorMap,
-        finish: Dict[int, float],
+        finish: CompletionQueue,
     ) -> None:
         """Apply heuristic decisions to the processor map and projections."""
         if not changed:
             return
         procs.apply_counts({i: runtimes[i].sigma for i in changed})
+        arrays = self._arrays
         cache = self._cache
         for i in changed:
             rt = runtimes[i]
-            # Post-heuristic commit: the same channel as the decision
-            # cache's dirty bit — resync the ndarray mirrors here, and
-            # before the reprojection (which reads the grid mirrors).
-            if rt.sigma != self._m_sigma[i]:
-                self._sync_task_mirrors(i, rt.sigma)
-            self._m_texp[i] = rt.t_expected
-            self._m_tlast[i] = rt.t_last
+            # Post-heuristic commit (sigma_init changed, checkpoint
+            # taken): write the store before the reprojection, which
+            # reads its grid values, and drop the task's cached rows.
+            arrays.write(self.model, rt)
             finish[i] = self._projected(rt)
             if cache is not None:
-                # sigma_init changed + checkpoint taken: dirty bit.
                 cache.invalidate(i)
             if self._rec_enabled:
                 self._recorder.event(
@@ -580,17 +544,18 @@ class Simulator:
         e: int,
         runtimes: List[TaskRuntime],
         procs: ProcessorMap,
-        finish: Dict[int, float],
+        finish: CompletionQueue,
     ) -> None:
         rt_e = runtimes[e]
-        was_released = bool(self._m_released[e])
+        arrays = self._arrays
+        was_released = bool(arrays.released[e])
         rt_e.mark_completed(t)
-        self._m_done[e] = True
-        self._m_live[e] = False
+        arrays.done[e] = True
+        arrays.live[e] = False
         if not was_released:
             procs.release(e)
         else:
-            self._m_released[e] = False
+            arrays.released[e] = False
         if self._rec_enabled:
             self._recorder.event(t, EventKind.COMPLETION, e)
         # Early-released tasks were already removed from consideration when
@@ -601,11 +566,9 @@ class Simulator:
         tasks = self._active_for_redistribution(t, runtimes)
         if not tasks:
             return
-        cache = self._decision_cache()
-        if cache is not None:
-            cache.note_budget(procs.free_count)
         changed = self.policy.completion.apply(
-            self.model, t, tasks, procs.free_count, cache=cache
+            self.model, t, tasks, procs.free_count,
+            cache=self._decision_cache(),
         )
         self._sync_and_reproject(t, changed, runtimes, procs, finish)
 
@@ -615,7 +578,7 @@ class Simulator:
         proc: int,
         runtimes: List[TaskRuntime],
         procs: ProcessorMap,
-        finish: Dict[int, float],
+        finish: CompletionQueue,
         counters: Dict[str, int],
     ) -> None:
         owner = procs.owner_of(proc)
@@ -626,8 +589,9 @@ class Simulator:
                     t, EventKind.FAILURE_IDLE, detail=f"proc={proc}"
                 )
             return
+        arrays = self._arrays
         rt_f = runtimes[owner]
-        if rt_f.busy_at(t) or self._m_released[owner]:
+        if rt_f.busy_at(t) or arrays.released[owner]:
             # Section 6.1: no failures during downtime/recovery/redistribution.
             counters["masked"] += 1
             if self._rec_enabled:
@@ -639,24 +603,22 @@ class Simulator:
         counters["effective"] += 1
         f = owner
         # Alg. 2 lines 23-26: roll back to the last checkpoint, pay D + R.
-        lost_before = rt_f.alpha
         self._roll_back(rt_f, t)
-        rt_f.rework += rt_f.alpha - lost_before  # <= 0 contribution
         rt_f.failures += 1
-        self._m_texp[f] = rt_f.t_expected
-        self._m_tlast[f] = rt_f.t_last
+        # Remaining work re-measured + stall applied: write the store
+        # and drop the task's cached rows.
+        arrays.write(self.model, rt_f)
         finish[f] = self._projected(rt_f)
         if self._cache is not None:
-            # Remaining work re-measured + stall applied: dirty bit.
             self._cache.invalidate(f)
         if self._rec_enabled:
             self._recorder.event(t, EventKind.FAILURE, f, f"proc={proc}")
 
         # Alg. 2 line 28: tasks projected to end before the struck task
         # resumes release their processors for the rebalancing below.
-        for i in self._early_releases(f, rt_f.t_last, runtimes, finish):
-            self._m_released[i] = True
-            self._m_live[i] = False
+        for i in self._early_releases(f, rt_f.t_last, runtimes):
+            arrays.released[i] = True
+            arrays.live[i] = False
             procs.release(i)
             if self._rec_enabled:
                 self._recorder.event(t, EventKind.EARLY_RELEASE, i)
@@ -665,30 +627,29 @@ class Simulator:
         if self.policy.failure is not None and self._is_longest(rt_f, runtimes):
             tasks = self._active_for_redistribution(t, runtimes, include=f)
             if len(tasks) > 1 or (tasks and procs.free_count >= 2):
-                cache = self._decision_cache()
-                if cache is not None:
-                    cache.note_budget(procs.free_count)
                 changed = self.policy.failure.apply(
-                    self.model, t, tasks, procs.free_count, f, cache=cache
+                    self.model, t, tasks, procs.free_count, f,
+                    cache=self._decision_cache(),
                 )
                 self._sync_and_reproject(t, changed, runtimes, procs, finish)
 
         if self._rec_enabled:
-            self._failure_snapshot(t, runtimes, finish)
+            self._failure_snapshot(t, runtimes)
 
     def _roll_back(self, rt: TaskRuntime, t: float) -> None:
         """Roll ``rt``, struck at ``t``, back to its last checkpoint.
 
-        The grid values at sigma come from the mirrors — the same floats
+        The grid values at sigma come from the store — the same floats
         the model accessors would gather (``restart_overhead`` is
         ``D + C`` and ``expected_time`` indexes the envelope at slot
         ``(j >> 1) - 1``).
         """
         f = rt.index
-        cost = float(self._m_cost[f])
+        arrays = self._arrays
+        cost = float(arrays.cost[f])
         rt.alpha = remaining_after_failure_from_values(
-            rt.alpha, t, rt.t_last, float(self._m_tff[f]),
-            float(self._m_tau[f]), cost,
+            rt.alpha, t, rt.t_last, float(arrays.t_ff[f]),
+            float(arrays.tau[f]), cost,
         )
         rt.t_last = t + (self.model.downtime + cost)
         rt.t_expected = rt.t_last + float(
@@ -700,44 +661,41 @@ class Simulator:
         f: int,
         t_resume: float,
         runtimes: List[TaskRuntime],
-        finish: Dict[int, float],
     ) -> List[int]:
         """Live tasks other than ``f`` projected to end before
-        ``t_resume``, ascending: one compare over the finish mirror."""
-        buf = self._m_scratch
-        np.less(self._m_finish, t_resume, out=buf)
-        buf &= self._m_live
+        ``t_resume``, ascending: one compare over the store's finish."""
+        buf = self._scratch
+        np.less(self._arrays.finish, t_resume, out=buf)
+        buf &= self._arrays.live
         buf[f] = False
         return np.nonzero(buf)[0].tolist()
 
     def _is_longest(
         self, rt_f: TaskRuntime, runtimes: List[TaskRuntime]
     ) -> bool:
-        """Alg. 2 line 30 test, vectorised over the t_expected mirror."""
-        buf = self._m_scratch
-        np.greater(self._m_texp, rt_f.t_expected, out=buf)
-        buf &= self._m_live
+        """Alg. 2 line 30 test, vectorised over the store's t_expected."""
+        buf = self._scratch
+        np.greater(self._arrays.t_expected, rt_f.t_expected, out=buf)
+        buf &= self._arrays.live
         return not bool(buf.any())
 
     def _failure_snapshot(
-        self,
-        t: float,
-        runtimes: List[TaskRuntime],
-        finish: Dict[int, float],
+        self, t: float, runtimes: List[TaskRuntime]
     ) -> None:
         """Record the Fig. 9 series after a handled failure.
 
-        Both series come straight from the mirrors: a completed task's
-        queue entry still holds its completion event time (projections
+        Both series come straight from the store: a completed task's
+        ``finish`` still holds its completion event time (projections
         are only rewritten for live tasks), so the projected-makespan
-        series is the max of the finish mirror; and the sigma mirror
-        holds exact small integers, so its float64 std matches the
-        seed's int-list std bit for bit.
+        series is the max of ``finish``; and ``sigma`` holds the int64
+        allocations, whose std matches the seed's int-list std bit for
+        bit.
         """
-        makespan = float(self._m_finish.max())
-        active = ~self._m_done
+        arrays = self._arrays
+        makespan = float(arrays.finish.max())
+        active = ~arrays.done
         if bool(active.any()):
-            sigma_std = float(np.std(self._m_sigma[active]))
+            sigma_std = float(np.std(arrays.sigma[active]))
         else:
             sigma_std = 0.0
         self._recorder.failure_snapshot(t, makespan, sigma_std)

@@ -26,7 +26,7 @@ from repro.core.redistribution import (
     redistribution_cost_matrix,
     redistribution_cost_vector,
 )
-from repro.core.state import TaskRuntime
+from repro.core.state import TaskArrays, TaskRuntime
 from repro.exceptions import ConfigurationError
 from repro.oracle import (
     ReferenceSimulator,
@@ -56,6 +56,11 @@ def make_runtimes(model, p, t_offset=0.0):
         rt.t_expected = t_offset + model.expected_time(i, sigma[i], 1.0)
         runtimes.append(rt)
     return runtimes
+
+
+def one_shot(model, runtimes):
+    """A decision cache over a store gathered from ``runtimes``."""
+    return DecisionCache(model, TaskArrays.gather(model, runtimes))
 
 
 def snapshot(runtimes):
@@ -228,8 +233,8 @@ class _CheckingCache(DecisionCache):
     ``t_last + expected_time(i, sigma, alpha)``.
     """
 
-    def __init__(self, model):
-        super().__init__(model)
+    def __init__(self, model, arrays):
+        super().__init__(model, arrays)
         self.checked = 0
 
     def matrix(self, t, tasks, faulty=None, *, with_keep=False, lazy=False):
@@ -268,7 +273,7 @@ class _CheckingSimulator(Simulator):
     """Simulator whose decision cache self-verifies at every event."""
 
     def _make_decision_cache(self):
-        self.checking_cache = _CheckingCache(self.model)
+        self.checking_cache = _CheckingCache(self.model, self.arrays)
         return self.checking_cache
 
 
@@ -339,7 +344,7 @@ class TestDecisionStateBitIdentical:
         sim.run()
         assert sim._cache is None
 
-    def test_registry_counts_and_budget_tracking(self):
+    def test_registry_counts(self):
         pack, cluster, _ = build(0, 5, 20, 0.0005)
         sim = _CheckingSimulator(
             pack, cluster, "ig-el", seed=0,
@@ -355,14 +360,39 @@ class TestDecisionStateBitIdentical:
         assert counts["decision_scratch_allocs"] > 0
         # Only decision work moved: no workload cache, no retries.
         assert counts["workloads_built"] == counts["retries"] == 0
-        assert sim.checking_cache.budget >= 0  # the live free count
+
+    def test_cache_reads_the_simulator_store_in_place(self):
+        """The run's cache keeps no copy of the per-task bookkeeping."""
+        pack, cluster, _ = build(0, 5, 20, 0.0005)
+        sim = _CheckingSimulator(
+            pack, cluster, "ig-el", seed=0,
+            model=ExpectedTimeModel(pack, cluster),
+        )
+        sim.start()
+        while sim.step() is not None and not hasattr(sim, "checking_cache"):
+            pass
+        cache = sim.checking_cache
+        arrays = sim.arrays
+        assert cache.arrays is arrays
+        runtimes = [rt for rt in sim.runtimes if not rt.completed]
+        dm = cache.matrix(sim.now, runtimes)
+        assert dm.j_init is arrays.sigma
+        store = [getattr(arrays, name) for name in TaskArrays.__slots__]
+        own = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        # No array of the cache aliases the store or is a second copy of
+        # one of its fields.
+        for value in own:
+            assert not any(np.shares_memory(value, field) for field in store)
+        for name in ("_sigma", "_alpha", "_t_last", "_t_expected",
+                     "_tff_s", "_tau_s", "_cost_s", "_dirty", "budget"):
+            assert not hasattr(cache, name)
 
     def test_direct_cache_reuse_across_same_t_decisions(self):
         """Consecutive decisions at one t reuse clean rows verbatim."""
         _, _, model = build(3, 4, 16)
         runtimes = make_runtimes(model, 16)
         t = 0.3 * min(rt.t_expected for rt in runtimes)
-        cache = DecisionCache(model)
+        cache = one_shot(model, runtimes)
         before = counters.snapshot()
         first = cache.matrix(t, runtimes)
         baseline = first.finishes[[rt.index for rt in runtimes]].copy()
@@ -377,11 +407,12 @@ class TestDecisionStateBitIdentical:
         # Touching one task re-patches exactly that row.
         rt0 = runtimes[0]
         rt0.alpha *= 0.5
+        cache.arrays.write(model, rt0)
         cache.invalidate(rt0.index)
         third = cache.matrix(t, runtimes)
         patched = counters.since(before)["decision_rows_patched"]
         assert patched == patched_once + 1
-        fresh = DecisionCache(model).matrix(t, runtimes)
+        fresh = one_shot(model, runtimes).matrix(t, runtimes)
         for rt in runtimes:
             assert np.array_equal(
                 third.finishes[rt.index], fresh.finishes[rt.index]
@@ -507,7 +538,7 @@ class TestKernelPrimitives:
         _, _, model = build(seed, n, p)
         runtimes = make_runtimes(model, p)
         t = age * min(rt.t_expected for rt in runtimes)
-        dm = DecisionCache(model).matrix(t, runtimes, lazy=lazy)
+        dm = one_shot(model, runtimes).matrix(t, runtimes, lazy=lazy)
         j_max = int(model.j_grid[-1])
         for rt in runtimes:
             i = rt.index
@@ -528,7 +559,7 @@ class TestKernelPrimitives:
         _, _, model = build(3, n, p)
         runtimes = make_runtimes(model, p)
         t = 0.25 * min(rt.t_expected for rt in runtimes)
-        cache = DecisionCache(model)
+        cache = one_shot(model, runtimes)
         dm = cache.matrix(t, runtimes, with_keep=True)
         vals, sufrev, width = cache.rebuild_block(dm)
         for pos, rt in enumerate(runtimes):
@@ -551,7 +582,7 @@ class TestKernelPrimitives:
 
         _, _, model = build(0, 3, 12)
         runtimes = make_runtimes(model, 12)
-        dm = DecisionCache(model).matrix(1.0, runtimes)
+        dm = one_shot(model, runtimes).matrix(1.0, runtimes)
         j_max = int(model.j_grid[-1])
         with pytest.raises(SimulationError):
             dm.finish(runtimes[0].index, j_max + 2)

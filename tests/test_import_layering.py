@@ -51,6 +51,9 @@ NOT_ON_RUN_PATH = (
     "repro.oracle",
 )
 
+#: The HTTP client stack ``urllib.request`` pulls in.
+HTTP_CLIENT = ("urllib.request", "urllib.error", "http.client", "email", "ssl")
+
 #: The public names of each package, unchanged by lazy resolution.
 PUBLIC = {
     "repro": [
@@ -117,6 +120,15 @@ class TestImportSet:
         loaded = fresh(
             f"import json, sys\n{RUN_PATH}\n"
             f"print(json.dumps([m for m in {NOT_ON_RUN_PATH!r} if m in sys.modules]))"
+        )
+        assert loaded == []
+
+    def test_queue_worker_loads_no_http_client(self):
+        # A fleet worker on a file spool never speaks HTTP: the client
+        # stack loads only when an HTTPTransport sends.
+        loaded = fresh(
+            "import json, sys\nimport repro.engine.worker\n"
+            f"print(json.dumps([m for m in {HTTP_CLIENT!r} if m in sys.modules]))"
         )
         assert loaded == []
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.state import TaskRuntime
+from repro.core.state import TaskArrays, TaskRuntime
 from repro.engine import (
     ENGINES,
     PersistentPoolExecutor,
@@ -112,19 +112,17 @@ class TestHeapMatchesScan:
         from repro.simulation import CompletionQueue
 
         pack, _ = _workload(0)
-        queue = CompletionQueue([TaskRuntime(spec) for spec in pack])
+        arrays = TaskArrays(len(pack))
+        queue = CompletionQueue(arrays)
         queue[0] = 1.5
         assert queue.peek() == (1.5, 0)
-        for mutate in (
-            lambda: queue.update({1: 2.0}),
-            lambda: queue.setdefault(1, 2.0),
-            lambda: queue.pop(0),
-            lambda: queue.popitem(),
-            lambda: queue.clear(),
-            lambda: queue.__delitem__(0),
-        ):
-            with pytest.raises(TypeError):
-                mutate()
+        assert arrays.finish[0] == 1.5
+        # Item assignment is the only write: no mapping mutator exists
+        # that could bypass the heap.
+        assert not isinstance(queue, dict)
+        for name in ("update", "setdefault", "pop", "popitem", "clear",
+                     "__delitem__"):
+            assert not hasattr(queue, name)
         assert queue.peek() == (1.5, 0)
 
 

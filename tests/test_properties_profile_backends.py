@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core.kernels import DecisionCache
+from repro.core.state import TaskArrays
 from repro.oracle import ReferenceModel
 from repro.resilience import ExpectedTimeModel, ensure_alpha_vector
 from repro.tasks import uniform_pack
@@ -121,7 +122,7 @@ class TestDecisionCacheProfileDeltas:
         # substrate evaluated from scratch at the same alphas, whatever
         # the first pass left behind.
         reference, fast = build_models(n, pairs, mtbf, seed)
-        cache = DecisionCache(fast)
+        cache = DecisionCache(fast, TaskArrays(n))
         sub = np.arange(n)
         first = np.array([data.draw(alphas) for _ in range(n)])
         second = first * (1.0 - 1e-9)

@@ -126,6 +126,26 @@ def test_mid_run_fork_is_independent(
     assert_same_run(parent.result(), whole)
 
 
+def test_stepping_a_fork_leaves_the_parent_store_unchanged():
+    pack, cluster = scenario(5, 3, 0.002, 7)
+    parent = Simulator(pack, cluster, "ig-el", seed=7)
+    parent.start()
+    for _ in range(5):
+        parent.step()
+    before = {
+        name: getattr(parent.arrays, name).copy()
+        for name in type(parent.arrays).__slots__
+    }
+    child = parent.fork("ig-el")
+    child.advance()
+    assert child.tasks_remaining == 0
+    for name, values in before.items():
+        assert getattr(parent.arrays, name).tobytes() == values.tobytes(), name
+        assert not np.shares_memory(
+            getattr(parent.arrays, name), getattr(child.arrays, name)
+        )
+
+
 def test_fork_requires_a_started_simulator():
     pack, cluster = scenario(3, 1, 0.01, 0)
     with pytest.raises(SimulationError):

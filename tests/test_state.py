@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.core import TaskRuntime
+from repro.core.state import TaskArrays
 from repro.exceptions import CapacityError, SimulationError
-from repro.tasks import TaskSpec
+from repro.resilience import ExpectedTimeModel
+from repro.tasks import TaskSpec, uniform_pack
 
 
 @pytest.fixture
@@ -77,3 +81,75 @@ class TestBusy:
         runtime.t_last = 100.0
         runtime.mark_completed(10.0)
         assert not runtime.busy_at(50.0)
+
+
+class TestTaskArrays:
+    """The per-task vector store and its check against the runtimes."""
+
+    @pytest.fixture
+    def started(self):
+        pack = uniform_pack(3, m_inf=150.0, m_sup=260.0, seed=0)
+        model = ExpectedTimeModel(pack, Cluster.with_mtbf_years(12, 0.01))
+        runtimes = [TaskRuntime(spec) for spec in pack]
+        for rt, sigma in zip(runtimes, (2, 4, 6)):
+            rt.assign(sigma)
+            rt.alpha = 0.5 + 0.1 * rt.index
+            rt.t_expected = model.expected_time(rt.index, sigma, rt.alpha)
+        return model, runtimes, TaskArrays.gather(model, runtimes)
+
+    def test_gather_copies_fields_and_grid_values(self, started):
+        model, runtimes, arrays = started
+        for rt in runtimes:
+            i, grid = rt.index, model.grid(rt.index)
+            slot = grid.slot(rt.sigma)
+            assert arrays.sigma[i] == rt.sigma
+            assert arrays.alpha[i] == rt.alpha
+            assert arrays.t_expected[i] == rt.t_expected
+            assert arrays.t_ff[i] == grid.t_ff[slot]
+            assert arrays.tau[i] == grid.tau[slot]
+            assert arrays.cost[i] == grid.cost[slot]
+        assert arrays.sigma.dtype == np.int64
+        assert arrays.live.all() and not arrays.done.any()
+        arrays.check(runtimes)
+
+    def test_write_follows_a_move(self, started):
+        model, runtimes, arrays = started
+        rt = runtimes[0]
+        rt.assign(8)
+        rt.t_last = 5.0
+        arrays.write(model, rt)
+        grid = model.grid(0)
+        assert arrays.sigma[0] == 8
+        assert arrays.t_last[0] == 5.0
+        assert arrays.cost[0] == grid.cost[grid.slot(8)]
+        arrays.check(runtimes)
+
+    def test_copy_is_independent(self, started):
+        _, runtimes, arrays = started
+        twin = arrays.copy()
+        twin.alpha[0] = 0.0
+        twin.done[1] = True
+        arrays.check(runtimes)
+        with pytest.raises(SimulationError):
+            twin.check(runtimes)
+
+    @pytest.mark.parametrize(
+        "field", ["sigma", "alpha", "t_last", "t_expected", "done", "live"]
+    )
+    def test_check_rejects_a_desync(self, started, field):
+        _, runtimes, arrays = started
+        values = getattr(arrays, field)
+        values[1] = not values[1] if values.dtype == bool else values[1] + 2
+        with pytest.raises(SimulationError, match=field):
+            arrays.check(runtimes)
+
+    def test_check_skips_released_and_completed_tasks(self, started):
+        _, runtimes, arrays = started
+        arrays.released[0] = True
+        arrays.live[0] = False
+        arrays.alpha[0] = 0.0  # a released task's row is not compared
+        arrays.check(runtimes)
+        runtimes[2].mark_completed(9.0)
+        arrays.done[2] = True
+        arrays.live[2] = False
+        arrays.check(runtimes)
