@@ -14,7 +14,11 @@ asserts the two canonical documents are byte-identical (the service
 acceptance gate), that no job was lost or double-counted, that the
 service replay's Eq. 4 profile misses and patched decision rows do not
 exceed the committed counts (deterministic counts read off the
-:mod:`repro.counters` registry, so the gates cannot flake), and records
+:mod:`repro.counters` registry, so the gates cannot flake), that the
+engine's epoch log holds no more bytes than committed
+(``epoch_log_bytes``: the traced heap the log frees when dropped after
+the replay, free lists emptied around each reading, so the count is
+deterministic), and records
 
 * end-to-end **throughput** (jobs/s and requests/s through the service
   stack), and
@@ -52,6 +56,7 @@ from repro.service import (
     replay_reference,
     replay_service,
 )
+from repro.service.replay import epoch_log_bytes
 
 try:  # pytest / sys.path import (benchmarks/ on the path)
     from ._common import BENCH_SCALE, BENCH_SEED
@@ -129,6 +134,7 @@ def run_bench() -> Dict[str, object]:
             "profile_hits": work["profile_hits"],
             "profile_misses": work["profile_misses"],
             "decision_rows_patched": work["decision_rows_patched"],
+            "epoch_log_bytes": epoch_log_bytes(trace, CONFIG),
         },
         "reference": {"seconds": reference_seconds},
         "service": {"seconds": service_seconds},
@@ -224,6 +230,16 @@ def test_decision_rows_patched_within_committed_count():
     patched = run_bench()["trace"]["decision_rows_patched"]
     assert patched <= committed, (
         f"{patched} decision rows patched, committed {committed}"
+    )
+
+
+def test_epoch_log_bytes_within_committed_count():
+    """Count gate: the engine's epoch log after the replay holds no more
+    traced bytes than the committed baseline recorded."""
+    committed = _committed_trace()["epoch_log_bytes"]
+    held = epoch_log_bytes(_trace(), CONFIG)
+    assert held <= committed, (
+        f"epoch log holds {held} bytes, committed {committed}"
     )
 
 

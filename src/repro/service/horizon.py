@@ -65,9 +65,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
+from array import array
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import Deque, Dict, List, Optional
 
 from ..cluster import Cluster
@@ -89,7 +92,7 @@ from ..simulation.simulator import Simulator
 from ..tasks import Pack, TaskSpec
 from ..tasks.speedup import PaperSyntheticProfile, SpeedupProfile
 
-__all__ = ["JobState", "OnlineEngine"]
+__all__ = ["EpochLog", "JobState", "OnlineEngine"]
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -101,7 +104,7 @@ CANCELLED = "cancelled"
 LATENCY_WINDOW = 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class JobState:
     """Mutable service-side record of one submitted job."""
 
@@ -123,7 +126,164 @@ class JobState:
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe view of this job."""
-        return dict(vars(self))
+        return {name: getattr(self, name) for name in _JOB_FIELDS}
+
+
+_JOB_FIELDS = tuple(f.name for f in fields(JobState))
+
+
+def _shared(ids: Sequence[str], prev: Optional[tuple]) -> tuple:
+    """``tuple(ids)``, or ``prev`` when it is equal."""
+    ids = tuple(ids)
+    return prev if prev == ids else ids
+
+
+class EpochLog(Sequence):
+    """The engine's epoch history, stored by column.
+
+    One canonical record per epoch (the replay pin's unit)::
+
+        {"t", "trigger", "order", "admitted", "sigma", "alphas",
+         "t_last", "rc_paid", "moves", "queued"}
+
+    Records are not kept as dicts: per-epoch scalars sit in typed
+    arrays, every epoch's processor counts in one ``int64`` array and
+    its residual fractions then start times (re-pack epochs only) in
+    one ``float64`` array, and the job ids in shared tuples (an epoch
+    whose ids equal the previous epoch's keeps a reference to them).
+    Reads rebuild the records: indexing and slicing build the ones
+    asked for, and iteration (so ``list(log)``) builds all of them in
+    one pass with one ``tolist()`` per array.  A rebuilt record equals
+    the dict the engine would have kept, value for value and type for
+    type: ``order``/``alphas``/``t_last`` are None on an epoch without
+    a re-pack.
+    """
+
+    __slots__ = (
+        "_t", "_rc_paid", "_moves", "_sigma_at", "_floats_at",
+        "_sigma", "_floats",
+        "_trigger", "_order", "_keys", "_admitted", "_queued",
+    )
+
+    def __init__(self) -> None:
+        self._t = array("d")
+        self._rc_paid = array("d")
+        self._moves = array("q")
+        # Where each epoch's values start in _sigma and _floats.
+        self._sigma_at = array("q")
+        self._floats_at = array("q")
+        self._sigma = array("q")
+        self._floats = array("d")
+        self._trigger: List[str] = []
+        self._order: List[Optional[tuple]] = []
+        self._keys: List[tuple] = []     #: job ids of each epoch's sigma
+        self._admitted: List[tuple] = []
+        self._queued: List[tuple] = []
+
+    def append(
+        self,
+        t: float,
+        trigger: str,
+        admitted: Sequence[str],
+        queued: Sequence[str],
+        rc_paid: float,
+        moves: int,
+        keys: Sequence[str],
+        sigma: Sequence[int],
+        order: Optional[Sequence[str]] = None,
+        alphas: Sequence[float] = (),
+        t_last: Sequence[float] = (),
+    ) -> None:
+        """Record one epoch: ``sigma[k]`` is job ``keys[k]``'s count;
+        a re-pack epoch also gives its ``order`` and, per job of it, the
+        residual fraction and start time."""
+        prev_keys, prev_queued = (
+            (self._keys[-1], self._queued[-1]) if self._keys else (None, None)
+        )
+        keys = _shared(keys, prev_keys)
+        queued = _shared(queued, prev_queued)
+        self._t.append(t)
+        self._rc_paid.append(rc_paid)
+        self._moves.append(moves)
+        self._sigma_at.append(len(self._sigma))
+        self._floats_at.append(len(self._floats))
+        self._sigma.extend(sigma)
+        self._trigger.append(trigger)
+        self._keys.append(keys)
+        self._admitted.append(tuple(admitted))
+        self._queued.append(queued)
+        if order is None:
+            self._order.append(None)
+        else:
+            self._order.append(_shared(order, keys))
+            self._floats.extend(alphas)
+            self._floats.extend(t_last)
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, index):
+        n = len(self._t)
+        if isinstance(index, slice):
+            lo, hi, step = index.indices(n)
+            if step == 1:
+                return self._records(lo, hi)
+            return [self._records(i, i + 1)[0] for i in range(lo, hi, step)]
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("epoch index out of range")
+        return self._records(i, i + 1)[0]
+
+    def __iter__(self):
+        return iter(self._records(0, len(self._t)))
+
+    def _records(self, lo: int, hi: int) -> List[Dict[str, object]]:
+        """The records of epochs ``lo..hi-1`` (none when ``hi <= lo``)."""
+        if lo >= hi:
+            return []
+        end = hi < len(self._t)
+        # zip() stops at its first argument's end before it draws from
+        # the next, so each dict takes exactly its own epoch's values.
+        sigma = iter(self._sigma[
+            self._sigma_at[lo]:self._sigma_at[hi] if end else len(self._sigma)
+        ].tolist())
+        floats = iter(self._floats[
+            self._floats_at[lo]:self._floats_at[hi] if end else len(self._floats)
+        ].tolist())
+        records = []
+        for t, trigger, order, keys, admitted, queued, rc_paid, moves in zip(
+            self._t[lo:hi].tolist(),
+            self._trigger[lo:hi],
+            self._order[lo:hi],
+            self._keys[lo:hi],
+            self._admitted[lo:hi],
+            self._queued[lo:hi],
+            self._rc_paid[lo:hi].tolist(),
+            self._moves[lo:hi].tolist(),
+        ):
+            if order is None:
+                alphas = t_last = None
+            else:
+                alphas = dict(zip(order, floats))
+                t_last = dict(zip(order, floats))
+                order = list(order)
+            records.append(
+                {
+                    "t": t,
+                    "trigger": trigger,
+                    "order": order,
+                    "admitted": list(admitted),
+                    "sigma": dict(zip(keys, sigma)),
+                    "alphas": alphas,
+                    "t_last": t_last,
+                    "rc_paid": rc_paid,
+                    "moves": moves,
+                    "queued": list(queued),
+                }
+            )
+        return records
 
 
 @dataclass
@@ -234,7 +394,7 @@ class OnlineEngine:
         self._order: List[str] = []      #: job ids at pack indices 0..n-1
         self._queue: List[str] = []      #: admission FIFO (job ids)
         self.jobs: Dict[str, JobState] = {}
-        self.epochs: List[Dict[str, object]] = []
+        self.epochs = EpochLog()
         self.counters = _EngineCounters()
         #: This engine's share of the :mod:`repro.counters` registry,
         #: summed over its write calls (``/metrics`` reports it).
@@ -636,9 +796,9 @@ class OnlineEngine:
             rc_paid=rc_paid,
             moves=moves,
             order=order,
-            sigma={jid: sigma[i] for i, jid in enumerate(order)},
-            alphas={jid: alphas_dec[i] for i, jid in enumerate(order)},
-            t_last={jid: t_last0[i] for i, jid in enumerate(order)},
+            sigma=[sigma[i] for i in range(len(order))],
+            alphas=alphas_dec,
+            t_last=t_last0,
         )
         self.decision_latencies.append(time.perf_counter() - started)
 
@@ -651,32 +811,26 @@ class OnlineEngine:
         rc_paid: float,
         moves: int,
         order: Optional[List[str]] = None,
-        sigma: Optional[Dict[str, int]] = None,
-        alphas: Optional[Dict[str, float]] = None,
-        t_last: Optional[Dict[str, float]] = None,
+        sigma: Sequence[int] = (),
+        alphas: Sequence[float] = (),
+        t_last: Sequence[float] = (),
     ) -> None:
-        """Append one canonical epoch record (the replay pin's unit)."""
-        if sigma is None:
-            sigma = {}
-            if self._sim is not None:
-                for idx, jid in enumerate(self._order):
-                    rt = self._sim.runtimes[idx]
-                    if not rt.completed:
-                        sigma[jid] = rt.sigma
+        """Append one canonical epoch record (the replay pin's unit).
+
+        A re-pack passes its ``order`` and, per job of it, the new
+        count, residual fraction and start time; any other epoch records
+        the running pack's counts."""
+        keys: Sequence[str] = order if order is not None else []
+        if order is None and self._sim is not None:
+            keys, sigma = [], []
+            for jid, rt in zip(self._order, self._sim.runtimes):
+                if not rt.completed:
+                    keys.append(jid)
+                    sigma.append(rt.sigma)
         self.counters.epochs += 1
         self.epochs.append(
-            {
-                "t": t,
-                "trigger": trigger,
-                "order": list(order) if order is not None else None,
-                "admitted": list(admitted),
-                "sigma": sigma,
-                "alphas": alphas,
-                "t_last": t_last,
-                "rc_paid": rc_paid,
-                "moves": moves,
-                "queued": list(self._queue),
-            }
+            t, trigger, admitted, self._queue, rc_paid, moves, keys, sigma,
+            order, alphas, t_last,
         )
 
     # -- telemetry -----------------------------------------------------------

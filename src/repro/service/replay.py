@@ -33,9 +33,11 @@ __all__ = [
     "ReplayConfig",
     "ReplayResult",
     "generate_trace",
+    "replay_engine",
     "replay_reference",
     "replay_service",
     "canonical_bytes",
+    "epoch_log_bytes",
 ]
 
 #: Seconds after its arrival at which a :func:`generate_trace` job
@@ -184,10 +186,8 @@ def _result_from_engine(engine) -> ReplayResult:
     )
 
 
-def replay_reference(
-    trace: List[TraceEvent], config: ReplayConfig
-) -> ReplayResult:
-    """Offline re-simulation: the trace fed straight into an engine."""
+def replay_engine(trace: List[TraceEvent], config: ReplayConfig):
+    """The trace fed straight into a fresh engine, drained."""
     engine = config.engine()
     for event in trace:
         engine.advance_to(event.time)
@@ -201,7 +201,39 @@ def replay_reference(
         else:
             engine.cancel(event.job_id, now=event.time)
     engine.drain()
-    return _result_from_engine(engine)
+    return engine
+
+
+def replay_reference(
+    trace: List[TraceEvent], config: ReplayConfig
+) -> ReplayResult:
+    """Offline re-simulation: the trace fed straight into an engine."""
+    return _result_from_engine(replay_engine(trace, config))
+
+
+def epoch_log_bytes(trace: List[TraceEvent], config: ReplayConfig) -> int:
+    """Bytes the drained engine's epoch log holds, as tracemalloc sees
+    them: the traced heap it frees when dropped after
+    :func:`replay_engine`.
+
+    ``gc.collect()`` empties the interpreter's free lists around each
+    reading, so an object the log drops counts as freed and the count
+    does not depend on what the process ran before.
+    """
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = replay_engine(trace, config)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del engine.epochs
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def _wire(document: Dict) -> Dict:

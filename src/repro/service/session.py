@@ -97,7 +97,8 @@ class ServiceSession:
             ]
 
     def schedule(self) -> Dict[str, object]:
-        """The live allocation plus the full epoch history."""
+        """The live allocation plus the full epoch history (the
+        engine's epoch log rebuilt in one bulk pass)."""
         with self._lock:
             self._pump()
             doc = self.engine.schedule_view()

@@ -1,6 +1,6 @@
 """Property-based tests of the rolling-horizon service.
 
-Four properties over random arrival scenarios:
+Five properties over random arrival scenarios:
 
 * the re-pack never allocates more than ``p`` processors, and every
   allocation is an even count >= 2 (the paper's buddy-pair platform);
@@ -10,6 +10,8 @@ Four properties over random arrival scenarios:
   layer adds *nothing* when there is nothing online about the run);
 * replaying the same trace twice is bit-identical (the engine holds no
   hidden wall-clock or global state);
+* the engine's columnar epoch log reads back, by every read form,
+  records of the canonical keys and types that survive the JSON framing;
 * every envelope row an epoch's model serves — carried across epochs
   on the running jobs' grids or freshly evaluated — equals the row a
   cold :class:`repro.oracle.ReferenceModel` computes for the same pack.
@@ -31,7 +33,10 @@ from repro.service import (
     replay_reference,
 )
 from repro.service import horizon
+from repro.service.replay import replay_engine
 from repro.tasks import Pack, TaskSpec
+
+from test_epoch_log import assert_log_reads_agree
 
 
 @given(
@@ -69,6 +74,35 @@ def test_repack_never_exceeds_platform_capacity(
     statuses = [job["status"] for job in result.jobs.values()]
     assert len(statuses) == n_jobs
     assert all(s in ("completed", "cancelled") for s in statuses)
+
+
+@given(
+    trace_seed=st.integers(0, 50_000),
+    engine_seed=st.integers(0, 50_000),
+    n_jobs=st.integers(1, 8),
+    pairs=st.integers(2, 10),
+    mean_gap=st.sampled_from([1_000.0, 5_000.0, 40_000.0]),
+    mtbf_years=st.sampled_from([0.02, 0.1, 10.0]),
+    cancel_every=st.sampled_from([0, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_epoch_log_reads_agree_and_keep_the_record_types(
+    trace_seed, engine_seed, n_jobs, pairs, mean_gap, mtbf_years, cancel_every
+):
+    config = ReplayConfig(
+        processors=2 * pairs, mtbf_years=mtbf_years, seed=engine_seed
+    )
+    trace = generate_trace(
+        trace_seed,
+        n_jobs=n_jobs,
+        mean_gap=mean_gap,
+        m_inf=2_000.0,
+        m_sup=9_000.0,
+        cancel_every=cancel_every,
+    )
+    engine = replay_engine(trace, config)
+    records = assert_log_reads_agree(engine)
+    assert len(records) == engine.counters.epochs >= 1
 
 
 @given(
