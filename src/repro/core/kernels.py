@@ -74,8 +74,9 @@ at the current allocation are read straight off the simulator's
 3. **Patches are operation-identical to the scalar helpers.**  Stale
    rows are recombined with exactly their operation order
    (``((t + stall) + RC) + (C + profile)``), the profile rows come
-   from the model's own fused Eq. (4) kernel (:func:`~repro.resilience.
-   profile_backends.fused_raw_rows`), so they are bit-identical to
+   from the model's own Eq. (4) pass (:meth:`~repro.resilience.
+   expected_time.ExpectedTimeModel._raw_rows` at the model's alpha
+   keys), so they are bit-identical to
    :meth:`~repro.resilience.expected_time.ExpectedTimeModel.
    profile_matrix`, and the remaining-work pass is
    :func:`~repro.core.progress.remaining_from_arrays` over store
@@ -100,8 +101,7 @@ import numpy as np
 
 from ..counters import COUNTERS
 from ..exceptions import SimulationError
-from ..resilience.expected_time import _ALPHA_SCALE, ExpectedTimeModel
-from ..resilience.profile_backends import fused_raw_rows
+from ..resilience.expected_time import ExpectedTimeModel
 from .progress import remaining_from_arrays
 from .redistribution import (
     redistribution_cost_matrix,
@@ -268,7 +268,7 @@ class DecisionCache:
     build.  The simulator calls :meth:`invalidate` wherever it writes a
     task's row of the store (failure rollback, redistribution commit).
     Stale rows' Eq. (4) profiles come from the model's one
-    fused kernel, evaluated straight into the cache's workspace (see
+    Eq. (4) kernel, evaluated straight into the cache's workspace (see
     :meth:`_profile_rows`).  All scratch is preallocated here and
     reused per decision; the patch/reuse/allocation counts go to the
     :mod:`repro.counters` registry.
@@ -387,7 +387,7 @@ class DecisionCache:
         allocation is.
         """
         pos = self._prof_pos[i]
-        if pos >= 0 and self._env_key[i] == int(round(alpha * _ALPHA_SCALE)):
+        if pos >= 0 and self._env_key[i] == self.model.alpha_key(alpha):
             COUNTERS["decision_profile_env_reused"] += 1
             return float(self._prof[pos, (k >> 1) - 1])
         return float(self.model.profile(i, alpha)[(k >> 1) - 1])
@@ -462,10 +462,10 @@ class DecisionCache:
     def _profile_rows(self, sub: np.ndarray, k: int) -> np.ndarray:
         """Envelope rows of the stale tasks, evaluated into ``_prof``.
 
-        One :func:`~repro.resilience.profile_backends.fused_raw_rows`
-        pass over the model's stacked grid block at the quantised
-        alphas, then the Eq. (6) running minimum in place — the same
-        kernel and operation order as :meth:`~repro.resilience.
+        One :meth:`~repro.resilience.expected_time.ExpectedTimeModel.
+        _raw_rows` pass over the model's stacked grid block at the
+        model's alpha keys, then the Eq. (6) running minimum in place —
+        the same kernel and operation order as :meth:`~repro.resilience.
         expected_time.ExpectedTimeModel.profile_matrix`, so every row is
         bit-identical to it.  The model's envelope store is bypassed (no
         per-row dict probes or insertions on the per-decision hot path);
@@ -475,12 +475,9 @@ class DecisionCache:
         :meth:`envelope_value` can serve the commit-time scalar reads of
         the same decision.
         """
-        # np.rint rounds half to even, matching the scalar
-        # ``int(round(alpha * SCALE))`` key bit for bit.
-        keys = np.rint(self._alpha_t[sub] * _ALPHA_SCALE).astype(np.int64)
-        raw = fused_raw_rows(
-            self.model._stacked_array()[:, sub], keys / _ALPHA_SCALE
-        )
+        model = self.model
+        keys = model.alpha_keys(self._alpha_t[sub])
+        raw = model._raw_rows(sub, keys)
         out = np.minimum.accumulate(raw, axis=1, out=self._prof[:k])
         # Rows written here supersede any earlier workspace layout.
         self._prof_pos[:] = -1

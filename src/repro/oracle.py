@@ -2,7 +2,8 @@
 
 Each fast path of :mod:`repro.core`, :mod:`repro.simulation` and
 :mod:`repro.resilience` has its reference here, once, as the seed wrote
-it: :class:`ReferenceModel` (Eq. 4 misses stacked per call), the scalar
+it: :class:`ReferenceModel` (Eq. 4 misses stacked per call by
+:func:`stacked_raw_profiles`, the seed's own expression), the scalar
 decision helpers, Algorithm 1 with a model call per probe, the scalar
 bodies of Algorithms 3-5 (the ``Reference*`` heuristics keep their fast
 parents' names) and :class:`ReferenceSimulator`.  Both sides produce
@@ -30,19 +31,70 @@ from .core.redistribution import (
 )
 from .core.state import TaskRuntime
 from .exceptions import CapacityError, SimulationError
-from .resilience.expected_time import ExpectedTimeModel, stacked_raw_profiles
+from .resilience.expected_time import (
+    _ALPHA_SCALE, ExpectedTimeModel, TaskGrid, ensure_alpha_vector,
+)
 from .simulation.simulator import Simulator
 
 __all__ = [
-    "ReferenceModel", "ReferenceSimulator", "ReferenceEndLocal",
-    "ReferenceShortestTasksFirst", "ReferenceIteratedGreedy",
+    "stacked_raw_profiles", "ReferenceModel", "ReferenceSimulator",
+    "ReferenceEndLocal", "ReferenceShortestTasksFirst", "ReferenceIteratedGreedy",
     "ReferenceEndGreedy", "remaining_at", "candidate_finish_times",
     "candidate_finish_time", "optimal_schedule", "greedy_rebuild",
 ]
 
 
+def stacked_raw_profiles(
+    grids: Sequence[TaskGrid], alphas: np.ndarray
+) -> np.ndarray:
+    """Eq. (4) over several stacked task grids, one row per (grid, alpha).
+
+    The seed's expression, kept apart from the model's own kernel so the
+    two are checked against each other: one ``floor``/``expm1`` pass
+    over the 2-D block of grids stacked per call (one grid is evaluated
+    on its own arrays).  ``alphas`` holds one quantised remaining-work
+    fraction per row.  Rows with ``alpha <= 0`` are exactly zero.
+    """
+    alphas = ensure_alpha_vector(alphas, len(grids), "stacked_raw_profiles")
+    if len(grids) == 1:
+        # A scalar alpha broadcast over the 1-D grid performs the exact
+        # same elementwise operations as a one-row stacked block.
+        g = grids[0]
+        alpha = float(alphas[0])
+        if alpha <= 0.0:
+            return np.zeros((1, g.t_ff.size))
+        work = alpha * g.t_ff
+        n_ff = np.floor(work / g.work_per_period)
+        tau_last = work - n_ff * g.work_per_period
+        with np.errstate(over="ignore"):
+            row = g.prefactor * (
+                n_ff * g.exp_period + np.expm1(g.lam * tau_last)
+            )
+        return row[None, :]
+    t_ff = np.stack([g.t_ff for g in grids])
+    if bool(np.all(alphas <= 0.0)):
+        return np.zeros_like(t_ff)
+    wpp = np.stack([g.work_per_period for g in grids])
+    work = alphas[:, None] * t_ff
+    n_ff = np.floor(work / wpp)
+    tau_last = work - n_ff * wpp
+    lam = np.stack([g.lam for g in grids])
+    with np.errstate(over="ignore"):
+        block = np.stack([g.prefactor for g in grids]) * (
+            n_ff * np.stack([g.exp_period for g in grids])
+            + np.expm1(lam * tau_last)
+        )
+    zero = alphas <= 0.0
+    if bool(np.any(zero)):
+        # An overflowed prefactor (inf) times the zero block would give
+        # nan; finished tasks cost exactly nothing.
+        block[zero] = 0.0
+    return block
+
+
 class ReferenceModel(ExpectedTimeModel):
-    """:class:`ExpectedTimeModel` whose Eq. (4) misses stack per call."""
+    """:class:`ExpectedTimeModel` whose Eq. (4) rows, scalar and
+    batched, come from :func:`stacked_raw_profiles`."""
 
     @classmethod
     def sharing(cls, model: ExpectedTimeModel) -> "ReferenceModel":
@@ -55,8 +107,14 @@ class ReferenceModel(ExpectedTimeModel):
             grids=[model.grid(i) for i in range(len(model.pack))],
         )
 
-    def _raw_rows(self, indices: List[int], alphas: np.ndarray) -> np.ndarray:
-        return stacked_raw_profiles([self.grid(i) for i in indices], alphas)
+    def _raw_rows(self, indices, keys: np.ndarray) -> np.ndarray:
+        return stacked_raw_profiles(
+            [self.grid(i) for i in indices], keys / _ALPHA_SCALE
+        )
+
+    def raw_profile(self, i: int, alpha: float) -> np.ndarray:
+        alpha_q = self.alpha_key(alpha) / _ALPHA_SCALE
+        return stacked_raw_profiles([self.grid(i)], np.array([alpha_q]))[0]
 
 
 # -- scalar decision helpers --------------------------------------------------

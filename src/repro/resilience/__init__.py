@@ -20,7 +20,6 @@ from .expected_time import (
     checkpoint_count,
     ensure_alpha_vector,
     last_period,
-    stacked_raw_profiles,
 )
 from .faults import FaultInjector, NullFaultInjector
 
@@ -40,7 +39,6 @@ __all__ = [
     "checkpoint_count",
     "ensure_alpha_vector",
     "last_period",
-    "stacked_raw_profiles",
     "FaultInjector",
     "NullFaultInjector",
 ]

@@ -24,18 +24,32 @@ Adding processors raises the failure rate, so ``t^R`` is not monotone in
 "threshold" envelope), restoring assumption (5).
 
 The whole grid over even ``j`` is evaluated at once with NumPy (the
-envelope needs the prefix minimum anyway).  Envelope rows are stored on
-the task's :class:`TaskGrid`, keyed by quantised alpha: rollback alphas
-are continuous floats, so the alpha is quantised to the 1e-12 grid —
-and the profile is *evaluated at the quantised alpha* — to keep the hit
-rate high under faults while staying deterministic: the returned
-envelope is a pure function of ``(TaskGrid, quantised alpha)``, never of
-what the store happened to contain (the perturbation is below 1e-12
-relative, far under the model's fidelity).  Rows live and die with
-their grid: figure runs build grids per model, while the online service
-hands each running job's grid to every model it builds, so the job's
-rows carry from epoch to epoch.  Each model bounds the rows it inserts
-by :data:`CACHE_SIZE`, FIFO over its own insertions.
+envelope needs the prefix minimum anyway), by the one Eq. (4)
+expression of the library, :func:`_eq4_rows`: a broadcast over one
+grid's ``(7, w)`` value block at a float alpha, or over the model's
+stacked ``(7, k, w)`` block at ``(k, 1)`` alphas.  Scalar misses
+(:meth:`ExpectedTimeModel.profile`, :meth:`ExpectedTimeModel.raw_profile`),
+the batch accessors and the decision cache's stale rows
+(:class:`repro.core.kernels.DecisionCache`, through
+:meth:`ExpectedTimeModel._raw_rows`) all run it; the test oracle
+(:class:`repro.oracle.ReferenceModel`) keeps its own seed-literal copy.
+
+Envelope rows are stored on the task's :class:`TaskGrid`, keyed by
+quantised alpha: rollback alphas are continuous floats, so the alpha is
+quantised to the 1e-12 grid — and the profile is *evaluated at the
+quantised alpha* — to keep the hit rate high under faults while staying
+deterministic: the returned envelope is a pure function of
+``(TaskGrid, quantised alpha)``, never of what the store happened to
+contain (the perturbation is below 1e-12 relative, far under the
+model's fidelity).  :meth:`ExpectedTimeModel.alpha_key` and
+:meth:`ExpectedTimeModel.alpha_keys` are the one place an alpha is
+range-checked (``[0, 1]``, NaN refused) and quantised.  Rows live and
+die with their grid: figure runs build grids per model, while the
+online service hands each running job's grid to every model it builds,
+so the job's rows carry from epoch to epoch.  Each model bounds the
+rows it inserts by :data:`CACHE_SIZE`, FIFO over its own insertions;
+hits and misses are counted in the :mod:`repro.counters` registry
+(``profile_hits``, ``profile_misses``).
 
 This is the hot path of the library; the batch accessors
 (:meth:`ExpectedTimeModel.expected_times`,
@@ -58,7 +72,6 @@ from ..counters import COUNTERS
 from ..exceptions import CapacityError, ConfigurationError
 from ..tasks import Pack, TaskSpec
 from .checkpoint import ResilienceModel
-from .profile_backends import fused_raw_rows
 
 __all__ = [
     "ExpectedTimeModel",
@@ -66,13 +79,14 @@ __all__ = [
     "checkpoint_count",
     "even_grid",
     "last_period",
-    "stacked_raw_profiles",
     "ensure_alpha_vector",
 ]
 
 #: Quantisation step of the profile-cache alpha key (~1e-12).
 _ALPHA_QUANTUM = 1e-12
 _ALPHA_SCALE = 1.0 / _ALPHA_QUANTUM
+#: Largest alpha accepted: 1 plus one quantum of float noise.
+_ALPHA_MAX = 1.0 + _ALPHA_QUANTUM
 
 #: Envelope rows one model keeps inserted in its grids' stores (FIFO
 #: over its own insertions; an evicted row is dropped from whichever
@@ -87,12 +101,11 @@ def ensure_alpha_vector(
     """Validated ``(n,)`` float64 C-contiguous alpha vector.
 
     The cache-boundary contract: every public batched accessor runs its
-    ``alphas`` through this exactly once, so the kernels underneath
-    (:func:`stacked_raw_profiles`, the fused pass) can assume a
-    conforming array and never silently copy on the hot path.  A
-    conforming input passes through untouched; a non-float64 or
-    non-contiguous one is converted *here*, visibly, instead of inside
-    every per-call ``np.asarray``.
+    ``alphas`` through this exactly once, so the key helper and the
+    Eq. (4) pass underneath can assume a conforming array and never
+    silently copy on the hot path.  A conforming input passes through
+    untouched; a non-float64 or non-contiguous one is converted *here*,
+    visibly, instead of inside every per-call ``np.asarray``.
     """
     arr = (
         alphas
@@ -245,60 +258,23 @@ class TaskGrid:
         return slots
 
 
-def stacked_raw_profiles(
-    grids: Sequence[TaskGrid], alphas: np.ndarray
-) -> np.ndarray:
-    """Eq. (4) over several stacked task grids, one row per (grid, alpha).
+def _eq4_rows(block: np.ndarray, alpha) -> np.ndarray:
+    """Raw Eq. (4) over a :attr:`TaskGrid.block`-shaped value block.
 
-    The fused kernel behind every batched profile evaluation: one
-    ``floor``/``expm1`` pass over the 2-D block of stacked grids instead
-    of one call per task.  ``alphas`` supplies one remaining-work
-    fraction *per row* (callers quantise it first — see
-    :meth:`ExpectedTimeModel.profile`), so a single pass can serve both
-    the same-alpha case (:meth:`ExpectedTimeModel.profile_batch`) and
-    the per-task-alpha case of the decision kernels
-    (:meth:`ExpectedTimeModel.profile_matrix`,
-    :mod:`repro.core.kernels`).  Rows with ``alpha <= 0`` are exactly
-    zero; every other row is bit-identical to the scalar
-    :meth:`ExpectedTimeModel.raw_profile` at the same alpha.
+    ``block`` is one grid's ``(7, w)`` block with a float ``alpha``, or
+    a ``(7, k, w)`` gather of the model's stacked block with ``(k, 1)``
+    alphas (already quantised).  The expression is elementwise, so a
+    row is bit-identical whichever form evaluated it.  An ``alpha`` of
+    0 is the caller's to zero: an overflowed (``inf``) prefactor times
+    the zero bracket would give ``nan`` here.
     """
-    alphas = ensure_alpha_vector(alphas, len(grids), "stacked_raw_profiles")
-    if len(grids) == 1:
-        # Single-grid fast path: skip the stacking entirely (this is the
-        # cache-miss path of every scalar profile evaluation).  A scalar
-        # alpha broadcast over the 1-D grid performs the exact same
-        # elementwise operations as a one-row stacked block.
-        g = grids[0]
-        alpha = float(alphas[0])
-        if alpha <= 0.0:
-            return np.zeros((1, g.t_ff.size))
-        work = alpha * g.t_ff
-        n_ff = np.floor(work / g.work_per_period)
-        tau_last = work - n_ff * g.work_per_period
-        with np.errstate(over="ignore"):
-            row = g.prefactor * (
-                n_ff * g.exp_period + np.expm1(g.lam * tau_last)
-            )
-        return row[None, :]
-    t_ff = np.stack([g.t_ff for g in grids])
-    if bool(np.all(alphas <= 0.0)):
-        return np.zeros_like(t_ff)
-    wpp = np.stack([g.work_per_period for g in grids])
-    work = alphas[:, None] * t_ff
+    t_ff, _, _, lam, prefactor, exp_period, wpp = block
+    work = alpha * t_ff
     n_ff = np.floor(work / wpp)
     tau_last = work - n_ff * wpp
-    lam = np.stack([g.lam for g in grids])
     with np.errstate(over="ignore"):
-        block = np.stack([g.prefactor for g in grids]) * (
-            n_ff * np.stack([g.exp_period for g in grids])
-            + np.expm1(lam * tau_last)
-        )
-    zero = alphas <= 0.0
-    if bool(np.any(zero)):
-        # An overflowed prefactor (inf) times the zero block would give
-        # nan; finished tasks cost exactly nothing, like raw_profile.
-        block[zero] = 0.0
-    return block
+        # exp overflow -> inf is legitimate (hopeless MTBF configs).
+        return prefactor * (n_ff * exp_period + np.expm1(lam * tau_last))
 
 
 class ExpectedTimeModel:
@@ -362,8 +338,6 @@ class ExpectedTimeModel:
         #: (grid store, alpha key) of every row this model inserted,
         #: oldest first: the FIFO that CACHE_SIZE bounds.
         self._inserted: Deque[tuple[dict, int]] = deque()
-        self.cache_hits = 0
-        self.cache_misses = 0
         # Every TaskGrid row stacked, built once per model so batched
         # evaluations are pure fancy indexing with no per-call np.stack.
         self._stacked: Optional[np.ndarray] = None
@@ -387,13 +361,32 @@ class ExpectedTimeModel:
 
     # -- profiles --------------------------------------------------------------
     @staticmethod
-    def _alpha_key(alpha: float) -> int:
+    def alpha_key(alpha: float) -> int:
         """Quantised store key: alphas within ~1e-12 share a profile.
 
-        Profiles are evaluated at ``key / 1e12`` (see the module
-        docstring), so a hit and a fresh computation agree bit for bit.
+        Refuses an alpha outside ``[0, 1]`` (NaN included) with a
+        :class:`ConfigurationError`.  Profiles are evaluated at
+        ``key / 1e12`` (see the module docstring), so a hit and a fresh
+        computation agree bit for bit.
         """
+        if not 0.0 <= alpha <= _ALPHA_MAX:  # NaN fails too
+            raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
         return int(round(alpha * _ALPHA_SCALE))
+
+    @staticmethod
+    def alpha_keys(alphas: np.ndarray) -> np.ndarray:
+        """:meth:`alpha_key` of each entry of a float64 vector, as int64.
+
+        Bit-equal to the scalar key: ``np.rint`` and ``round`` both
+        round half to even.  The range check walks a Python list, which
+        is cheaper than two array reductions at decision sizes.
+        """
+        for alpha in alphas.tolist():
+            if not 0.0 <= alpha <= _ALPHA_MAX:  # NaN fails too
+                raise ConfigurationError(
+                    f"alpha must be in [0, 1], got {alpha}"
+                )
+        return np.rint(alphas * _ALPHA_SCALE).astype(np.int64)
 
     def _insert(self, stores: list, keys: list, rows: list) -> None:
         """Store read-only envelope rows, ``rows[r]`` under ``keys[r]`` in
@@ -415,19 +408,14 @@ class ExpectedTimeModel:
         evaluated at the 1e-12-quantised ``alpha`` (module docstring), so
         the result never depends on store history.
         """
-        if not 0.0 <= alpha <= 1.0 + 1e-12:
-            raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
-        key = self._alpha_key(alpha)
+        key = self.alpha_key(alpha)
         envelopes = self.grid(i).envelopes
         cached = envelopes.get(key)
         if cached is not None:
-            self.cache_hits += 1
             COUNTERS["profile_hits"] += 1
             return cached
-        self.cache_misses += 1
         COUNTERS["profile_misses"] += 1
-        # One row needs no stacking: it evaluates the grid's own arrays
-        # (the single-grid branch of stacked_raw_profiles).
+        # One row needs no stacking: Eq. (4) over the grid's own block.
         envelope = np.minimum.accumulate(
             self.raw_profile(i, key / _ALPHA_SCALE)
         )
@@ -436,27 +424,16 @@ class ExpectedTimeModel:
         return envelope
 
     def _rows_into(
-        self,
-        indices: Sequence[int],
-        alphas: np.ndarray,
-        out: np.ndarray,
-        store: bool = True,
+        self, indices: Sequence[int], alphas: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """Envelope row of each ``(indices[r], alphas[r])`` into ``out[r]``.
 
-        The one lookup behind the batched accessors.  Keys are quantised
-        in one ``np.rint`` pass (bit-equal to the scalar
-        ``int(round(...))`` key: both round half to even); the misses —
-        each distinct ``(task, key)`` once — run in one raw-row pass and
-        are stored unless ``store`` is false; then every row lands in
-        ``out`` in one slice assignment.
+        The one lookup behind the batched accessors.  Keys come from
+        :meth:`alpha_keys`; the misses — each distinct ``(task, key)``
+        once — run in one raw-row pass and are stored; then every row
+        lands in ``out`` in one slice assignment.
         """
-        for alpha in alphas.tolist():
-            if not 0.0 <= alpha <= 1.0 + 1e-12:  # NaN fails too
-                raise ConfigurationError(
-                    f"alpha must be in [0, 1], got {alpha}"
-                )
-        keys = np.rint(alphas * _ALPHA_SCALE).astype(np.int64).tolist()
+        keys = self.alpha_keys(alphas).tolist()
         stores = [self.grid(i).envelopes for i in indices]
         found = [store.get(key) for store, key in zip(stores, keys)]
         missing: Dict[tuple[int, int], list[int]] = {}
@@ -464,35 +441,36 @@ class ExpectedTimeModel:
             if row is None:
                 missing.setdefault((indices[pos], keys[pos]), []).append(pos)
         misses = sum(map(len, missing.values()))
-        hits = len(found) - misses
-        self.cache_hits += hits
-        self.cache_misses += misses
-        COUNTERS["profile_hits"] += hits
+        COUNTERS["profile_hits"] += len(found) - misses
         COUNTERS["profile_misses"] += misses
         if missing:
             sel = [i for i, _ in missing]
             miss_keys = [key for _, key in missing]
-            alpha_q = np.array(miss_keys) / _ALPHA_SCALE
-            raw = self._raw_rows(sel, alpha_q)
+            raw = self._raw_rows(sel, np.array(miss_keys))
             block = np.minimum.accumulate(raw, axis=1)  # a fresh array
             block.setflags(write=False)
             rows = list(block)
             for row, positions in zip(rows, missing.values()):
                 for pos in positions:
                     found[pos] = row
-            if store:
-                self._insert(
-                    [stores[ps[0]] for ps in missing.values()], miss_keys, rows
-                )
+            self._insert(
+                [stores[ps[0]] for ps in missing.values()], miss_keys, rows
+            )
         if found:
             out[: len(found)] = found
         return out
 
-    def _raw_rows(self, indices: list, alphas: np.ndarray) -> np.ndarray:
-        """Eq. (4) rows of ``(indices[r], alphas[r])``: the fused pass
-        over the stacked grid block (bit-identical to
-        :func:`stacked_raw_profiles`, which :mod:`repro.oracle` runs)."""
-        return fused_raw_rows(self._stacked_array()[:, indices], alphas)
+    def _raw_rows(self, indices, keys: np.ndarray) -> np.ndarray:
+        """Eq. (4) rows of ``(indices[r], keys[r] / 1e12)``, one fresh
+        ``(len(keys), grid)`` array: one pass over a gather of the
+        stacked grid block; a zero key gives a zero row."""
+        raw = _eq4_rows(
+            self._stacked_array()[:, indices], (keys / _ALPHA_SCALE)[:, None]
+        )
+        zero = keys <= 0
+        if zero.any():
+            raw[zero] = 0.0
+        return raw
 
     def profile_batch(
         self, indices: Sequence[int], alpha: float = 1.0
@@ -532,9 +510,8 @@ class ExpectedTimeModel:
 
         Built once per model (forcing every task grid) with one
         ``np.concatenate``; ``[k, i]`` is a copy of task ``i``'s
-        :data:`GRID_ROWS` ``[k]`` array, so fancy-indexed evaluations
-        are bit-identical to :func:`stacked_raw_profiles` over freshly
-        stacked grids.
+        :data:`GRID_ROWS` ``[k]`` array, so a fancy-indexed evaluation
+        is bit-identical to one over the grid's own block.
         """
         if self._stacked is None:
             n = len(self.pack)
@@ -548,8 +525,6 @@ class ExpectedTimeModel:
         indices: Sequence[int],
         alphas: np.ndarray,
         out: np.ndarray,
-        *,
-        store: bool = True,
     ) -> np.ndarray:
         """:meth:`profile_matrix` into caller-preallocated scratch.
 
@@ -557,12 +532,6 @@ class ExpectedTimeModel:
         into ``out[r]`` (shape at least ``(len(indices), grid)``) and
         returns ``out``.  Row ``r`` is bit-identical to
         ``profile(indices[r], alphas[r])``.
-
-        ``store=False`` skips storing freshly evaluated rows (stored
-        rows are still read).  Right for per-event alphas that never
-        recur — storing them would be pure eviction churn — and
-        value-safe either way, since profiles are pure functions of
-        ``(grid, quantised alpha)``, never of store history.
         """
         indices = list(indices)
         alphas_arr = ensure_alpha_vector(
@@ -573,21 +542,20 @@ class ExpectedTimeModel:
                 f"profile_rows_into scratch too small: out shape "
                 f"{out.shape}, need ({len(indices)}, {self._grid_len})"
             )
-        return self._rows_into(indices, alphas_arr, out, store)
+        return self._rows_into(indices, alphas_arr, out)
 
-    def raw_profile(
-        self, i: int, alpha: float, grid: Optional[TaskGrid] = None
-    ) -> np.ndarray:
+    def raw_profile(self, i: int, alpha: float) -> np.ndarray:
         """Eq. (4) without the envelope (exposed for tests/diagnostics).
 
-        ``alpha`` is snapped to the model's 1e-12 alpha grid, like every
-        profile evaluation, so ``profile(i, a)`` always equals the prefix
-        minimum of ``raw_profile(i, a)`` at the same argument.
+        ``alpha`` is checked and snapped to the model's 1e-12 alpha grid
+        (:meth:`alpha_key`), like every profile evaluation, so
+        ``profile(i, a)`` always equals the prefix minimum of
+        ``raw_profile(i, a)`` at the same argument.
         """
-        if grid is None:
-            grid = self.grid(i)
-        alpha = self._alpha_key(alpha) / _ALPHA_SCALE
-        return stacked_raw_profiles([grid], np.array([alpha]))[0]
+        key = self.alpha_key(alpha)
+        if key == 0:
+            return np.zeros(self._grid_len)
+        return _eq4_rows(self.grid(i).block, key / _ALPHA_SCALE)
 
     # -- scalar accessors --------------------------------------------------------
     def expected_time(self, i: int, j: int, alpha: float = 1.0) -> float:
@@ -647,14 +615,3 @@ class ExpectedTimeModel:
         best = int(np.argmin(envelope))
         # argmin returns the first occurrence = smallest such j
         return int(self._j_grid[best])
-
-    def cache_info(self) -> dict[str, int | float]:
-        """Cache statistics (diagnostics), including the hit rate."""
-        lookups = self.cache_hits + self.cache_misses
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._inserted),
-            "capacity": CACHE_SIZE,
-            "hit_rate": self.cache_hits / lookups if lookups else 0.0,
-        }

@@ -84,13 +84,13 @@ from ..counters import COUNTERS, since, snapshot as counter_snapshot
 from ..engine.cache import WorkloadCache
 from ..exceptions import ConfigurationError
 from ..resilience.checkpoint import ResilienceModel
-from ..resilience.distributions import ExponentialFaults, FaultDistribution
+from ..resilience.distributions import ExponentialFaults
 from ..resilience.expected_time import ExpectedTimeModel, TaskGrid, even_grid
 from ..resilience.faults import FaultInjector, NullFaultInjector
 from ..rng import derive_rng
 from ..simulation.simulator import Simulator
 from ..tasks import Pack, TaskSpec
-from ..tasks.speedup import PaperSyntheticProfile, SpeedupProfile
+from ..tasks.speedup import PaperSyntheticProfile
 
 __all__ = ["EpochLog", "JobState", "OnlineEngine"]
 
@@ -352,27 +352,16 @@ class OnlineEngine:
         *,
         seed: int = 0,
         inject_faults: bool = True,
-        fault_distribution: Optional[FaultDistribution] = None,
-        resilience: Optional[ResilienceModel] = None,
-        profile: Optional[SpeedupProfile] = None,
-        checkpoint_unit_cost: float = 1.0,
     ):
         self.cluster = cluster
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.seed = int(seed)
         self.inject_faults = bool(inject_faults)
-        self._distribution = (
-            fault_distribution
-            if fault_distribution is not None
-            else ExponentialFaults(cluster.mtbf)
-        )
-        self._resilience = (
-            resilience if resilience is not None else ResilienceModel(cluster)
-        )
-        self._profile = profile if profile is not None else PaperSyntheticProfile()
-        if checkpoint_unit_cost < 0:
-            raise ConfigurationError("checkpoint unit cost must be >= 0")
-        self.checkpoint_unit_cost = float(checkpoint_unit_cost)
+        # The paper's model: exponential faults, Young periods, the
+        # synthetic speedup profile.
+        self._distribution = ExponentialFaults(cluster.mtbf)
+        self._resilience = ResilienceModel(cluster)
+        self._profile = PaperSyntheticProfile()
         self._models = WorkloadCache()
         # One decision cache per memoised model, reset()-reused across
         # segments (bounded alongside the model memo).
@@ -494,11 +483,8 @@ class OnlineEngine:
             raise ConfigurationError(
                 f"job size must be positive and finite, got {size}"
             )
-        ckpt = (
-            self.checkpoint_unit_cost * size
-            if checkpoint_cost is None
-            else float(checkpoint_cost)
-        )
+        # Unit checkpoint cost by default: C = size.
+        ckpt = size if checkpoint_cost is None else float(checkpoint_cost)
         if not (math.isfinite(ckpt) and ckpt >= 0):
             raise ConfigurationError(
                 f"checkpoint cost must be finite and >= 0, got {ckpt}"

@@ -320,7 +320,7 @@ def validate_expected_time(
     if samples < 2:
         raise ConfigurationError("at least 2 samples are required")
     grid = model.grid(i)
-    predicted = float(model.raw_profile(i, alpha, grid)[grid.slot(j)])
+    predicted = float(model.raw_profile(i, alpha)[grid.slot(j)])
     requests = [
         RunRequest(
             fn=_sample_validation_chunk,

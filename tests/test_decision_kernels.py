@@ -425,26 +425,17 @@ class TestProfileRowsInto:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n=st.integers(min_value=1, max_value=6),
-        store=st.booleans(),
     )
     @settings(max_examples=20, deadline=None)
-    def test_matches_profile(self, seed, n, store):
+    def test_matches_profile(self, seed, n):
         _, _, model = build(seed, n, 4 * n)
         rng = np.random.default_rng(seed)
         indices = list(range(n))
         alphas = rng.uniform(0.0, 1.0, size=n)
         out = np.empty((n, model.j_grid.size))
-        model.profile_rows_into(indices, alphas, out, store=store)
+        model.profile_rows_into(indices, alphas, out)
         for row, i in enumerate(indices):
             assert np.array_equal(out[row], model.profile(i, alphas[row]))
-
-    def test_store_false_skips_ring_insertion(self):
-        _, _, model = build(1, 3, 12)
-        out = np.empty((3, model.j_grid.size))
-        model.profile_rows_into([0, 1, 2], [0.37, 0.21, 0.84], out, store=False)
-        entries = model.cache_info()["entries"]
-        model.profile_rows_into([0, 1, 2], [0.37, 0.21, 0.84], out)
-        assert model.cache_info()["entries"] == entries + 3
 
     def test_duplicates_zero_alpha_and_validation(self):
         _, _, model = build(2, 3, 12)

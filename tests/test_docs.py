@@ -7,7 +7,8 @@ Two cheap gates for the documentation suite:
   statistics and broker classes) carries a docstring;
 * the markdown documentation (``README.md``, ``docs/*.md``) must not
   contain dangling relative links or reference non-existent repo
-  files.
+  files, and every ``repro.*`` module that ``docs/ARCHITECTURE.md``'s
+  "Where things are" table names must import.
 
 CI's docs job runs this file alongside executing the README quickstart
 and the three-executor figure pin.
@@ -15,6 +16,7 @@ and the three-executor figure pin.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -150,3 +152,35 @@ class TestMarkdownDocs:
             assert baseline.name in text, (
                 f"BENCHMARKS.md misses {baseline.name}"
             )
+
+
+def where_things_are_modules(text: str) -> list[str]:
+    """Every backticked ``repro.*`` path in the "Where things are" table."""
+    section = text.split("## Where things are", 1)[1]
+    table = section.split("\n\n", 2)[1]  # the block after the heading
+    return re.findall(r"`(repro(?:\.\w+)*)`", table)
+
+
+class TestArchitectureMap:
+    """The module map in ``docs/ARCHITECTURE.md`` names live modules."""
+
+    TEXT = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+
+    def test_table_names_modules(self):
+        modules = where_things_are_modules(self.TEXT)
+        assert len(modules) >= 15, modules
+        assert "repro.resilience.expected_time" in modules
+
+    @pytest.mark.parametrize("module", where_things_are_modules(TEXT))
+    def test_every_module_imports(self, module):
+        importlib.import_module(module)
+
+    def test_parser_sees_a_stale_row(self):
+        stale = (
+            "## Where things are\n\n"
+            "| concern | module |\n|---|---|\n"
+            "| gone | `repro.resilience.profile_backends` |\n\nAfter.\n"
+        )
+        [module] = where_things_are_modules(stale)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

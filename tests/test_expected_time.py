@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import counters
 from repro.cluster import Cluster
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.resilience import (
@@ -158,25 +159,33 @@ class TestAccessors:
             model.expected_time(0, 1000, 1.0)
 
     def test_alpha_out_of_range_rejected(self, model):
-        with pytest.raises(ConfigurationError):
-            model.profile(0, 1.5)
-        with pytest.raises(ConfigurationError):
-            model.profile(0, -0.1)
+        # raw_profile goes through the same alpha key as profile.
+        for alpha in (1.5, 3.0, 1.0 + 1e-9, -0.1, -1.0):
+            for call in (model.profile, model.raw_profile):
+                with pytest.raises(ConfigurationError, match="alpha must be"):
+                    call(0, alpha)
+            with pytest.raises(ConfigurationError, match="alpha must be"):
+                model.alpha_keys(np.array([0.5, alpha]))
+
+
+def _store_counts(before):
+    """``(hits, misses)`` of the envelope stores since ``before``."""
+    counts = counters.since(before)
+    return counts["profile_hits"], counts["profile_misses"]
 
 
 class TestCache:
     def test_cache_hit_on_repeat(self, model):
         model.profile(0, 0.77)
-        misses = model.cache_misses
+        before = counters.snapshot()
         model.profile(0, 0.77)
-        assert model.cache_misses == misses
-        assert model.cache_hits >= 1
+        assert _store_counts(before) == (1, 0)
 
     def test_cache_distinguishes_alpha(self, model):
         model.profile(0, 0.5)
-        misses = model.cache_misses
+        before = counters.snapshot()
         model.profile(0, 0.51)
-        assert model.cache_misses == misses + 1
+        assert _store_counts(before) == (0, 1)
 
     def test_cache_eviction_bounded(
         self, small_pack, small_cluster, monkeypatch
@@ -185,7 +194,7 @@ class TestCache:
         model = ExpectedTimeModel(small_pack, small_cluster)
         for k in range(20):
             model.profile(0, k / 20.0)
-        assert model.cache_info()["entries"] <= 4
+        assert len(model.grid(0).envelopes) <= 4
 
     def test_grid_reused(self, model):
         assert model.grid(0) is model.grid(0)
@@ -196,9 +205,10 @@ class TestCache:
         row = first.profile(0, 0.3)
         grids = [first.grid(i) for i in range(len(small_pack))]
         second = ExpectedTimeModel(small_pack, small_cluster, grids=grids)
+        before = counters.snapshot()
         assert second.profile_matrix([0], [0.3])[0].tobytes() == row.tobytes()
-        assert (second.cache_hits, second.cache_misses) == (1, 0)
-        assert second.cache_info()["entries"] == 0  # not its insertion
+        assert _store_counts(before) == (1, 0)
+        assert not second._inserted  # not its insertion
 
     def test_eviction_drops_the_row_from_its_grid(
         self, small_pack, small_cluster, monkeypatch
@@ -208,7 +218,7 @@ class TestCache:
         for alpha in (0.1, 0.2, 0.3):
             model.profile(0, alpha)
         assert sorted(model.grid(0).envelopes) == [
-            model._alpha_key(0.2), model._alpha_key(0.3)
+            model.alpha_key(0.2), model.alpha_key(0.3)
         ]
 
 
@@ -225,16 +235,33 @@ class TestNaNAlpha:
             lambda m: m.profile_rows_into(
                 [0, 1], np.array([math.nan, 0.5]), np.empty((2, 20))
             ),
+            lambda m: m.raw_profile(0, math.nan),
         ],
         ids=[
-            "profile", "profile_batch", "profile_matrix", "profile_rows_into"
+            "profile", "profile_batch", "profile_matrix", "profile_rows_into",
+            "raw_profile",
         ],
     )
     def test_raises_configuration_error(self, small_pack, small_cluster, call):
         model = ExpectedTimeModel(small_pack, small_cluster)
         with pytest.raises(ConfigurationError, match="got nan"):
             call(model)
-        assert model.cache_info()["entries"] == 0
+        assert not model._inserted
+
+
+class TestAlphaKeys:
+    """``alpha_keys`` is ``alpha_key`` over a vector, half to even."""
+
+    def test_vector_keys_equal_scalar_keys(self):
+        rng = np.random.default_rng(7)
+        alphas = np.concatenate(
+            [rng.uniform(0.0, 1.0, 500), [0.0, 1.0, 0.5, 2.5e-12, 1.5e-12]]
+        )
+        keys = ExpectedTimeModel.alpha_keys(alphas)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [
+            ExpectedTimeModel.alpha_key(a) for a in alphas.tolist()
+        ]
 
 
 class TestGridValidation:

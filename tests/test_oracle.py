@@ -9,6 +9,7 @@ simulator also uses leaves that model as it was.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 HOT_PACKAGES = ("core", "simulation", "resilience")
 
 BANNED_NAMES = {"reference", "_reference"}
+
+#: Names of an Eq. 4 kernel, the alpha quantum and the reference
+#: expression, past and present: only ``repro.resilience.expected_time``
+#: (the model) and ``repro.oracle`` (the reference) may hold them.
+EQ4_NAMES = {
+    "stacked_raw_profiles", "fused_raw_rows", "_eq4_rows",
+    "_ALPHA_SCALE", "_ALPHA_QUANTUM",
+}
 
 
 def _module_name(path: Path) -> str:
@@ -71,6 +80,20 @@ def _reference_sites(tree: ast.Module):
             yield node.lineno, f"attribute .{node.attr}"
 
 
+def _names(tree: ast.Module):
+    """``(line, name)`` of every defined, imported or referenced name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.name.rpartition(".")[2]
+
+
 def _modules(*packages):
     for package in packages:
         yield from sorted((SRC / package).rglob("*.py"))
@@ -107,6 +130,31 @@ class TestOracleIsolation:
                 offenders.append(module)
         assert not offenders, offenders
 
+    def test_one_eq4_kernel_and_one_alpha_key(self):
+        # The model holds the one production Eq. 4 expression and the
+        # alpha quantum; the reference expression lives in the oracle.
+        owners = {"repro.resilience.expected_time", "repro.oracle"}
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            module = _module_name(path)
+            if module in owners:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [
+                f"{module}:{line}: {name}"
+                for line, name in _names(tree) if name in EQ4_NAMES
+            ]
+        assert not offenders, offenders
+        tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+        defined = {
+            node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+        assert "stacked_raw_profiles" in defined
+
+    def test_profile_backends_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.resilience.profile_backends")
+
     def test_guard_sees_the_sites_it_bans(self):
         # The AST walk itself: each banned form is reported once.
         tree = ast.parse(
@@ -122,6 +170,17 @@ class TestOracleIsolation:
         ]
         names = set(_imported_modules(tree, "repro.core.optimal", False))
         assert "repro.oracle" in names
+        eq4 = ast.parse(
+            "from ..resilience.expected_time import _ALPHA_SCALE\n"
+            "def fused_raw_rows(): pass\n"
+            "raw = model._eq4_rows(x)\n"
+            "rows = stacked_raw_profiles(grids, a)\n"
+        )
+        found = sorted(name for _, name in _names(eq4) if name in EQ4_NAMES)
+        assert found == [
+            "_ALPHA_SCALE", "_eq4_rows", "fused_raw_rows",
+            "stacked_raw_profiles",
+        ]
 
     def test_reference_keywords_are_gone(self):
         pack, cluster, model = _workload(0)
@@ -161,7 +220,7 @@ class TestReferenceSimulator:
         pack, cluster, model = _workload(0)
         fast = Simulator(pack, cluster, policy, seed=0, model=model).run()
         before = dict(vars(model))
-        info = model.cache_info()
+        inserted = list(model._inserted)
         ref = ReferenceSimulator(
             pack, cluster, policy, seed=0, model=model
         ).run()
@@ -170,7 +229,7 @@ class TestReferenceSimulator:
         assert vars(model).keys() == before.keys()
         for name, value in before.items():
             assert vars(model)[name] is value, name
-        assert model.cache_info() == info
+        assert list(model._inserted) == inserted
         # The default path on the same model still runs the same events.
         again = Simulator(pack, cluster, policy, seed=0, model=model).run()
         assert again.makespan == fast.makespan == ref.makespan

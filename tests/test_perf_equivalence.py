@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import counters
 from repro.cluster import Cluster
 from repro.core.state import TaskArrays, TaskRuntime
 from repro.engine import (
@@ -363,28 +364,34 @@ class TestBatchedAccessors:
         pack, cluster = _workload(1)
         model = ExpectedTimeModel(pack, cluster)
         model.profile_batch([0, 1, 2], 0.9)
-        misses = model.cache_misses
+        before = counters.snapshot()
         model.profile_batch([0, 1, 2], 0.9)
-        assert model.cache_misses == misses
+        assert counters.since(before)["profile_misses"] == 0
 
     def test_quantised_key_absorbs_float_noise(self):
         pack, cluster = _workload(2)
         model = ExpectedTimeModel(pack, cluster)
         first = model.profile(0, 0.5)
+        before = counters.snapshot()
         second = model.profile(0, 0.5 + 4e-13)  # within the 1e-12 quantum
         assert second is first
-        assert model.cache_hits >= 1
+        assert counters.since(before)["profile_hits"] == 1
 
-    def test_cache_info_exposes_hit_rate(self):
+    def test_registry_counts_hits_and_misses(self):
+        # The model keeps no counts of its own: its hits and misses land
+        # in the process registry, which process_cache_snapshot reads.
         pack, cluster = _workload(2)
         model = ExpectedTimeModel(pack, cluster)
-        info = model.cache_info()
-        assert info["hit_rate"] == 0.0
+        before = counters.snapshot()
         model.profile(0, 1.0)
         model.profile(0, 1.0)
-        info = model.cache_info()
-        assert 0.0 < info["hit_rate"] < 1.0
-        assert info["capacity"] >= info["entries"]
+        model.profile_batch([0, 1], 1.0)
+        counts = counters.since(before)
+        assert (counts["profile_hits"], counts["profile_misses"]) == (2, 2)
+        assert ExpectedTimeModel.process_cache_snapshot() == (
+            before["profile_hits"] + 2, before["profile_misses"] + 2
+        )
+        assert not hasattr(model, "cache_info")
 
     def test_profile_batch_duplicate_indices(self, monkeypatch):
         monkeypatch.setattr(expected_time, "CACHE_SIZE", 2)
@@ -398,7 +405,7 @@ class TestBatchedAccessors:
         # Churn the tiny ring: duplicate stores must not corrupt eviction.
         for alpha in (0.1, 0.2, 0.3, 0.4):
             model.profile_batch([2, 2], alpha)
-        assert model.cache_info()["entries"] <= 2
+        assert len(model._inserted) <= 2
 
     def test_evicted_profile_stays_valid_for_holders(self, monkeypatch):
         monkeypatch.setattr(expected_time, "CACHE_SIZE", 2)
@@ -419,7 +426,7 @@ class TestBatchedAccessors:
         model = ExpectedTimeModel(pack, cluster)
         expected = {a: model.profile(0, a).copy() for a in (0.2, 0.4, 0.6)}
         model.profile(0, 0.8)  # evicts alpha=0.2's row (FIFO)
-        assert model.cache_info()["entries"] == 3
+        assert len(model.grid(0).envelopes) == 3
         for a, values in expected.items():
             assert np.array_equal(model.profile(0, a), values)
 

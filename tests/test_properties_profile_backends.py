@@ -1,11 +1,12 @@
-"""Property suite: the fused Eq. (4) backend is bit-identical to the reference.
+"""Property suite: the model's Eq. (4) kernel is bit-identical to the reference.
 
-The acceptance contract of the hot core: the fused Eq. (4) backend,
-through the model's batched accessors and through the
+The acceptance contract of the hot core: the model's one Eq. (4)
+kernel, through the scalar accessors, the batched accessors and the
 ``DecisionCache``'s per-decision profile pass, must reproduce the
-reference substrate (:class:`repro.oracle.ReferenceModel`) *bit for
-bit* — not approximately — across the edge cases that could plausibly
-break exact equality: zero-alpha rows (forced-zero masking),
+reference substrate (:class:`repro.oracle.ReferenceModel`, whose rows
+come from the oracle's own :func:`repro.oracle.stacked_raw_profiles`)
+*bit for bit* — not approximately — across the edge cases that could
+plausibly break exact equality: zero-alpha rows (forced-zero masking),
 single-slot grids (degenerate envelope), and overflowing ``inf``
 prefactors (hopeless-MTBF configurations where ``exp`` saturates).
 """
@@ -21,14 +22,22 @@ from repro.oracle import ReferenceModel
 from repro.resilience import ExpectedTimeModel, ensure_alpha_vector
 from repro.tasks import uniform_pack
 
-# Modest spaces so every example builds in microseconds.  The smallest
-# mtbf values push ``lam`` high enough that exp() overflows to an inf
-# prefactor; pairs == 1 gives a single-slot grid.
+# Modest spaces so every example builds in microseconds; pairs == 1
+# gives a single-slot grid.
 n_tasks = st.integers(min_value=1, max_value=5)
 grid_pairs = st.integers(min_value=1, max_value=24)
 mtbf_years = st.floats(min_value=1e-4, max_value=100.0)
 seeds = st.integers(min_value=0, max_value=2**16)
 alphas = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+
+#: A platform MTBF (~3 s) far below every task's checkpoint cost:
+#: ``exp(lam R)`` overflows, so every grid's prefactor is ``inf``.
+HOPELESS_MTBF_YEARS = 1e-7
+
+
+def same_bits(a, b) -> bool:
+    """Bit equality that also holds for matching ``nan`` slots."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def build_models(n, pairs, mtbf, seed):
@@ -72,17 +81,16 @@ class TestBackendBitIdentity:
     )
     @settings(max_examples=40, deadline=None)
     def test_profile_rows_into_bit_identical(self, n, pairs, mtbf, seed, data):
-        # The scratch-filling accessor (store=False leaves the grids'
-        # envelope stores untouched, so every call re-evaluates through
-        # the backend).
+        # The scratch-filling accessor; the two models hold separate
+        # grids, so each evaluates through its own kernel.
         reference, fast = build_models(n, pairs, mtbf, seed)
         alpha_t = np.array([data.draw(alphas) for _ in range(n)])
         width = reference.j_grid.size
         want = reference.profile_rows_into(
-            list(range(n)), alpha_t, np.empty((n, width)), store=False
+            list(range(n)), alpha_t, np.empty((n, width))
         )
         got = fast.profile_rows_into(
-            list(range(n)), alpha_t, np.empty((n, width)), store=False
+            list(range(n)), alpha_t, np.empty((n, width))
         )
         assert np.array_equal(got, want)
 
@@ -91,21 +99,65 @@ class TestBackendBitIdentity:
     def test_zero_alpha_rows_exactly_zero(self, pairs, seed):
         # Zero remaining work costs exactly 0.0 on both paths, even
         # when the inf prefactor would otherwise produce inf * 0 = nan.
-        for model in build_models(3, pairs, 1e-4, seed):
+        for model in build_models(3, pairs, HOPELESS_MTBF_YEARS, seed):
+            assert np.isinf(model.grid(0).prefactor).all()
             assert np.all(model.profile_matrix(range(3), [0.0] * 3) == 0.0)
 
     @given(n=n_tasks, pairs=grid_pairs, seed=seeds, data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_overflow_inf_prefactor_bit_identical(self, n, pairs, seed, data):
-        # mtbf = 1e-4 years over large tasks saturates exp(): the raw
-        # Eq. (4) rows contain inf, and both paths must place the same
-        # infs in the same slots (inf == inf under array_equal).
-        reference, fast = build_models(n, pairs, 1e-4, seed)
+        # A hopeless MTBF saturates exp(): the raw Eq. (4) rows contain
+        # inf, and both paths must place the same infs in the same slots.
+        reference, fast = build_models(n, pairs, HOPELESS_MTBF_YEARS, seed)
         alpha_t = [data.draw(st.floats(min_value=0.5, max_value=1.0))
                    for _ in range(n)]
         want = reference.profile_matrix(range(n), alpha_t)
-        assert np.isinf(want).any() or np.isfinite(want).all()
-        assert np.array_equal(fast.profile_matrix(range(n), alpha_t), want)
+        assert np.isinf(want).any()
+        assert same_bits(fast.profile_matrix(range(n), alpha_t), want)
+
+
+class TestScalarPathBitIdentity:
+    """``profile``, ``raw_profile`` and ``expected_time`` evaluate one
+    grid's own block; the reference stacks per call."""
+
+    @staticmethod
+    def _assert_scalar_paths_agree(reference, fast, i, alpha):
+        assert same_bits(fast.raw_profile(i, alpha),
+                         reference.raw_profile(i, alpha))
+        assert same_bits(fast.profile(i, alpha), reference.profile(i, alpha))
+        for j in fast.j_grid.astype(int).tolist():
+            assert same_bits(
+                fast.expected_time(i, j, alpha),
+                reference.expected_time(i, j, alpha),
+            ), (i, j, alpha)
+
+    @given(
+        n=n_tasks, pairs=grid_pairs, mtbf=mtbf_years, seed=seeds,
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_accessors_bit_identical(self, n, pairs, mtbf, seed, data):
+        reference, fast = build_models(n, pairs, mtbf, seed)
+        for i in range(n):
+            self._assert_scalar_paths_agree(reference, fast, i, data.draw(alphas))
+        self._assert_scalar_paths_agree(reference, fast, 0, 0.0)
+        assert np.all(fast.raw_profile(0, 0.0) == 0.0)
+
+    @given(n=n_tasks, pairs=grid_pairs, seed=seeds, data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_overflow_inf_prefactor_scalar_bit_identical(
+        self, n, pairs, seed, data
+    ):
+        # Every prefactor is inf; alpha 0 must still cost exactly 0.0
+        # (not inf * 0 = nan) on both paths.
+        reference, fast = build_models(n, pairs, HOPELESS_MTBF_YEARS, seed)
+        for i in range(n):
+            assert np.isinf(fast.grid(i).prefactor).all()
+            alpha = data.draw(st.floats(min_value=0.5, max_value=1.0))
+            self._assert_scalar_paths_agree(reference, fast, i, alpha)
+            self._assert_scalar_paths_agree(reference, fast, i, 0.0)
+        assert np.isinf(fast.raw_profile(0, 1.0)).all()
+        assert np.all(fast.raw_profile(0, 0.0) == 0.0)
 
 
 class TestDecisionCacheProfileDeltas:
